@@ -313,3 +313,9 @@ def test_render_merges_coincident_labels():
     # every marker label is unique in the picture
     assert svg.count(">B1</text>") == 1
     assert svg.count(">B2</text>") == 1
+
+
+@pytest.mark.parametrize("name", ["dilation", "perturbed"])
+def test_render_matches_golden_svg(name):
+    d = parse_diagram((DATA / f"{name}.json").read_text())
+    assert render_svg(d) == (DATA / f"{name}.svg").read_text()
