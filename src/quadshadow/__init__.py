@@ -6,252 +6,24 @@ with its shadow.  This package decides which, over exact rationals, and
 builds explicit spatial witness scenes for the diagrams that pass.
 """
 
-from .kernel import (
-    DRAWING_PLANE,
-    CenterOnTarget,
-    CoincidentLines,
-    CoincidentPoints,
-    CollinearPoints,
-    GeometryError,
-    Line2,
-    Line3,
-    LineInPlane,
-    NotOnDrawingPlane,
-    Plane3,
-    PlueckerViolation,
-    Point2,
-    Point3,
-    ProjectingCenter,
-    ZeroVector,
-    central_project,
-    chart_drawing,
-    collinear2,
-    collinear3,
-    coplanarity_det,
-    embed_drawing,
-    join2,
-    line3_through,
-    meet2,
-    meet_line_plane,
-    meet_lines3,
-    normalize,
-    plane_through,
-    points_on_line2,
-    points_on_line3,
-)
-from .quadrangle import (
-    OPPOSITE_SIDES,
-    SIDE_LABELS,
-    VERTEX_LABELS,
-    CollinearTriple,
-    DiagonalTriangle,
-    LineThroughVertex,
-    Quadrangle,
-    QuadrangularTrace,
-    RepeatedVertex,
-    SideSet,
-    diagonal_triangle,
-    quadrangular_trace,
-    same_vertex_set,
-    sides,
-    validate_quadrangle,
-)
-from .perspectivity import (
-    AXIS_SIDES,
-    CenterIsVertex,
-    Collineation,
-    HomologousSidesEqual,
-    InvalidPair,
-    NoCommonAxis,
-    NotPerspective,
-    SideAxes,
-    common_axis,
-    desargues_axis,
-    general_position,
-    pair_perspective_from,
-    perspective_center,
-    perspective_collineation,
-    quad_perspective,
-    side_axes,
-    triangles_perspective_point,
-)
-from .checker import (
-    DegeneracyClass,
-    DegeneracyKind,
-    PlanarDiagram,
-    Reason,
-    Verdict,
-    classify_degeneracy,
-    decide_depiction,
-)
-from .lift import (
-    ClauseCheck,
-    DegenerateParameters,
-    DegenerateScene,
-    NotCorrectDiagram,
-    NotGeneralPosition,
-    PlanarityCertificate,
-    SpatialQuadrangle,
-    SpatialScene,
-    Witness,
-    WitnessReport,
-    displaced_centers,
-    lift_collinear_centers,
-    lift_via_axis,
-    planarity_certificate,
-    project_scene,
-    scene_from_witness,
-    verify_witness,
-    witness_side_traces,
-)
-from .generators import (
-    GenConfig,
-    RetriesExhausted,
-    SplitMix64,
-    gen_axis_perspective_triangles,
-    gen_collineation,
-    gen_correct_diagram,
-    gen_degenerate_diagram,
-    gen_general_position_diagram,
-    gen_incorrect_diagram,
-    gen_point_perspective_triangles,
-    gen_quadrangle,
-)
-from .cli_io import (
-    InvariantViolation,
-    ParseError,
-    emit_diagram,
-    emit_scene,
-    emit_verdict,
-    emit_witness,
-    parse_diagram,
-    parse_scene,
-    parse_verdict,
-    parse_witness,
-    render_svg,
-    run_cli,
-)
+from .kernel import *
+from .quadrangle import *
+from .perspectivity import *
+from .checker import *
+from .lift import *
+from .generators import *
+from .cli_io import *
+from . import checker, cli_io, generators, kernel, lift, perspectivity, quadrangle
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # kernel
-    "GeometryError",
-    "ZeroVector",
-    "CoincidentPoints",
-    "CoincidentLines",
-    "CollinearPoints",
-    "LineInPlane",
-    "CenterOnTarget",
-    "ProjectingCenter",
-    "NotOnDrawingPlane",
-    "PlueckerViolation",
-    "normalize",
-    "Point2",
-    "Line2",
-    "Point3",
-    "Plane3",
-    "Line3",
-    "DRAWING_PLANE",
-    "join2",
-    "meet2",
-    "collinear2",
-    "points_on_line2",
-    "line3_through",
-    "plane_through",
-    "meet_line_plane",
-    "points_on_line3",
-    "meet_lines3",
-    "collinear3",
-    "coplanarity_det",
-    "central_project",
-    "embed_drawing",
-    "chart_drawing",
-    # quadrangle
-    "VERTEX_LABELS",
-    "SIDE_LABELS",
-    "OPPOSITE_SIDES",
-    "RepeatedVertex",
-    "CollinearTriple",
-    "LineThroughVertex",
-    "Quadrangle",
-    "validate_quadrangle",
-    "same_vertex_set",
-    "SideSet",
-    "sides",
-    "DiagonalTriangle",
-    "diagonal_triangle",
-    "QuadrangularTrace",
-    "quadrangular_trace",
-    # perspectivity
-    "CenterIsVertex",
-    "HomologousSidesEqual",
-    "NotPerspective",
-    "NoCommonAxis",
-    "InvalidPair",
-    "pair_perspective_from",
-    "quad_perspective",
-    "triangles_perspective_point",
-    "perspective_center",
-    "desargues_axis",
-    "AXIS_SIDES",
-    "SideAxes",
-    "side_axes",
-    "common_axis",
-    "general_position",
-    "Collineation",
-    "perspective_collineation",
-    # checker
-    "DegeneracyKind",
-    "DegeneracyClass",
-    "classify_degeneracy",
-    "Reason",
-    "PlanarDiagram",
-    "Verdict",
-    "decide_depiction",
-    # lift
-    "NotCorrectDiagram",
-    "DegenerateParameters",
-    "NotGeneralPosition",
-    "DegenerateScene",
-    "SpatialQuadrangle",
-    "Witness",
-    "SpatialScene",
-    "PlanarityCertificate",
-    "ClauseCheck",
-    "WitnessReport",
-    "displaced_centers",
-    "planarity_certificate",
-    "lift_collinear_centers",
-    "lift_via_axis",
-    "scene_from_witness",
-    "project_scene",
-    "verify_witness",
-    "witness_side_traces",
-    # generators
-    "SplitMix64",
-    "GenConfig",
-    "RetriesExhausted",
-    "gen_quadrangle",
-    "gen_correct_diagram",
-    "gen_incorrect_diagram",
-    "gen_general_position_diagram",
-    "gen_degenerate_diagram",
-    "gen_point_perspective_triangles",
-    "gen_axis_perspective_triangles",
-    "gen_collineation",
-    # cli_io
-    "ParseError",
-    "InvariantViolation",
-    "parse_diagram",
-    "emit_diagram",
-    "parse_witness",
-    "emit_witness",
-    "parse_scene",
-    "emit_scene",
-    "parse_verdict",
-    "emit_verdict",
-    "render_svg",
-    "run_cli",
+    *kernel.__all__,
+    *quadrangle.__all__,
+    *perspectivity.__all__,
+    *checker.__all__,
+    *lift.__all__,
+    *generators.__all__,
+    *cli_io.__all__,
 ]

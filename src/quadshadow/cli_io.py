@@ -10,7 +10,8 @@ for already-canonical input, parse followed by emit is byte-identical.
 Exit codes: 0 the diagram is correct (or the requested object was
 produced), 1 incorrect verdict or a domain failure (no witness, no axis,
 degenerate scene), 2 invalid or inapplicable input document, 64 usage
-errors, 66 file errors.
+errors, 66 file errors, 70 internal errors (a defect of this program,
+reported as one line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ __all__ = [
     "emit_verdict",
     "render_svg",
     "run_cli",
-    "main",
 ]
 
 DOCUMENT_VERSION = 1
@@ -104,12 +104,6 @@ def _rational(node: Any, path: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{path}: not a rational: {node!r}") from None
     raise ParseError(f"{path}: coordinates must be rational strings, got {type(node).__name__}")
-
-
-def _coords(node: Any, path: str, arity: int) -> tuple[Fraction, ...]:
-    if not isinstance(node, list) or len(node) != arity:
-        raise ParseError(f"{path}: expected an array of {arity} rationals")
-    return tuple(_rational(c, f"{path}[{i}]") for i, c in enumerate(node))
 
 
 def _strings(value) -> list[str]:
@@ -144,23 +138,14 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _point2(node: Any, path: str) -> Point2:
+def _element(cls, node: Any, path: str):
+    """A kernel element (Point2, Point3, Plane3) from an array of rationals."""
+    arity = cls._ARITY
+    if not isinstance(node, list) or len(node) != arity:
+        raise ParseError(f"{path}: expected an array of {arity} rationals")
+    coords = [_rational(c, f"{path}[{i}]") for i, c in enumerate(node)]
     try:
-        return Point2(*_coords(node, path, 3))
-    except GeometryError as e:
-        raise InvariantViolation(f"{path}: {e}") from None
-
-
-def _point3(node: Any, path: str) -> Point3:
-    try:
-        return Point3(*_coords(node, path, 4))
-    except GeometryError as e:
-        raise InvariantViolation(f"{path}: {e}") from None
-
-
-def _plane(node: Any, path: str) -> Plane3:
-    try:
-        return Plane3(*_coords(node, path, 4))
+        return cls(*coords)
     except GeometryError as e:
         raise InvariantViolation(f"{path}: {e}") from None
 
@@ -171,7 +156,7 @@ def _plane(node: Any, path: str) -> Plane3:
 
 def _quadrangle(node: Any, path: str) -> Quadrangle:
     obj = _object(node, path, VERTEX_LABELS)
-    points = {lab: _point2(obj[lab], f"{path}.{lab}") for lab in VERTEX_LABELS}
+    points = {lab: _element(Point2, obj[lab], f"{path}.{lab}") for lab in VERTEX_LABELS}
     try:
         return Quadrangle(**points)
     except GeometryError as e:
@@ -181,7 +166,7 @@ def _quadrangle(node: Any, path: str) -> Quadrangle:
 def parse_diagram(text: str) -> PlanarDiagram:
     doc = _object(_load(text), "document", ("version", "O", "quad1", "quad2"))
     _check_version(doc)
-    center = _point2(doc["O"], "O")
+    center = _element(Point2, doc["O"], "O")
     quad1 = _quadrangle(doc["quad1"], "quad1")
     quad2 = _quadrangle(doc["quad2"], "quad2")
     try:
@@ -207,10 +192,18 @@ def emit_diagram(d: PlanarDiagram) -> str:
 _BARRED = ("Pbar", "Qbar", "Rbar", "Sbar")
 
 
-def _spatial_quadrangle(node: Any, path: str) -> SpatialQuadrangle:
-    obj = _object(node, path, _BARRED + ("plane",))
-    points = {lab: _point3(obj[lab], f"{path}.{lab}") for lab in _BARRED}
-    return SpatialQuadrangle(plane=_plane(obj["plane"], f"{path}.plane"), **points)
+def _parse_barred(doc: dict) -> SpatialQuadrangle:
+    """The barred vertices under "quad" and their plane under "plane"."""
+    quad = _object(doc["quad"], "quad", _BARRED)
+    points = {lab: _element(Point3, quad[lab], f"quad.{lab}") for lab in _BARRED}
+    return SpatialQuadrangle(plane=_element(Plane3, doc["plane"], "plane"), **points)
+
+
+def _emit_barred(quad: SpatialQuadrangle) -> dict:
+    return {
+        "quad": {lab: _strings(quad.vertex(lab[0])) for lab in _BARRED},
+        "plane": _strings(quad.plane),
+    }
 
 
 def parse_witness(text: str) -> Witness:
@@ -218,13 +211,11 @@ def parse_witness(text: str) -> Witness:
         _load(text), "document", ("version", "O1", "O2", "quad", "plane", "drawing_plane")
     )
     _check_version(doc)
-    quad = _object(doc["quad"], "quad", _BARRED)
-    points = {lab: _point3(quad[lab], f"quad.{lab}") for lab in _BARRED}
     return Witness(
-        quad=SpatialQuadrangle(plane=_plane(doc["plane"], "plane"), **points),
-        O1=_point3(doc["O1"], "O1"),
-        O2=_point3(doc["O2"], "O2"),
-        drawing_plane=_plane(doc["drawing_plane"], "drawing_plane"),
+        quad=_parse_barred(doc),
+        O1=_element(Point3, doc["O1"], "O1"),
+        O2=_element(Point3, doc["O2"], "O2"),
+        drawing_plane=_element(Plane3, doc["drawing_plane"], "drawing_plane"),
     )
 
 
@@ -234,8 +225,7 @@ def emit_witness(w: Witness) -> str:
             "version": DOCUMENT_VERSION,
             "O1": _strings(w.O1),
             "O2": _strings(w.O2),
-            "quad": {lab: _strings(w.quad.vertex(lab[0])) for lab in _BARRED},
-            "plane": _strings(w.quad.plane),
+            **_emit_barred(w.quad),
             "drawing_plane": _strings(w.drawing_plane),
         }
     )
@@ -252,15 +242,14 @@ def parse_scene(text: str) -> SpatialScene:
         ("version", "quad", "plane", "light", "shadow_plane", "viewpoint"),
     )
     _check_version(doc)
-    quad_obj = _object(doc["quad"], "quad", _BARRED)
-    points = {lab: _point3(quad_obj[lab], f"quad.{lab}") for lab in _BARRED}
+    quad = _parse_barred(doc)
     viewpoint = None
     if doc["viewpoint"] is not None:
-        viewpoint = _point3(doc["viewpoint"], "viewpoint")
+        viewpoint = _element(Point3, doc["viewpoint"], "viewpoint")
     return SpatialScene(
-        quad=SpatialQuadrangle(plane=_plane(doc["plane"], "plane"), **points),
-        light=_point3(doc["light"], "light"),
-        shadow_plane=_plane(doc["shadow_plane"], "shadow_plane"),
+        quad=quad,
+        light=_element(Point3, doc["light"], "light"),
+        shadow_plane=_element(Plane3, doc["shadow_plane"], "shadow_plane"),
         viewpoint=viewpoint,
     )
 
@@ -269,8 +258,7 @@ def emit_scene(s: SpatialScene) -> str:
     return _dumps(
         {
             "version": DOCUMENT_VERSION,
-            "quad": {lab: _strings(s.quad.vertex(lab[0])) for lab in _BARRED},
-            "plane": _strings(s.quad.plane),
+            **_emit_barred(s.quad),
             "light": _strings(s.light),
             "shadow_plane": _strings(s.shadow_plane),
             "viewpoint": None if s.viewpoint is None else _strings(s.viewpoint),
@@ -434,6 +422,9 @@ def render_svg(d: PlanarDiagram) -> str:
     def pixel(p: tuple[Fraction, Fraction]) -> tuple[float, float]:
         return (float(p[0] - rect[0]) * scale, float(rect[3] - p[1]) * scale)
 
+    def line_tag(a: tuple[float, float], b: tuple[float, float]) -> str:
+        return f'<line x1="{a[0]:.4f}" y1="{a[1]:.4f}" x2="{b[0]:.4f}" y2="{b[1]:.4f}"/>'
+
     def line_elements(lines, dedupe: set) -> list[str]:
         out = []
         for line in lines:
@@ -443,10 +434,7 @@ def render_svg(d: PlanarDiagram) -> str:
             chord = _clip_to_rect(line, rect)
             if chord is None:
                 continue
-            (x1, y1), (x2, y2) = (pixel(chord[0]), pixel(chord[1]))
-            out.append(
-                f'<line x1="{x1:.4f}" y1="{y1:.4f}" x2="{x2:.4f}" y2="{y2:.4f}"/>'
-            )
+            out.append(line_tag(pixel(chord[0]), pixel(chord[1])))
         return out
 
     parts: list[str] = []
@@ -502,12 +490,10 @@ def render_svg(d: PlanarDiagram) -> str:
         parts.append('<g class="axis" stroke="#000000" stroke-width="2">')
         chord = _clip_to_rect(axis, rect)
         if chord is not None:
-            (x1, y1), (x2, y2) = (pixel(chord[0]), pixel(chord[1]))
+            start = pixel(chord[0])
+            parts.append(line_tag(start, pixel(chord[1])))
             parts.append(
-                f'<line x1="{x1:.4f}" y1="{y1:.4f}" x2="{x2:.4f}" y2="{y2:.4f}"/>'
-            )
-            parts.append(
-                f'<text x="{x1 + 4:.4f}" y="{y1 - 4:.4f}" stroke="none" '
+                f'<text x="{start[0] + 4:.4f}" y="{start[1] - 4:.4f}" stroke="none" '
                 f'fill="#000000">o</text>'
             )
         parts.append("</g>")
@@ -562,18 +548,7 @@ def render_svg(d: PlanarDiagram) -> str:
         head1 = (tip[0] - 8.0 * ux + 4.0 * px, tip[1] - 8.0 * uy + 4.0 * py)
         head2 = (tip[0] - 8.0 * ux - 4.0 * px, tip[1] - 8.0 * uy - 4.0 * py)
         parts.append('<g class="arrow">')
-        parts.append(
-            f'<line x1="{tail[0]:.4f}" y1="{tail[1]:.4f}" '
-            f'x2="{tip[0]:.4f}" y2="{tip[1]:.4f}"/>'
-        )
-        parts.append(
-            f'<line x1="{head1[0]:.4f}" y1="{head1[1]:.4f}" '
-            f'x2="{tip[0]:.4f}" y2="{tip[1]:.4f}"/>'
-        )
-        parts.append(
-            f'<line x1="{head2[0]:.4f}" y1="{head2[1]:.4f}" '
-            f'x2="{tip[0]:.4f}" y2="{tip[1]:.4f}"/>'
-        )
+        parts.extend(line_tag(start, tip) for start in (tail, head1, head2))
         lx = min(max(tail[0] - 10.0 * ux, 14.0), width - 14.0)
         ly = min(max(tail[1] - 10.0 * uy, 14.0), height - 14.0)
         parts.append(
@@ -803,6 +778,9 @@ def run_cli(
     except GeometryError as e:
         err.write(f"error: {type(e).__name__}: {e}\n")
         return 1
+    except Exception as e:  # a defect, not a verdict: never exit 1
+        err.write(f"error: internal: {type(e).__name__}: {e}\n")
+        return 70
 
 
 def main() -> None:

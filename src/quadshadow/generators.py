@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .kernel import (
     DRAWING_PLANE,
@@ -41,12 +42,11 @@ from .kernel import (
     plane_through,
 )
 from .quadrangle import Quadrangle, validate_quadrangle
-from .perspectivity import Collineation, Triple, general_position
+from .perspectivity import Collineation, Triple, _triangle_sides, general_position
 from .checker import DegeneracyKind, PlanarDiagram, classify_degeneracy, decide_depiction
-from .lift import SpatialQuadrangle, SpatialScene, project_scene
+from .lift import SpatialQuadrangle, SpatialScene, _invariant, project_scene
 
 __all__ = [
-    "MASK64",
     "SplitMix64",
     "GenConfig",
     "RetriesExhausted",
@@ -163,12 +163,7 @@ def gen_correct_diagram(
                         *(ui + a * (vi - ui) + b * (wi - ui) for ui, vi, wi in zip(u, v, w))
                     )
                 )
-            if len(set(verts)) < 4 or any(
-                collinear3(verts[i], verts[j], verts[k])
-                for i in range(4)
-                for j in range(i + 1, 4)
-                for k in range(j + 1, 4)
-            ):
+            if len(set(verts)) < 4 or any(collinear3(*t) for t in combinations(verts, 3)):
                 continue
             light = Point3.affine(*_triple3(rng, cfg))
             if plane.contains(light) or DRAWING_PLANE.contains(light):
@@ -291,7 +286,7 @@ def gen_degenerate_diagram(
         except GeometryError:
             continue
         got = classify_degeneracy(diagram.quad1, diagram.quad2)
-        assert got.kind is kind, f"built {kind.value} but classified {got.kind.value}"
+        _invariant(got.kind is kind, f"built {kind.value} but classified {got.kind.value}")
         return diagram
     raise RetriesExhausted("no degenerate diagram within the retry budget")
 
@@ -318,8 +313,8 @@ def gen_point_perspective_triangles(
             t2 = tuple(t2)
             if len(set(t2)) < 3 or collinear2(*t2) or center in t2:
                 continue
-            sides1 = _sides(t1)
-            sides2 = _sides(t2)
+            sides1 = _triangle_sides(t1)
+            sides2 = _triangle_sides(t2)
             if any(a == b for a, b in zip(sides1, sides2)):
                 continue
             meets = [meet2(a, b) for a, b in zip(sides1, sides2)]
@@ -329,11 +324,6 @@ def gen_point_perspective_triangles(
         except GeometryError:
             continue
     raise RetriesExhausted("no perspective triangle pair within the retry budget")
-
-
-def _sides(t: Triple):
-    x, y, z = t
-    return (join2(y, z), join2(z, x), join2(x, y))
 
 
 def gen_axis_perspective_triangles(
@@ -353,7 +343,7 @@ def gen_axis_perspective_triangles(
             axis = join2(_point2(rng, cfg), _point2(rng, cfg))
             if any(axis.contains(v) for v in t1):
                 continue
-            m_a, m_b, m_c = (meet2(side, axis) for side in _sides(t1))
+            m_a, m_b, m_c = (meet2(side, axis) for side in _triangle_sides(t1))
             x2 = _point2(rng, cfg)
             if axis.contains(x2) or x2 in t1:
                 continue

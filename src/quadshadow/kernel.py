@@ -45,14 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Union
+from typing import Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
-    "Scalar",
     "GeometryError",
     "ZeroVector",
     "CoincidentPoints",
@@ -155,15 +153,29 @@ def _fmt(coords: tuple[int, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class Point2:
-    """Point of the projective plane, canonical coordinates (x0 : x1 : x2)."""
+class _Element:
+    """Canonical homogeneous coordinates, three unless a subclass sets _ARITY.
 
-    coords: tuple[int, int, int]
+    The generated equality compares classes first, so a point never equals
+    a line or plane with the same coordinates.
+    """
+
+    coords: tuple[int, ...]
+    _ARITY = 3
 
     def __init__(self, *coords: Scalar):
-        if len(coords) != 3:
-            raise TypeError("Point2 takes exactly three homogeneous coordinates")
+        if len(coords) != self._ARITY:
+            raise TypeError(
+                f"{type(self).__name__} takes exactly {self._ARITY} homogeneous coordinates"
+            )
         object.__setattr__(self, "coords", normalize(coords))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({_fmt(self.coords)})"
+
+
+class Point2(_Element):
+    """Point of the projective plane, canonical coordinates (x0 : x1 : x2)."""
 
     @classmethod
     def affine(cls, x: Scalar, y: Scalar) -> "Point2":
@@ -180,20 +192,9 @@ class Point2:
             raise ZeroVector(f"ideal point {self!r} has no affine coordinates")
         return Fraction(x0, x2), Fraction(x1, x2)
 
-    def __repr__(self) -> str:
-        return f"Point2({_fmt(self.coords)})"
 
-
-@dataclass(frozen=True)
-class Line2:
+class Line2(_Element):
     """Line of the projective plane; a point x lies on it iff l . x = 0."""
-
-    coords: tuple[int, int, int]
-
-    def __init__(self, *coords: Scalar):
-        if len(coords) != 3:
-            raise TypeError("Line2 takes exactly three homogeneous coefficients")
-        object.__setattr__(self, "coords", normalize(coords))
 
     def contains(self, p: Point2) -> bool:
         return sum(a * b for a, b in zip(self.coords, p.coords)) == 0
@@ -203,45 +204,24 @@ class Line2:
         """True for the line at infinity x2 = 0."""
         return self.coords[0] == 0 and self.coords[1] == 0
 
-    def __repr__(self) -> str:
-        return f"Line2({_fmt(self.coords)})"
 
-
-@dataclass(frozen=True)
-class Point3:
+class Point3(_Element):
     """Point of projective space, canonical coordinates (x0 : x1 : x2 : x3)."""
 
-    coords: tuple[int, int, int, int]
-
-    def __init__(self, *coords: Scalar):
-        if len(coords) != 4:
-            raise TypeError("Point3 takes exactly four homogeneous coordinates")
-        object.__setattr__(self, "coords", normalize(coords))
+    _ARITY = 4
 
     @classmethod
     def affine(cls, x: Scalar, y: Scalar, z: Scalar) -> "Point3":
         return cls(x, y, z, 1)
 
-    def __repr__(self) -> str:
-        return f"Point3({_fmt(self.coords)})"
 
-
-@dataclass(frozen=True)
-class Plane3:
+class Plane3(_Element):
     """Plane of projective space; a point x lies on it iff a . x = 0."""
 
-    coords: tuple[int, int, int, int]
-
-    def __init__(self, *coords: Scalar):
-        if len(coords) != 4:
-            raise TypeError("Plane3 takes exactly four homogeneous coefficients")
-        object.__setattr__(self, "coords", normalize(coords))
+    _ARITY = 4
 
     def contains(self, p: Point3) -> bool:
         return sum(a * b for a, b in zip(self.coords, p.coords)) == 0
-
-    def __repr__(self) -> str:
-        return f"Plane3({_fmt(self.coords)})"
 
 
 @dataclass(frozen=True)

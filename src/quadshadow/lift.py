@@ -35,12 +35,11 @@ raising, so broken witnesses can be described, not just rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
 
 from .kernel import (
     DRAWING_PLANE,
     GeometryError,
-    Line2,
     Line3,
     Plane3,
     Point2,
@@ -57,7 +56,13 @@ from .kernel import (
     plane_through,
     points_on_line2,
 )
-from .quadrangle import SIDE_LABELS, VERTEX_LABELS, Quadrangle, diagonal_triangle
+from .quadrangle import (
+    OPPOSITE_SIDES,
+    SIDE_LABELS,
+    VERTEX_LABELS,
+    Quadrangle,
+    diagonal_triangle,
+)
 from .perspectivity import common_axis, general_position
 from .checker import PlanarDiagram, decide_depiction
 
@@ -82,16 +87,6 @@ __all__ = [
     "witness_side_traces",
 ]
 
-_SIDE_VERTICES = {
-    "QR": ("Q", "R"),
-    "RP": ("R", "P"),
-    "PQ": ("P", "Q"),
-    "SP": ("S", "P"),
-    "SQ": ("S", "Q"),
-    "SR": ("S", "R"),
-}
-
-
 class NotCorrectDiagram(GeometryError):
     """Witness construction demands a diagram that passes the checker."""
 
@@ -106,6 +101,16 @@ class NotGeneralPosition(GeometryError):
 
 class DegenerateScene(GeometryError):
     """The scene violates its invariants or cannot be drawn from this viewpoint."""
+
+
+def _invariant(ok: bool, what: str) -> None:
+    """Raise when an internal invariant fails.
+
+    Deliberately not a GeometryError: a broken invariant is a defect of
+    this package, not a property of the input.
+    """
+    if not ok:
+        raise RuntimeError(f"invariant broken: {what}")
 
 
 @dataclass(frozen=True)
@@ -226,7 +231,7 @@ def planarity_certificate(
         ray1 = line3_through(O1, embed_drawing(d.quad1.vertex(lab)))
         ray2 = line3_through(O2, embed_drawing(d.quad2.vertex(lab)))
         x = meet_lines3(ray1, ray2)
-        assert x is not None, "perspective rays cannot be skew"
+        _invariant(x is not None, "perspective rays cannot be skew")
         points[lab] = x
     det = coplanarity_det(*(points[lab] for lab in VERTEX_LABELS))
     return PlanarityCertificate(O1=O1, O2=O2, points=points, determinant=det)
@@ -240,16 +245,10 @@ def lift_collinear_centers(
     if not verdict.correct:
         raise NotCorrectDiagram(f"diagram is not correct ({verdict.reason.value})")
     cert = planarity_certificate(d, c1, c2)
-    assert cert.determinant == 0, "correct diagram lifted to non-coplanar points"
+    _invariant(cert.determinant == 0, "correct diagram lifted to non-coplanar points")
     plane = plane_through(cert.points["P"], cert.points["Q"], cert.points["R"])
-    assert plane != DRAWING_PLANE
-    quad = SpatialQuadrangle(
-        Pbar=cert.points["P"],
-        Qbar=cert.points["Q"],
-        Rbar=cert.points["R"],
-        Sbar=cert.points["S"],
-        plane=plane,
-    )
+    _invariant(plane != DRAWING_PLANE, "witness plane is the drawing plane")
+    quad = SpatialQuadrangle(*(cert.points[lab] for lab in VERTEX_LABELS), plane=plane)
     return Witness(quad=quad, O1=cert.O1, O2=cert.O2, drawing_plane=DRAWING_PLANE, diagram=d)
 
 
@@ -270,11 +269,6 @@ _CENTER_CANDIDATES = (
 )
 
 
-def _embed_line(l: Line2) -> Line3:
-    u, v = points_on_line2(l)
-    return line3_through(embed_drawing(u), embed_drawing(v))
-
-
 def lift_via_axis(d: PlanarDiagram) -> Witness:
     """Build a witness whose plane passes through the common axis."""
     verdict = decide_depiction(d)
@@ -287,13 +281,12 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
     axis = common_axis(d.quad1, d.quad2)
     axis_points = [embed_drawing(p) for p in points_on_line2(axis)]
 
-    plane: Plane3 | None = None
     for anchor in _AXIS_ANCHORS:
-        candidate = plane_through(axis_points[0], axis_points[1], anchor)
-        if candidate != DRAWING_PLANE:
-            plane = candidate
+        plane = plane_through(axis_points[0], axis_points[1], anchor)
+        if plane != DRAWING_PLANE:
             break
-    assert plane is not None, "no anchor produced a witness plane"
+    else:
+        _invariant(False, "no anchor produced a witness plane")
 
     O1 = next(
         c
@@ -305,18 +298,16 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
     for lab in VERTEX_LABELS:
         ray = line3_through(O1, embed_drawing(d.quad1.vertex(lab)))
         barred[lab] = meet_line_plane(ray, plane)
-    quad = SpatialQuadrangle(
-        Pbar=barred["P"], Qbar=barred["Q"], Rbar=barred["R"], Sbar=barred["S"], plane=plane
-    )
+    quad = SpatialQuadrangle(*(barred[lab] for lab in VERTEX_LABELS), plane=plane)
 
     ray_p = line3_through(barred["P"], embed_drawing(d.quad2.P))
     ray_q = line3_through(barred["Q"], embed_drawing(d.quad2.Q))
     O2 = meet_lines3(ray_p, ray_q)
-    assert O2 is not None, "lifted rays to quad2 do not meet"
+    _invariant(O2 is not None, "lifted rays to quad2 do not meet")
     for lab in ("R", "S"):
         ray = line3_through(barred[lab], embed_drawing(d.quad2.vertex(lab)))
-        assert ray.contains(O2), "second center is not common to all four rays"
-    assert collinear3(O1, O2, embed_drawing(d.O))
+        _invariant(ray.contains(O2), "second center is not common to all four rays")
+    _invariant(collinear3(O1, O2, embed_drawing(d.O)), "centers not collinear with O")
     return Witness(quad=quad, O1=O1, O2=O2, drawing_plane=DRAWING_PLANE, diagram=d)
 
 
@@ -331,7 +322,7 @@ def _chart_index(plane: Plane3) -> int:
     return next(i for i, c in enumerate(plane.coords) if c != 0)
 
 
-def _chart_on(plane: Plane3, k: int, x: Point3) -> Point2:
+def _chart_on(k: int, x: Point3) -> Point2:
     coords = [c for i, c in enumerate(x.coords) if i != k]
     return Point2(*coords)
 
@@ -372,15 +363,11 @@ def project_scene(s: SpatialScene) -> PlanarDiagram:
             for lab, x in quad.labeled().items()
         }
         seen_quad = {
-            lab: _chart_on(
-                s.shadow_plane, k, central_project(viewpoint, s.shadow_plane, x)
-            )
+            lab: _chart_on(k, central_project(viewpoint, s.shadow_plane, x))
             for lab, x in quad.labeled().items()
         }
-        seen_shadow = {lab: _chart_on(s.shadow_plane, k, x) for lab, x in shadow.items()}
-        seen_light = _chart_on(
-            s.shadow_plane, k, central_project(viewpoint, s.shadow_plane, s.light)
-        )
+        seen_shadow = {lab: _chart_on(k, x) for lab, x in shadow.items()}
+        seen_light = _chart_on(k, central_project(viewpoint, s.shadow_plane, s.light))
         quad1 = Quadrangle(**seen_shadow)
         quad2 = Quadrangle(**seen_quad)
         return PlanarDiagram(O=seen_light, quad1=quad1, quad2=quad2)
@@ -390,9 +377,7 @@ def project_scene(s: SpatialScene) -> PlanarDiagram:
 
 def _spatial_sides(quad: SpatialQuadrangle) -> dict[str, Line3]:
     v = quad.labeled()
-    return {
-        lab: line3_through(v[a], v[b]) for lab, (a, b) in _SIDE_VERTICES.items()
-    }
+    return {lab: line3_through(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS}
 
 
 def witness_side_traces(w: Witness) -> dict[str, Point2]:
@@ -433,17 +418,13 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
     quad = w.quad
 
     def clause_quad() -> tuple[bool, str]:
-        labeled = list(quad.labeled().items())
-        for i, (la, a) in enumerate(labeled):
-            for lb, b in labeled[i + 1 :]:
-                if a == b:
-                    return False, f"vertices {la} and {lb} coincide"
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    (la, a), (lb, b), (lc, c) = labeled[i], labeled[j], labeled[k]
-                    if collinear3(a, b, c):
-                        return False, f"vertices {la}, {lb}, {lc} are collinear"
+        labeled = quad.labeled().items()
+        for (la, a), (lb, b) in combinations(labeled, 2):
+            if a == b:
+                return False, f"vertices {la} and {lb} coincide"
+        for (la, a), (lb, b), (lc, c) in combinations(labeled, 3):
+            if collinear3(a, b, c):
+                return False, f"vertices {la}, {lb}, {lc} are collinear"
         for la, a in labeled:
             if not quad.plane.contains(a):
                 return False, f"vertex {la} is off the declared plane"
@@ -467,18 +448,18 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
 
     def clause_diagonals() -> tuple[bool, str]:
         sides3 = _spatial_sides(quad)
-        spatial = {}
-        for name, (s1, s2) in (("A", ("SP", "QR")), ("B", ("SQ", "RP")), ("C", ("SR", "PQ"))):
+        spatial = []
+        for s2, s1 in OPPOSITE_SIDES:
             x = meet_lines3(sides3[s1], sides3[s2])
             if x is None:
                 return False, f"opposite sides {s1}, {s2} are skew"
-            spatial[name] = x
+            spatial.append(x)
         dt1 = diagonal_triangle(d.quad1)
         dt2 = diagonal_triangle(d.quad2)
         for center, dt in ((w.O1, dt1), (w.O2, dt2)):
-            for name in ("A", "B", "C"):
-                image = central_project(center, DRAWING_PLANE, spatial[name])
-                if image != embed_drawing(getattr(dt, name)):
+            for name, x, planar in zip("ABC", spatial, dt.points):
+                image = central_project(center, DRAWING_PLANE, x)
+                if image != embed_drawing(planar):
                     return False, f"diagonal point {name} projects to {image!r}"
         return True, ""
 

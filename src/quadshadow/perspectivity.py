@@ -30,13 +30,12 @@ from .kernel import (
     GeometryError,
     Line2,
     Point2,
-    Scalar,
     collinear2,
     join2,
     meet2,
     normalize,
 )
-from .quadrangle import SIDE_LABELS, Quadrangle, sides
+from .quadrangle import SIDE_LABELS, VERTEX_LABELS, Quadrangle, sides
 
 __all__ = [
     "CenterIsVertex",
@@ -44,7 +43,6 @@ __all__ = [
     "NotPerspective",
     "NoCommonAxis",
     "InvalidPair",
-    "Triple",
     "AXIS_SIDES",
     "SideAxes",
     "Collineation",
@@ -99,7 +97,7 @@ def quad_perspective(center: Point2, q1: Quadrangle, q2: Quadrangle) -> bool:
                 raise CenterIsVertex(f"center {center!r} is vertex {lab}")
     return all(
         pair_perspective_from(center, q1.vertex(lab), q2.vertex(lab))
-        for lab in ("P", "Q", "R", "S")
+        for lab in VERTEX_LABELS
     )
 
 
@@ -197,8 +195,8 @@ class SideAxes:
         return (self.meets[a], self.meets[b], self.meets[c])
 
 
-def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
-    """Compute s, r, q, p from the six homologous side intersections."""
+def _side_meets(q1: Quadrangle, q2: Quadrangle) -> dict[str, Point2]:
+    """The six homologous side intersections, keyed by side label."""
     s1 = sides(q1)
     s2 = sides(q2)
     meets: dict[str, Point2] = {}
@@ -206,6 +204,12 @@ def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
         if s1[lab] == s2[lab]:
             raise HomologousSidesEqual(f"homologous sides {lab} coincide at {s1[lab]!r}")
         meets[lab] = meet2(s1[lab], s2[lab])
+    return meets
+
+
+def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
+    """Compute s, r, q, p from the six homologous side intersections."""
+    meets = _side_meets(q1, q2)
     axes = {
         name: _line_through_all([meets[lab] for lab in labs])
         for name, labs in AXIS_SIDES.items()
@@ -228,14 +232,11 @@ def general_position(q1: Quadrangle, q2: Quadrangle) -> bool:
 
     Never raises; a coincident side pair simply yields False.
     """
-    s1 = sides(q1)
-    s2 = sides(q2)
-    meets = []
-    for lab in SIDE_LABELS:
-        if s1[lab] == s2[lab]:
-            return False
-        meets.append(meet2(s1[lab], s2[lab]))
-    return len(set(meets)) == len(meets)
+    try:
+        meets = _side_meets(q1, q2)
+    except HomologousSidesEqual:
+        return False
+    return len(set(meets.values())) == len(meets)
 
 
 @dataclass(frozen=True)

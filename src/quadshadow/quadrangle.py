@@ -100,8 +100,20 @@ def same_vertex_set(q1: Quadrangle, q2: Quadrangle) -> bool:
     return set(q1.vertices) == set(q2.vertices)
 
 
+class _BySide:
+    """Lookup by side label for a record with one field per side."""
+
+    def __getitem__(self, label: str):
+        if label not in SIDE_LABELS:
+            raise KeyError(label)
+        return getattr(self, label)
+
+    def labeled(self) -> dict:
+        return {lab: getattr(self, lab) for lab in SIDE_LABELS}
+
+
 @dataclass(frozen=True)
-class SideSet:
+class SideSet(_BySide):
     """The six sides of a quadrangle, keyed by vertex-pair label."""
 
     QR: Line2
@@ -110,14 +122,6 @@ class SideSet:
     SP: Line2
     SQ: Line2
     SR: Line2
-
-    def __getitem__(self, label: str) -> Line2:
-        if label not in SIDE_LABELS:
-            raise KeyError(label)
-        return getattr(self, label)
-
-    def labeled(self) -> dict[str, Line2]:
-        return {lab: getattr(self, lab) for lab in SIDE_LABELS}
 
 
 def sides(q: Quadrangle) -> SideSet:
@@ -152,15 +156,11 @@ def diagonal_triangle(q: Quadrangle) -> DiagonalTriangle:
     form a triangle; callers may rely on that without re-checking.
     """
     s = sides(q)
-    return DiagonalTriangle(
-        A=meet2(s.SP, s.QR),
-        B=meet2(s.SQ, s.RP),
-        C=meet2(s.SR, s.PQ),
-    )
+    return DiagonalTriangle(*(meet2(s[b], s[a]) for a, b in OPPOSITE_SIDES))
 
 
 @dataclass(frozen=True)
-class QuadrangularTrace:
+class QuadrangularTrace(_BySide):
     """The six labeled points cut out of a line by the sides of a quadrangle."""
 
     line: Line2
@@ -170,14 +170,6 @@ class QuadrangularTrace:
     SP: Point2
     SQ: Point2
     SR: Point2
-
-    def __getitem__(self, label: str) -> Point2:
-        if label not in SIDE_LABELS:
-            raise KeyError(label)
-        return getattr(self, label)
-
-    def labeled(self) -> dict[str, Point2]:
-        return {lab: getattr(self, lab) for lab in SIDE_LABELS}
 
 
 def quadrangular_trace(q: Quadrangle, line: Line2) -> QuadrangularTrace:

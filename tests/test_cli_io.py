@@ -319,3 +319,50 @@ def test_render_merges_coincident_labels():
 def test_render_matches_golden_svg(name):
     d = parse_diagram((DATA / f"{name}.json").read_text())
     assert render_svg(d) == (DATA / f"{name}.svg").read_text()
+
+
+# --- internal errors ----------------------------------------------------------------------
+
+def test_render_float_overflow_exits_seventy(tmp_path):
+    doc = json.loads(DILATION.read_text())
+    doc["quad1"]["P"] = ["1e5000", "1", "1"]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run("render", str(p), "--out", str(tmp_path / "huge.svg"))
+    assert code == 70
+    assert err.startswith("error: internal: OverflowError: ")
+
+
+def test_lift_digit_limit_on_emit_exits_seventy(tmp_path):
+    tiny = "1e-5000"
+    doc = {
+        "version": 1,
+        "O": ["0", "0", "1"],
+        "quad1": {
+            "P": ["1", "1", "1"],
+            "Q": ["-1", "1", "1"],
+            "R": ["-1", "-1", "1"],
+            "S": ["1", "-1", "1"],
+        },
+        "quad2": {
+            "P": [tiny, tiny, "1"],
+            "Q": ["-" + tiny, tiny, "1"],
+            "R": ["-" + tiny, "-" + tiny, "1"],
+            "S": [tiny, "-" + tiny, "1"],
+        },
+    }
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(doc))
+    assert run("check", str(p))[0] == 0
+    code, out, err = run("lift", str(p))
+    assert code == 70
+    assert err.startswith("error: internal: ValueError: ")
+
+
+def test_broken_invariant_exits_seventy(monkeypatch):
+    import quadshadow.lift
+
+    monkeypatch.setattr(quadshadow.lift, "meet_lines3", lambda l1, l2: None)
+    code, out, err = run("lift", str(DILATION))
+    assert (code, out) == (70, "")
+    assert err == "error: internal: RuntimeError: invariant broken: perspective rays cannot be skew\n"
