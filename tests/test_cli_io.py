@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import quadshadow.lift
 from quadshadow.kernel import Point2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.checker import PlanarDiagram, decide_depiction
@@ -360,8 +361,6 @@ def test_lift_digit_limit_on_emit_exits_seventy(tmp_path):
 
 
 def test_broken_invariant_exits_seventy(monkeypatch):
-    import quadshadow.lift
-
     monkeypatch.setattr(quadshadow.lift, "meet_lines3", lambda l1, l2: None)
     code, out, err = run("lift", str(DILATION))
     assert (code, out) == (70, "")
