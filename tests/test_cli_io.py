@@ -58,6 +58,12 @@ def test_witness_round_trip_is_byte_identical():
 def test_scene_round_trip_is_byte_identical():
     text = SCENE.read_text()
     assert emit_scene(parse_scene(text)) == text
+    doc = json.loads(text)
+    doc["viewpoint"] = None
+    text = json.dumps(doc, indent=2) + "\n"
+    scene = parse_scene(text)
+    assert scene.viewpoint is None
+    assert emit_scene(scene) == text
 
 
 def test_verdict_round_trip():
@@ -135,6 +141,22 @@ def test_parse_rejects_geometric_invariant_violations():
     doc["O"] = ["0", "0", "0"]
     with pytest.raises(InvariantViolation):
         parse_diagram(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("reason", "because", "reason: unknown reason 'because'"),
+        ("degeneracy", {"kind": "square", "coincident": []}, "degeneracy.kind: unknown kind"),
+        ("diagonal_pairs", {"A": True, "B": 1, "C": True}, "diagonal_pairs: expected booleans"),
+        ("notes", ["ok", 7], "notes: expected an array of strings"),
+    ],
+)
+def test_parse_verdict_rejects_bad_fields(field, value, message):
+    doc = json.loads(emit_verdict(decide_depiction(parse_diagram(DILATION.read_text()))))
+    doc[field] = value
+    with pytest.raises(ParseError, match=message):
+        parse_verdict(json.dumps(doc))
 
 
 # --- exit codes -------------------------------------------------------------------
@@ -231,6 +253,7 @@ def test_project_reproduces_the_diagram():
 def test_axis_document_frozen():
     code, out, _ = run("axis", str(DILATION))
     assert code == 0
+    assert out == (DATA / "dilation-axis.json").read_text()
     doc = json.loads(out)
     assert doc["axis"] == ["0", "0", "1"]
     assert doc["quad1"]["QR"] == ["0", "1", "0"]
@@ -245,6 +268,7 @@ def test_axis_fails_for_incorrect_diagram():
 def test_qset_traces_both_quadrangles():
     code, out, _ = run("qset", str(DILATION), "0,0,1")
     assert code == 0
+    assert out == (DATA / "dilation-qset.json").read_text()
     doc = json.loads(out)
     assert doc["line"] == ["0", "0", "1"]
     assert doc["quad1"]["PQ"] == ["1", "0", "0"]
