@@ -88,6 +88,14 @@ class Reason(Enum):
     DIAGONAL_C = "diagonal_pair_c"
 
 
+_DEGENERACY_REASONS = {
+    DegeneracyKind.IDENTICAL: Reason.IDENTICAL,
+    DegeneracyKind.TRIANGLE: Reason.TRIANGLE_DEGENERACY,
+    DegeneracyKind.VERTEX: Reason.VERTEX_DEGENERACY,
+}
+_DIAGONAL_REASONS = (Reason.DIAGONAL_A, Reason.DIAGONAL_B, Reason.DIAGONAL_C)
+
+
 @dataclass(frozen=True)
 class PlanarDiagram:
     """Center plus two labeled quadrangles; O must not be a vertex."""
@@ -148,25 +156,11 @@ def decide_depiction(d: PlanarDiagram) -> Verdict:
 
     dt1 = diagonal_triangle(d.quad1)
     dt2 = diagonal_triangle(d.quad2)
-    pairs = (
-        pair_perspective_from(d.O, dt1.A, dt2.A),
-        pair_perspective_from(d.O, dt1.B, dt2.B),
-        pair_perspective_from(d.O, dt1.C, dt2.C),
+    pairs = tuple(
+        pair_perspective_from(d.O, x1, x2) for x1, x2 in zip(dt1.points, dt2.points)
     )
     correct = all(pairs) and degeneracy.kind is not DegeneracyKind.IDENTICAL
-
-    if degeneracy.kind is DegeneracyKind.IDENTICAL:
-        reason = Reason.IDENTICAL
-    elif degeneracy.kind is DegeneracyKind.TRIANGLE:
-        reason = Reason.TRIANGLE_DEGENERACY
-    elif degeneracy.kind is DegeneracyKind.VERTEX:
-        reason = Reason.VERTEX_DEGENERACY
-    elif not pairs[0]:
-        reason = Reason.DIAGONAL_A
-    elif not pairs[1]:
-        reason = Reason.DIAGONAL_B
-    elif not pairs[2]:
-        reason = Reason.DIAGONAL_C
-    else:
-        reason = Reason.CORRECT
+    reason = _DEGENERACY_REASONS.get(degeneracy.kind) or next(
+        (r for r, ok in zip(_DIAGONAL_REASONS, pairs) if not ok), Reason.CORRECT
+    )
     return Verdict(True, pairs, degeneracy, correct, reason, notes)

@@ -31,7 +31,6 @@ from .kernel import (
     join2,
 )
 from .quadrangle import (
-    SIDE_LABELS,
     VERTEX_LABELS,
     Quadrangle,
     diagonal_triangle,
@@ -151,119 +150,95 @@ def _element(cls, node: Any, path: str):
 
 
 # ---------------------------------------------------------------------------
-# diagram documents
+# diagram, witness and scene documents
+
+_BARRED = ("Pbar", "Qbar", "Rbar", "Sbar")
+_OPTIONAL_POINT3 = "Point3 or null"
+
+#: Vertex keys and vertex class of the planar and the barred quadrangle.
+_QUADS = {Quadrangle: (VERTEX_LABELS, Point2), SpatialQuadrangle: (_BARRED, Point3)}
+
+#: Each document's fields in document order, with the kind of their value:
+#: an element class, a quadrangle kind, or _OPTIONAL_POINT3.  A barred
+#: quadrangle puts its vertices under its field and its plane under "plane".
+_DIAGRAM = {"O": Point2, "quad1": Quadrangle, "quad2": Quadrangle}
+_WITNESS = {"O1": Point3, "O2": Point3, "quad": SpatialQuadrangle, "drawing_plane": Plane3}
+_SCENE = {
+    "quad": SpatialQuadrangle,
+    "light": Point3,
+    "shadow_plane": Plane3,
+    "viewpoint": _OPTIONAL_POINT3,
+}
 
 
-def _quadrangle(node: Any, path: str) -> Quadrangle:
-    obj = _object(node, path, VERTEX_LABELS)
-    points = {lab: _element(Point2, obj[lab], f"{path}.{lab}") for lab in VERTEX_LABELS}
+def _build(cls, values: dict, where: str):
     try:
-        return Quadrangle(**points)
+        return cls(**values)
     except GeometryError as e:
-        raise InvariantViolation(f"{path}: {e}") from None
+        raise InvariantViolation(f"{where}{e}") from None
+
+
+def _parse_value(kind, doc: dict, name: str):
+    node = doc[name]
+    if kind is _OPTIONAL_POINT3:
+        return None if node is None else _element(Point3, node, name)
+    if kind not in _QUADS:
+        return _element(kind, node, name)
+    labels, vertex_cls = _QUADS[kind]
+    obj = _object(node, name, labels)
+    values = {lab: _element(vertex_cls, obj[lab], f"{name}.{lab}") for lab in labels}
+    if kind is SpatialQuadrangle:
+        values["plane"] = _element(Plane3, doc["plane"], "plane")
+    return _build(kind, values, f"{name}: ")
+
+
+def _parse(text: str, cls, fields: dict):
+    """A document of the given fields, read into cls(**fields)."""
+    keys = ["version"]
+    for name, kind in fields.items():
+        keys += [name, "plane"] if kind is SpatialQuadrangle else [name]
+    doc = _object(_load(text), "document", tuple(keys))
+    _check_version(doc)
+    values = {name: _parse_value(kind, doc, name) for name, kind in fields.items()}
+    return _build(cls, values, "")
+
+
+def _emit(obj, fields: dict) -> str:
+    doc: dict[str, Any] = {"version": DOCUMENT_VERSION}
+    for name, kind in fields.items():
+        value = getattr(obj, name)
+        if kind in _QUADS:
+            labels = _QUADS[kind][0]
+            doc[name] = {lab: _strings(v) for lab, v in zip(labels, value.vertices)}
+            if kind is SpatialQuadrangle:
+                doc["plane"] = _strings(value.plane)
+        else:
+            doc[name] = None if value is None else _strings(value)
+    return _dumps(doc)
 
 
 def parse_diagram(text: str) -> PlanarDiagram:
-    doc = _object(_load(text), "document", ("version", "O", "quad1", "quad2"))
-    _check_version(doc)
-    center = _element(Point2, doc["O"], "O")
-    quad1 = _quadrangle(doc["quad1"], "quad1")
-    quad2 = _quadrangle(doc["quad2"], "quad2")
-    try:
-        return PlanarDiagram(O=center, quad1=quad1, quad2=quad2)
-    except GeometryError as e:
-        raise InvariantViolation(str(e)) from None
+    return _parse(text, PlanarDiagram, _DIAGRAM)
 
 
 def emit_diagram(d: PlanarDiagram) -> str:
-    return _dumps(
-        {
-            "version": DOCUMENT_VERSION,
-            "O": _strings(d.O),
-            "quad1": {lab: _strings(d.quad1.vertex(lab)) for lab in VERTEX_LABELS},
-            "quad2": {lab: _strings(d.quad2.vertex(lab)) for lab in VERTEX_LABELS},
-        }
-    )
-
-
-# ---------------------------------------------------------------------------
-# witness documents
-
-_BARRED = ("Pbar", "Qbar", "Rbar", "Sbar")
-
-
-def _parse_barred(doc: dict) -> SpatialQuadrangle:
-    """The barred vertices under "quad" and their plane under "plane"."""
-    quad = _object(doc["quad"], "quad", _BARRED)
-    points = {lab: _element(Point3, quad[lab], f"quad.{lab}") for lab in _BARRED}
-    return SpatialQuadrangle(plane=_element(Plane3, doc["plane"], "plane"), **points)
-
-
-def _emit_barred(quad: SpatialQuadrangle) -> dict:
-    return {
-        "quad": {lab: _strings(quad.vertex(lab[0])) for lab in _BARRED},
-        "plane": _strings(quad.plane),
-    }
+    return _emit(d, _DIAGRAM)
 
 
 def parse_witness(text: str) -> Witness:
-    doc = _object(
-        _load(text), "document", ("version", "O1", "O2", "quad", "plane", "drawing_plane")
-    )
-    _check_version(doc)
-    return Witness(
-        quad=_parse_barred(doc),
-        O1=_element(Point3, doc["O1"], "O1"),
-        O2=_element(Point3, doc["O2"], "O2"),
-        drawing_plane=_element(Plane3, doc["drawing_plane"], "drawing_plane"),
-    )
+    return _parse(text, Witness, _WITNESS)
 
 
 def emit_witness(w: Witness) -> str:
-    return _dumps(
-        {
-            "version": DOCUMENT_VERSION,
-            "O1": _strings(w.O1),
-            "O2": _strings(w.O2),
-            **_emit_barred(w.quad),
-            "drawing_plane": _strings(w.drawing_plane),
-        }
-    )
-
-
-# ---------------------------------------------------------------------------
-# scene documents
+    return _emit(w, _WITNESS)
 
 
 def parse_scene(text: str) -> SpatialScene:
-    doc = _object(
-        _load(text),
-        "document",
-        ("version", "quad", "plane", "light", "shadow_plane", "viewpoint"),
-    )
-    _check_version(doc)
-    quad = _parse_barred(doc)
-    viewpoint = None
-    if doc["viewpoint"] is not None:
-        viewpoint = _element(Point3, doc["viewpoint"], "viewpoint")
-    return SpatialScene(
-        quad=quad,
-        light=_element(Point3, doc["light"], "light"),
-        shadow_plane=_element(Plane3, doc["shadow_plane"], "shadow_plane"),
-        viewpoint=viewpoint,
-    )
+    return _parse(text, SpatialScene, _SCENE)
 
 
 def emit_scene(s: SpatialScene) -> str:
-    return _dumps(
-        {
-            "version": DOCUMENT_VERSION,
-            **_emit_barred(s.quad),
-            "light": _strings(s.light),
-            "shadow_plane": _strings(s.shadow_plane),
-            "viewpoint": None if s.viewpoint is None else _strings(s.viewpoint),
-        }
-    )
+    return _emit(s, _SCENE)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +367,10 @@ def render_svg(d: PlanarDiagram) -> str:
         for lab in VERTEX_LABELS:
             labeled.append((f"{lab}{suffix}", "vertex", quad.vertex(lab)))
     labeled.append(("O", "center", d.O))
-    for suffix, quad in (("1", d.quad1), ("2", d.quad2)):
-        dt = diagonal_triangle(quad)
-        for name in ("A", "B", "C"):
-            labeled.append((f"{name}{suffix}", "diagonal", getattr(dt, name)))
+    triangles = (diagonal_triangle(d.quad1), diagonal_triangle(d.quad2))
+    for suffix, dt in zip("12", triangles):
+        for name, point in zip("ABC", dt.points):
+            labeled.append((f"{name}{suffix}", "diagonal", point))
 
     affine_groups: dict[Point2, list[tuple[str, str]]] = {}
     ideal_groups: dict[Point2, list[tuple[str, str]]] = {}
@@ -453,27 +428,19 @@ def render_svg(d: PlanarDiagram) -> str:
     parts.extend(line_elements(sides(d.quad2).labeled().values(), seen))
     parts.append("</g>")
 
-    rays = []
-    ray_seen: set[Line2] = set()
-    for quad in (d.quad1, d.quad2):
-        for lab in VERTEX_LABELS:
-            vertex = quad.vertex(lab)
-            ray = join2(d.O, vertex)
-            if ray not in ray_seen:
-                ray_seen.add(ray)
-                rays.append(ray)
+    rays = (join2(d.O, v) for quad in (d.quad1, d.quad2) for v in quad.vertices)
     parts.append(
         '<g class="rays" stroke="#999999" stroke-width="0.75" stroke-dasharray="6 4">'
     )
     parts.extend(line_elements(rays, set()))
     parts.append("</g>")
 
-    diag_lines = []
-    for quad in (d.quad1, d.quad2):
-        dt = diagonal_triangle(quad)
-        for u, v in ((dt.A, dt.B), (dt.B, dt.C), (dt.C, dt.A)):
-            if u != v:
-                diag_lines.append(join2(u, v))
+    # diagonal points never coincide, so each triangle has three sides
+    diag_lines = (
+        join2(u, v)
+        for dt in triangles
+        for u, v in ((dt.A, dt.B), (dt.B, dt.C), (dt.C, dt.A))
+    )
     parts.append(
         '<g class="diagonal-triangles" stroke="#2ca02c" stroke-width="1" '
         'stroke-dasharray="3 3">'
@@ -481,12 +448,11 @@ def render_svg(d: PlanarDiagram) -> str:
     parts.extend(line_elements(diag_lines, set()))
     parts.append("</g>")
 
-    axis: Line2 | None = None
     try:
         axis = common_axis(d.quad1, d.quad2)
     except GeometryError:
         axis = None
-    if axis is not None and not (axis.coords[0] == 0 and axis.coords[1] == 0):
+    if axis is not None and not axis.is_ideal:
         parts.append('<g class="axis" stroke="#000000" stroke-width="2">')
         chord = _clip_to_rect(axis, rect)
         if chord is not None:
@@ -525,7 +491,7 @@ def render_svg(d: PlanarDiagram) -> str:
         direction = (float(point.coords[0]), -float(point.coords[1]))
         label = "=".join(m[0] for m in members)
         arrows.append((direction, label))
-    if axis is not None and axis.coords[0] == 0 and axis.coords[1] == 0:
+    if axis is not None and axis.is_ideal:
         arrows.append(((0.7071, -0.7071), "o"))
 
     parts.append('<g class="ideal" stroke="#555555" stroke-width="1.5">')
@@ -655,21 +621,18 @@ def _cmd_project(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _trace_doc(quad: Quadrangle, line: Line2) -> dict:
-    trace = quadrangular_trace(quad, line)
-    return {lab: _strings(getattr(trace, lab)) for lab in SIDE_LABELS}
+def _traces(key: str, line: Line2, d: PlanarDiagram) -> str:
+    """The line under key, then its labeled traces on quad1 and quad2."""
+    doc = {"version": DOCUMENT_VERSION, key: _strings(line)}
+    for name, quad in (("quad1", d.quad1), ("quad2", d.quad2)):
+        trace = quadrangular_trace(quad, line)
+        doc[name] = {lab: _strings(p) for lab, p in trace.labeled().items()}
+    return _dumps(doc)
 
 
 def _cmd_axis(args, out: TextIO, err: TextIO) -> int:
     diagram = parse_diagram(_read_text(args.input))
-    axis = common_axis(diagram.quad1, diagram.quad2)
-    doc = {
-        "version": DOCUMENT_VERSION,
-        "axis": _strings(axis),
-        "quad1": _trace_doc(diagram.quad1, axis),
-        "quad2": _trace_doc(diagram.quad2, axis),
-    }
-    out.write(_dumps(doc))
+    out.write(_traces("axis", common_axis(diagram.quad1, diagram.quad2), diagram))
     return 0
 
 
@@ -686,13 +649,7 @@ def _cmd_qset(args, out: TextIO, err: TextIO) -> int:
         line = Line2(*coeffs)
     except GeometryError as e:
         raise _UsageError(str(e))
-    doc = {
-        "version": DOCUMENT_VERSION,
-        "line": _strings(line),
-        "quad1": _trace_doc(diagram.quad1, line),
-        "quad2": _trace_doc(diagram.quad2, line),
-    }
-    out.write(_dumps(doc))
+    out.write(_traces("line", line, diagram))
     return 0
 
 

@@ -116,26 +116,47 @@ def _triple3(rng: SplitMix64, cfg: GenConfig) -> tuple[Fraction, Fraction, Fract
     return (_fraction(rng, cfg), _fraction(rng, cfg), _fraction(rng, cfg))
 
 
-def _quadrangle(rng: SplitMix64, cfg: GenConfig) -> Quadrangle:
+def _retry(rng: SplitMix64, cfg: GenConfig | None, draw, what: str):
+    """The first of up to max_retries calls draw(rng, cfg) that succeeds.
+
+    A draw fails by raising GeometryError or by returning None.  A missing
+    cfg means the default GenConfig.
+    """
+    cfg = cfg or GenConfig()
     for _ in range(cfg.max_retries):
         try:
-            return validate_quadrangle(*(_point2(rng, cfg) for _ in range(4)))
+            sample = draw(rng, cfg)
         except GeometryError:
             continue
-    raise RetriesExhausted("no valid quadrangle within the retry budget")
+        if sample is not None:
+            return sample
+    raise RetriesExhausted(f"no {what} within the retry budget")
+
+
+def _toward(a: Point2, b: Point2, t: Fraction) -> Point2:
+    """The affine point a + t (b - a)."""
+    (ax, ay), (bx, by) = a.affine_coords, b.affine_coords
+    return Point2.affine(ax + t * (bx - ax), ay + t * (by - ay))
+
+
+def _quadrangle(rng: SplitMix64, cfg: GenConfig | None) -> Quadrangle:
+    def draw(rng: SplitMix64, cfg: GenConfig) -> Quadrangle:
+        return validate_quadrangle(*(_point2(rng, cfg) for _ in range(4)))
+
+    return _retry(rng, cfg, draw, "valid quadrangle")
 
 
 def gen_quadrangle(seed: int, cfg: GenConfig | None = None) -> Quadrangle:
     """A random labeled quadrangle with small rational vertices."""
-    return _quadrangle(SplitMix64(seed), cfg or GenConfig())
+    return _quadrangle(SplitMix64(seed), cfg)
 
 
 def _triangle(rng: SplitMix64, cfg: GenConfig) -> Triple:
-    for _ in range(cfg.max_retries):
-        x, y, z = (_point2(rng, cfg) for _ in range(3))
-        if x != y and y != z and x != z and not collinear2(x, y, z):
-            return (x, y, z)
-    raise RetriesExhausted("no valid triangle within the retry budget")
+    def draw(rng: SplitMix64, cfg: GenConfig) -> Triple | None:
+        t = tuple(_point2(rng, cfg) for _ in range(3))
+        return None if collinear2(*t) else t
+
+    return _retry(rng, cfg, draw, "valid triangle")
 
 
 def gen_correct_diagram(
@@ -147,40 +168,37 @@ def gen_correct_diagram(
     random points, and the diagram is the genuine projection, so it is
     correct by construction, never by filtering.
     """
-    cfg = cfg or GenConfig()
-    rng = SplitMix64(seed)
-    for _ in range(cfg.max_retries):
-        try:
-            u, v, w = (_triple3(rng, cfg) for _ in range(3))
-            plane = plane_through(Point3.affine(*u), Point3.affine(*v), Point3.affine(*w))
-            if plane == DRAWING_PLANE:
-                continue
-            verts = []
-            for _ in range(4):
-                a, b = _fraction(rng, cfg), _fraction(rng, cfg)
-                verts.append(
-                    Point3.affine(
-                        *(ui + a * (vi - ui) + b * (wi - ui) for ui, vi, wi in zip(u, v, w))
-                    )
+
+    def draw(rng: SplitMix64, cfg: GenConfig):
+        u, v, w = (_triple3(rng, cfg) for _ in range(3))
+        plane = plane_through(Point3.affine(*u), Point3.affine(*v), Point3.affine(*w))
+        if plane == DRAWING_PLANE:
+            return None
+        verts = []
+        for _ in range(4):
+            a, b = _fraction(rng, cfg), _fraction(rng, cfg)
+            verts.append(
+                Point3.affine(
+                    *(ui + a * (vi - ui) + b * (wi - ui) for ui, vi, wi in zip(u, v, w))
                 )
-            if len(set(verts)) < 4 or any(collinear3(*t) for t in combinations(verts, 3)):
-                continue
-            light = Point3.affine(*_triple3(rng, cfg))
-            if plane.contains(light) or DRAWING_PLANE.contains(light):
-                continue
-            viewpoint = Point3.affine(*_triple3(rng, cfg))
-            if DRAWING_PLANE.contains(viewpoint) or viewpoint == light:
-                continue
-            scene = SpatialScene(
-                quad=SpatialQuadrangle(*verts, plane=plane),
-                light=light,
-                shadow_plane=DRAWING_PLANE,
-                viewpoint=viewpoint,
             )
-            return scene, project_scene(scene)
-        except GeometryError:
-            continue
-    raise RetriesExhausted("no valid scene within the retry budget")
+        if len(set(verts)) < 4 or any(collinear3(*t) for t in combinations(verts, 3)):
+            return None
+        light = Point3.affine(*_triple3(rng, cfg))
+        if plane.contains(light) or DRAWING_PLANE.contains(light):
+            return None
+        viewpoint = Point3.affine(*_triple3(rng, cfg))
+        if DRAWING_PLANE.contains(viewpoint) or viewpoint == light:
+            return None
+        scene = SpatialScene(
+            quad=SpatialQuadrangle(*verts, plane=plane),
+            light=light,
+            shadow_plane=DRAWING_PLANE,
+            viewpoint=viewpoint,
+        )
+        return scene, project_scene(scene)
+
+    return _retry(SplitMix64(seed), cfg, draw, "valid scene")
 
 
 def gen_incorrect_diagram(seed: int, cfg: GenConfig | None = None) -> PlanarDiagram:
@@ -191,29 +209,20 @@ def gen_incorrect_diagram(seed: int, cfg: GenConfig | None = None) -> PlanarDiag
     correct) is rejected before use, and the rare remaining correct
     outcomes are redrawn after checking.
     """
-    cfg = cfg or GenConfig()
-    rng = SplitMix64(seed)
-    for _ in range(cfg.max_retries):
-        try:
-            center = _point2(rng, cfg)
-            quad1 = _quadrangle(rng, cfg)
-            ratios = [_nonzero_fraction(rng, cfg) for _ in range(4)]
-            if len(set(ratios)) == 1:
-                continue
-            cx, cy = center.affine_coords
-            moved = []
-            for vertex, t in zip(quad1.vertices, ratios):
-                x, y = vertex.affine_coords
-                moved.append(Point2.affine(cx + t * (x - cx), cy + t * (y - cy)))
-            diagram = PlanarDiagram(
-                O=center, quad1=quad1, quad2=validate_quadrangle(*moved)
-            )
-        except GeometryError:
-            continue
+
+    def draw(rng: SplitMix64, cfg: GenConfig) -> PlanarDiagram | None:
+        center = _point2(rng, cfg)
+        quad1 = _quadrangle(rng, cfg)
+        ratios = [_nonzero_fraction(rng, cfg) for _ in range(4)]
+        if len(set(ratios)) == 1:
+            return None
+        moved = (_toward(center, v, t) for v, t in zip(quad1.vertices, ratios))
+        quad2 = validate_quadrangle(*moved)
+        diagram = PlanarDiagram(O=center, quad1=quad1, quad2=quad2)
         verdict = decide_depiction(diagram)
-        if verdict.applicable and not verdict.correct:
-            return diagram
-    raise RetriesExhausted("no incorrect diagram within the retry budget")
+        return diagram if verdict.applicable and not verdict.correct else None
+
+    return _retry(SplitMix64(seed), cfg, draw, "incorrect diagram")
 
 
 def gen_general_position_diagram(
@@ -222,17 +231,16 @@ def gen_general_position_diagram(
     """A correct or incorrect diagram whose twelve sides are in general
     position: the six homologous side pairs distinct, their six
     intersections pairwise distinct."""
-    cfg = cfg or GenConfig()
-    rng = SplitMix64(seed)
-    for _ in range(cfg.max_retries):
+
+    def draw(rng: SplitMix64, cfg: GenConfig) -> PlanarDiagram | None:
         sub = rng.next_u64()
         if correct:
             _, diagram = gen_correct_diagram(sub, cfg)
         else:
             diagram = gen_incorrect_diagram(sub, cfg)
-        if general_position(diagram.quad1, diagram.quad2):
-            return diagram
-    raise RetriesExhausted("no general-position diagram within the retry budget")
+        return diagram if general_position(diagram.quad1, diagram.quad2) else None
+
+    return _retry(SplitMix64(seed), cfg, draw, "general-position diagram")
 
 
 def gen_degenerate_diagram(
@@ -244,51 +252,43 @@ def gen_degenerate_diagram(
     vertex; kind VERTEX puts the center on side RS and slides R inside
     that side, so the moved pair is collinear with the shared vertex S.
     """
-    cfg = cfg or GenConfig()
-    rng = SplitMix64(seed)
     if kind not in (DegeneracyKind.TRIANGLE, DegeneracyKind.VERTEX):
         raise ValueError(f"can only generate triangle or vertex kinds, got {kind}")
-    for _ in range(cfg.max_retries):
-        try:
-            quad1 = _quadrangle(rng, cfg)
-            p, q, r, s = quad1.vertices
-            if kind is DegeneracyKind.TRIANGLE:
-                center = _point2(rng, cfg)
-                if center in quad1.vertices:
-                    continue
-                ray = join2(center, s)
-                if any(ray.contains(x) for x in (p, q, r)):
-                    continue
-                t = _nonzero_fraction(rng, cfg)
-                if t == 1:
-                    continue
-                cx, cy = center.affine_coords
-                sx, sy = s.affine_coords
-                s2 = Point2.affine(cx + t * (sx - cx), cy + t * (sy - cy))
-                quad2 = validate_quadrangle(p, q, r, s2)
-            else:
-                a = _nonzero_fraction(rng, cfg)
-                if a == 1:
-                    continue
-                rx, ry = r.affine_coords
-                sx, sy = s.affine_coords
-                center = Point2.affine(rx + a * (sx - rx), ry + a * (sy - ry))
-                if center in quad1.vertices:
-                    continue
-                b = _nonzero_fraction(rng, cfg)
-                if b == 1:
-                    continue
-                r2 = Point2.affine(rx + b * (sx - rx), ry + b * (sy - ry))
-                if r2 == center:
-                    continue
-                quad2 = validate_quadrangle(p, q, r2, s)
-            diagram = PlanarDiagram(O=center, quad1=quad1, quad2=quad2)
-        except GeometryError:
-            continue
+
+    def draw(rng: SplitMix64, cfg: GenConfig) -> PlanarDiagram | None:
+        quad1 = _quadrangle(rng, cfg)
+        p, q, r, s = quad1.vertices
+        if kind is DegeneracyKind.TRIANGLE:
+            center = _point2(rng, cfg)
+            if center in quad1.vertices:
+                return None
+            ray = join2(center, s)
+            if any(ray.contains(x) for x in (p, q, r)):
+                return None
+            t = _nonzero_fraction(rng, cfg)
+            if t == 1:
+                return None
+            quad2 = validate_quadrangle(p, q, r, _toward(center, s, t))
+        else:
+            a = _nonzero_fraction(rng, cfg)
+            if a == 1:
+                return None
+            center = _toward(r, s, a)
+            if center in quad1.vertices:
+                return None
+            b = _nonzero_fraction(rng, cfg)
+            if b == 1:
+                return None
+            r2 = _toward(r, s, b)
+            if r2 == center:
+                return None
+            quad2 = validate_quadrangle(p, q, r2, s)
+        diagram = PlanarDiagram(O=center, quad1=quad1, quad2=quad2)
         got = classify_degeneracy(diagram.quad1, diagram.quad2)
         _invariant(got.kind is kind, f"built {kind.value} but classified {got.kind.value}")
         return diagram
-    raise RetriesExhausted("no degenerate diagram within the retry budget")
+
+    return _retry(SplitMix64(seed), cfg, draw, "degenerate diagram")
 
 
 def gen_point_perspective_triangles(
@@ -296,34 +296,25 @@ def gen_point_perspective_triangles(
 ) -> tuple[Point2, Triple, Triple]:
     """A center and two triangles perspective from it, with the six
     homologous sides distinct and their meets pairwise distinct."""
-    cfg = cfg or GenConfig()
-    rng = SplitMix64(seed)
-    for _ in range(cfg.max_retries):
-        try:
-            center = _point2(rng, cfg)
-            t1 = _triangle(rng, cfg)
-            if center in t1:
-                continue
-            cx, cy = center.affine_coords
-            t2 = []
-            for vertex in t1:
-                k = _nonzero_fraction(rng, cfg)
-                x, y = vertex.affine_coords
-                t2.append(Point2.affine(cx + k * (x - cx), cy + k * (y - cy)))
-            t2 = tuple(t2)
-            if len(set(t2)) < 3 or collinear2(*t2) or center in t2:
-                continue
-            sides1 = _triangle_sides(t1)
-            sides2 = _triangle_sides(t2)
-            if any(a == b for a, b in zip(sides1, sides2)):
-                continue
-            meets = [meet2(a, b) for a, b in zip(sides1, sides2)]
-            if len(set(meets)) < 3:
-                continue
-            return center, t1, t2
-        except GeometryError:
-            continue
-    raise RetriesExhausted("no perspective triangle pair within the retry budget")
+
+    def draw(rng: SplitMix64, cfg: GenConfig) -> tuple[Point2, Triple, Triple] | None:
+        center = _point2(rng, cfg)
+        t1 = _triangle(rng, cfg)
+        if center in t1:
+            return None
+        t2 = tuple(_toward(center, v, _nonzero_fraction(rng, cfg)) for v in t1)
+        if collinear2(*t2) or center in t2:
+            return None
+        sides1 = _triangle_sides(t1)
+        sides2 = _triangle_sides(t2)
+        if any(a == b for a, b in zip(sides1, sides2)):
+            return None
+        meets = [meet2(a, b) for a, b in zip(sides1, sides2)]
+        if len(set(meets)) < 3:
+            return None
+        return center, t1, t2
+
+    return _retry(SplitMix64(seed), cfg, draw, "perspective triangle pair")
 
 
 def gen_axis_perspective_triangles(
@@ -335,60 +326,50 @@ def gen_axis_perspective_triangles(
     side correspondence holds by construction; homologous vertices stay
     distinct with distinct joins, ready for recovering the center.
     """
-    cfg = cfg or GenConfig()
-    rng = SplitMix64(seed)
-    for _ in range(cfg.max_retries):
-        try:
-            t1 = _triangle(rng, cfg)
-            axis = join2(_point2(rng, cfg), _point2(rng, cfg))
-            if any(axis.contains(v) for v in t1):
-                continue
-            m_a, m_b, m_c = (meet2(side, axis) for side in _triangle_sides(t1))
-            x2 = _point2(rng, cfg)
-            if axis.contains(x2) or x2 in t1:
-                continue
-            lam = _nonzero_fraction(rng, cfg)
-            xx, xy = x2.affine_coords
-            if m_c.is_ideal:
-                continue
-            mx, my = m_c.affine_coords
-            y2 = Point2.affine(xx + lam * (mx - xx), xy + lam * (my - xy))
-            if y2 == x2 or y2 == m_c:
-                continue
-            line_b = join2(x2, m_b)
-            line_a = join2(y2, m_a)
-            if line_b == line_a:
-                continue
-            z2 = meet2(line_b, line_a)
-            if z2 in (x2, y2) or axis.contains(z2):
-                continue
-            t2 = (x2, y2, z2)
-            if collinear2(*t2):
-                continue
-            pairs_distinct = all(v1 != v2 for v1, v2 in zip(t1, t2))
-            if not pairs_distinct:
-                continue
-            join_x = join2(t1[0], x2)
-            join_y = join2(t1[1], y2)
-            if join_x == join_y:
-                continue
-            return axis, t1, t2
-        except GeometryError:
-            continue
-    raise RetriesExhausted("no axis-perspective triangle pair within the retry budget")
+
+    def draw(rng: SplitMix64, cfg: GenConfig) -> tuple[Line2, Triple, Triple] | None:
+        t1 = _triangle(rng, cfg)
+        axis = join2(_point2(rng, cfg), _point2(rng, cfg))
+        if any(axis.contains(v) for v in t1):
+            return None
+        m_a, m_b, m_c = (meet2(side, axis) for side in _triangle_sides(t1))
+        x2 = _point2(rng, cfg)
+        if axis.contains(x2) or x2 in t1:
+            return None
+        # an ideal m_c has no affine coordinates: _toward raises ZeroVector
+        y2 = _toward(x2, m_c, _nonzero_fraction(rng, cfg))
+        if y2 == x2 or y2 == m_c:
+            return None
+        line_b = join2(x2, m_b)
+        line_a = join2(y2, m_a)
+        if line_b == line_a:
+            return None
+        z2 = meet2(line_b, line_a)
+        if z2 in (x2, y2) or axis.contains(z2):
+            return None
+        t2 = (x2, y2, z2)
+        if collinear2(*t2):
+            return None
+        if any(v1 == v2 for v1, v2 in zip(t1, t2)):
+            return None
+        if join2(t1[0], x2) == join2(t1[1], y2):
+            return None
+        return axis, t1, t2
+
+    return _retry(SplitMix64(seed), cfg, draw, "axis-perspective triangle pair")
 
 
 def gen_collineation(seed: int, cfg: GenConfig | None = None) -> Collineation:
     """A random invertible collineation with small integer entries."""
-    cfg = cfg or GenConfig()
-    rng = SplitMix64(seed)
-    bound = cfg.numerator_bound
-    for _ in range(cfg.max_retries):
+
+    def draw(rng: SplitMix64, cfg: GenConfig) -> Collineation | None:
+        bound = cfg.numerator_bound
         rows = tuple(
             tuple(rng.below(2 * bound + 1) - bound for _ in range(3)) for _ in range(3)
         )
         try:
             return Collineation(rows)
         except ValueError:
-            continue
-    raise RetriesExhausted("no invertible matrix within the retry budget")
+            return None
+
+    return _retry(SplitMix64(seed), cfg, draw, "invertible matrix")

@@ -275,6 +275,12 @@ def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, 
     )
 
 
+def _det3(r0: tuple[int, ...], r1: tuple[int, ...], r2: tuple[int, ...]) -> int:
+    """Determinant of the 3x3 matrix with rows r0, r1, r2."""
+    (a, b, c), (d, e, f), (g, h, i) = r0, r1, r2
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def join2(p: Point2, q: Point2) -> Line2:
     """Line through two distinct planar points (cross product)."""
     if p == q:
@@ -295,8 +301,7 @@ def collinear2(p: Point2, q: Point2, r: Point2) -> bool:
     A triple with a coincident pair is collinear by this convention, which
     is exactly what perspectivity checks downstream need.
     """
-    (a, b, c), (d, e, f), (g, h, i) = p.coords, q.coords, r.coords
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0
+    return _det3(p.coords, q.coords, r.coords) == 0
 
 
 def points_on_line2(l: Line2) -> tuple[Point2, Point2]:
@@ -336,19 +341,9 @@ def plane_through(a: Point3, b: Point3, c: Point3) -> Plane3:
     matrix; a zero vector means the points are collinear (or coincident).
     """
     rows = (a.coords, b.coords, c.coords)
-
-    def minor(skip: int) -> int:
-        cols = [j for j in range(4) if j != skip]
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
-            tuple(row[j] for j in cols) for row in rows
-        )
-        return (
-            m00 * (m11 * m22 - m12 * m21)
-            - m01 * (m10 * m22 - m12 * m20)
-            + m02 * (m10 * m21 - m11 * m20)
-        )
-
-    coeffs = tuple((-1) ** k * minor(k) for k in range(4))
+    coeffs = tuple(
+        (-1) ** k * _det3(*(row[:k] + row[k + 1 :] for row in rows)) for k in range(4)
+    )
     if not any(coeffs):
         raise CollinearPoints(f"{a!r}, {b!r}, {c!r} do not span a plane")
     return Plane3(*coeffs)
@@ -434,23 +429,11 @@ def coplanarity_det(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     unique, the integer value itself is deterministic and can serve as a
     certificate of non-planarity.
     """
-    m = (a.coords, b.coords, c.coords, d.coords)
-
-    def det3(rows: tuple[tuple[int, ...], ...], cols: tuple[int, ...]) -> int:
-        (r0, r1, r2) = rows
-        c0, c1, c2 = cols
-        return (
-            r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
-            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
-            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0])
-        )
-
-    total = 0
-    rest = (m[1], m[2], m[3])
-    for j in range(4):
-        cols = tuple(k for k in range(4) if k != j)
-        total += (-1) ** j * m[0][j] * det3(rest, cols)
-    return total
+    rest = (b.coords, c.coords, d.coords)
+    return sum(
+        (-1) ** j * x * _det3(*(row[:j] + row[j + 1 :] for row in rest))
+        for j, x in enumerate(a.coords)
+    )
 
 
 def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:

@@ -30,6 +30,7 @@ from .kernel import (
     GeometryError,
     Line2,
     Point2,
+    _det3,
     collinear2,
     join2,
     meet2,
@@ -255,12 +256,7 @@ class Collineation:
             raise TypeError("Collineation takes a 3x3 matrix")
         flat = normalize(entries)
         m = (flat[0:3], flat[3:6], flat[6:9])
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        if det == 0:
+        if _det3(*m) == 0:
             raise ValueError("collineation matrix is singular")
         object.__setattr__(self, "matrix", m)
 
