@@ -79,6 +79,9 @@ __all__ = [
 
 DOCUMENT_VERSION = 1
 
+#: Longest numerator or denominator, in bits, a document coordinate may have.
+_MAX_COORD_BITS = 1024
+
 
 class ParseError(Exception):
     """Malformed document; the message carries the offending location."""
@@ -95,14 +98,18 @@ class InvariantViolation(Exception):
 def _rational(node: Any, path: str) -> Fraction:
     if isinstance(node, bool) or isinstance(node, float):
         raise ParseError(f"{path}: coordinates must be rational strings, got {node!r}")
-    if isinstance(node, int):
-        return Fraction(node)
-    if isinstance(node, str):
-        try:
-            return Fraction(node)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{path}: not a rational: {node!r}") from None
-    raise ParseError(f"{path}: coordinates must be rational strings, got {type(node).__name__}")
+    if not isinstance(node, (int, str)):
+        raise ParseError(
+            f"{path}: coordinates must be rational strings, got {type(node).__name__}"
+        )
+    try:
+        value = Fraction(node)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{path}: not a rational: {node!r}") from None
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > _MAX_COORD_BITS:
+        raise ParseError(f"{path}: a {bits}-bit rational exceeds the {_MAX_COORD_BITS}-bit bound")
+    return value
 
 
 def _strings(value) -> list[str]:
@@ -126,6 +133,8 @@ def _load(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer past the interpreter's int-to-str digit limit
+        raise ParseError(f"an integer exceeds the {_MAX_COORD_BITS}-bit bound") from None
 
 
 def _check_version(doc: dict, path: str = "version") -> None:
@@ -193,7 +202,7 @@ def _parse_value(kind, doc: dict, name: str):
 
 
 def _parse(text: str, cls, fields: dict):
-    """A document of the given fields, read into cls(**fields)."""
+    """Parse a document with the given fields and build cls from their values."""
     keys = ["version"]
     for name, kind in fields.items():
         keys += [name, "plane"] if kind is SpatialQuadrangle else [name]
@@ -304,6 +313,8 @@ def parse_verdict(text: str) -> Verdict:
         reason = Reason(doc["reason"])
     except ValueError:
         raise ParseError(f"reason: unknown reason {doc['reason']!r}") from None
+    if doc["witness"] is not None and not isinstance(doc["witness"], str):
+        raise ParseError("witness: expected a string or null")
     if not isinstance(doc["notes"], list) or not all(
         isinstance(n, str) for n in doc["notes"]
     ):

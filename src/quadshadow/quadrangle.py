@@ -126,14 +126,8 @@ class SideSet(_BySide):
 
 def sides(q: Quadrangle) -> SideSet:
     """All six sides; always defined for a valid quadrangle."""
-    return SideSet(
-        QR=join2(q.Q, q.R),
-        RP=join2(q.R, q.P),
-        PQ=join2(q.P, q.Q),
-        SP=join2(q.S, q.P),
-        SQ=join2(q.S, q.Q),
-        SR=join2(q.S, q.R),
-    )
+    v = q.labeled()
+    return SideSet(**{lab: join2(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS})
 
 
 @dataclass(frozen=True)

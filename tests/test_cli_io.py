@@ -150,6 +150,8 @@ def test_parse_rejects_geometric_invariant_violations():
         ("degeneracy", {"kind": "square", "coincident": []}, "degeneracy.kind: unknown kind"),
         ("diagonal_pairs", {"A": True, "B": 1, "C": True}, "diagonal_pairs: expected booleans"),
         ("notes", ["ok", 7], "notes: expected an array of strings"),
+        ("witness", 5, "witness: expected a string or null"),
+        ("witness", {}, "witness: expected a string or null"),
     ],
 )
 def test_parse_verdict_rejects_bad_fields(field, value, message):
@@ -349,8 +351,10 @@ def test_render_matches_golden_svg(name):
 # --- internal errors ----------------------------------------------------------------------
 
 def test_render_float_overflow_exits_seventy(tmp_path):
+    # within the coordinate bound, but N**2 overflows a float
+    n = str(2**1000)
     doc = json.loads(DILATION.read_text())
-    doc["quad1"]["P"] = ["1e5000", "1", "1"]
+    doc["quad1"]["P"] = [n, "1", "1/" + n]
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))
     code, _, err = run("render", str(p), "--out", str(tmp_path / "huge.svg"))
@@ -358,8 +362,8 @@ def test_render_float_overflow_exits_seventy(tmp_path):
     assert err.startswith("error: internal: OverflowError: ")
 
 
-def test_lift_digit_limit_on_emit_exits_seventy(tmp_path):
-    tiny = "1e-5000"
+def _shrunk_square(tmp_path, tiny: str):
+    """The square (+-1, +-1) and its dilation from the origin by `tiny`."""
     doc = {
         "version": 1,
         "O": ["0", "0", "1"],
@@ -378,10 +382,37 @@ def test_lift_digit_limit_on_emit_exits_seventy(tmp_path):
     }
     p = tmp_path / "tiny.json"
     p.write_text(json.dumps(doc))
+    return p
+
+
+@pytest.mark.parametrize(
+    "tiny", ["1e-5000", f"1/{2**1024}"], ids=["exponent", "2**1024"]
+)
+def test_oversized_rational_exits_two(tmp_path, tiny):
+    p = _shrunk_square(tmp_path, tiny)
+    for command in ("check", "lift"):
+        code, out, err = run(command, str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ParseError: quad2.P[0]: ")
+        assert "exceeds the 1024-bit bound" in err
+
+
+def test_overlong_json_integer_exits_two(tmp_path):
+    p = tmp_path / "long.json"
+    p.write_text('{"version": 1, "O": [' + "7" * 5000 + ', 0, 1]}')
+    code, _, err = run("check", str(p))
+    assert code == 2
+    assert err.startswith("error: ParseError: ")
+    assert "exceeds the 1024-bit bound" in err
+
+
+def test_rationals_at_the_bound_lift_and_emit(tmp_path):
+    p = _shrunk_square(tmp_path, f"1/{2**1024 - 1}")
     assert run("check", str(p))[0] == 0
-    code, out, err = run("lift", str(p))
-    assert code == 70
-    assert err.startswith("error: internal: ValueError: ")
+    code, out, _ = run("lift", str(p))
+    assert code == 0
+    d = parse_diagram(p.read_text())
+    assert quadshadow.lift.verify_witness(d, parse_witness(out)).passed
 
 
 def test_broken_invariant_exits_seventy(monkeypatch):
