@@ -1,9 +1,13 @@
 """Perspectivities, Desargues machinery, and perspective collineations."""
 
+import hashlib
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from quadshadow.cli_io import parse_diagram
+from quadshadow.generators import gen_general_position_diagram
 from quadshadow.kernel import Line2, Point2, collinear2, join2, meet2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.perspectivity import (
@@ -227,6 +231,41 @@ def test_perspective_collineation_dilation_frozen_matrix():
     assert h.matrix == ((2, 0, -3), (0, 2, 0), (0, 0, 1))
     assert h.apply(Point2.affine(-1, 1)) == Point2.affine(-5, 2)
     assert h.apply_quadrangle(SQUARE) == DILATED
+
+
+def test_perspective_collineation_golden_dilation_frozen_matrix():
+    d = parse_diagram((Path(__file__).parent / "data" / "dilation.json").read_text())
+    axis = common_axis(d.quad1, d.quad2)
+    assert axis == Line2(0, 0, 1)
+    h = perspective_collineation(d.O, axis, (d.quad1.P, d.quad2.P))
+    assert h.matrix == ((2, 0, -3), (0, 2, 0), (0, 0, 1))
+
+
+def test_perspective_collineation_generated_homology_frozen_matrix():
+    d = gen_general_position_diagram(0)
+    axis = common_axis(d.quad1, d.quad2)
+    assert axis == Line2(637, 254, 38)
+    h = perspective_collineation(d.O, axis, (d.quad1.P, d.quad2.P))
+    assert h.matrix == (
+        (202088, 173228, 25916),
+        (-150969, -292544, -9006),
+        (151606, 60452, -223302),
+    )
+
+
+def test_perspective_collineation_generated_matrices_frozen():
+    # sha256 of the matrix from each vertex pair of the first 40 correct
+    # general-position diagrams, recorded before the fraction-free solve.
+    digest = hashlib.sha256()
+    for seed in range(40):
+        d = gen_general_position_diagram(seed)
+        axis = common_axis(d.quad1, d.quad2)
+        for lab in "PQRS":
+            pair = (d.quad1.vertex(lab), d.quad2.vertex(lab))
+            digest.update(repr(perspective_collineation(d.O, axis, pair).matrix).encode())
+    assert digest.hexdigest() == (
+        "9919cbe95b558e2f991289bf285d46160ea2813d649f660c66007e86a355f603"
+    )
 
 
 def test_perspective_collineation_fixes_center_and_axis():
