@@ -81,6 +81,8 @@ DOCUMENT_VERSION = 1
 
 #: Longest numerator or denominator, in bits, a document coordinate may have.
 _MAX_COORD_BITS = 1024
+#: Decimal digits of 2**_MAX_COORD_BITS, so 10**_MAX_COORD_DIGITS is past the bound.
+_MAX_COORD_DIGITS = len(str(1 << _MAX_COORD_BITS))
 
 
 class ParseError(Exception):
@@ -102,6 +104,19 @@ def _rational(node: Any, path: str) -> Fraction:
         raise ParseError(
             f"{path}: coordinates must be rational strings, got {type(node).__name__}"
         )
+    if isinstance(node, str):
+        # A nonzero m * 10**e with at most len(node) mantissa digits has a
+        # numerator or denominator of at least 10**_MAX_COORD_DIGITS once |e|
+        # exceeds that plus len(node); reject it before Fraction builds 10**e.
+        _, sep, tail = node.lower().rpartition("e")
+        try:
+            exponent = int(tail) if sep else 0
+        except ValueError:
+            exponent = 0  # no exponent form: Fraction rejects the string
+        if abs(exponent) > _MAX_COORD_DIGITS + len(node):
+            raise ParseError(
+                f"{path}: exponent {exponent} exceeds the {_MAX_COORD_BITS}-bit bound"
+            )
     try:
         value = Fraction(node)
     except (ValueError, ZeroDivisionError):

@@ -35,6 +35,7 @@ from .kernel import (
     Line2,
     Point2,
     Point3,
+    ZeroVector,
     collinear2,
     collinear3,
     join2,
@@ -95,25 +96,30 @@ class RetriesExhausted(GeometryError):
     """max_retries redraws did not produce a valid sample."""
 
 
-def _fraction(rng: SplitMix64, cfg: GenConfig) -> Fraction:
+def _ratio(rng: SplitMix64, cfg: GenConfig) -> tuple[int, int]:
+    """A numerator and a positive denominator inside cfg's bounds."""
     num = rng.below(2 * cfg.numerator_bound + 1) - cfg.numerator_bound
     den = rng.below(cfg.denominator_bound) + 1
-    return Fraction(num, den)
+    return num, den
 
 
 def _nonzero_fraction(rng: SplitMix64, cfg: GenConfig) -> Fraction:
     while True:
-        f = _fraction(rng, cfg)
-        if f != 0:
-            return f
+        num, den = _ratio(rng, cfg)
+        if num != 0:
+            return Fraction(num, den)
 
 
 def _point2(rng: SplitMix64, cfg: GenConfig) -> Point2:
-    return Point2.affine(_fraction(rng, cfg), _fraction(rng, cfg))
+    """The affine point (n1/d1, n2/d2) as (n1 d2 : n2 d1 : d1 d2)."""
+    (n1, d1), (n2, d2) = _ratio(rng, cfg), _ratio(rng, cfg)
+    return Point2(n1 * d2, n2 * d1, d1 * d2)
 
 
-def _triple3(rng: SplitMix64, cfg: GenConfig) -> tuple[Fraction, Fraction, Fraction]:
-    return (_fraction(rng, cfg), _fraction(rng, cfg), _fraction(rng, cfg))
+def _point3(rng: SplitMix64, cfg: GenConfig) -> Point3:
+    """The affine point (n1/d1, n2/d2, n3/d3) over the denominator d1 d2 d3."""
+    (n1, d1), (n2, d2), (n3, d3) = _ratio(rng, cfg), _ratio(rng, cfg), _ratio(rng, cfg)
+    return Point3(n1 * d2 * d3, n2 * d1 * d3, n3 * d1 * d2, d1 * d2 * d3)
 
 
 def _retry(rng: SplitMix64, cfg: GenConfig | None, draw, what: str):
@@ -134,9 +140,17 @@ def _retry(rng: SplitMix64, cfg: GenConfig | None, draw, what: str):
 
 
 def _toward(a: Point2, b: Point2, t: Fraction) -> Point2:
-    """The affine point a + t (b - a)."""
-    (ax, ay), (bx, by) = a.affine_coords, b.affine_coords
-    return Point2.affine(ax + t * (bx - ax), ay + t * (by - ay))
+    """The affine point a + t (b - a).
+
+    With t = p/q and last coordinates a2, b2 it is (q - p) b2 a + p a2 b,
+    all integers.  An ideal a or b has no affine coordinates: ZeroVector.
+    """
+    a2, b2 = a.coords[2], b.coords[2]
+    if a2 == 0 or b2 == 0:
+        raise ZeroVector(f"ideal point among {a!r}, {b!r} has no affine coordinates")
+    p, q = t.numerator, t.denominator
+    u, v = (q - p) * b2, p * a2
+    return Point2(*[u * ai + v * bi for ai, bi in zip(a.coords, b.coords)])
 
 
 def _quadrangle(rng: SplitMix64, cfg: GenConfig | None) -> Quadrangle:
@@ -170,24 +184,26 @@ def gen_correct_diagram(
     """
 
     def draw(rng: SplitMix64, cfg: GenConfig):
-        u, v, w = (_triple3(rng, cfg) for _ in range(3))
-        plane = plane_through(Point3.affine(*u), Point3.affine(*v), Point3.affine(*w))
+        u, v, w = (_point3(rng, cfg) for _ in range(3))
+        plane = plane_through(u, v, w)
         if plane == DRAWING_PLANE:
             return None
+        u3, v3, w3 = u.coords[3], v.coords[3], w.coords[3]
         verts = []
         for _ in range(4):
-            a, b = _fraction(rng, cfg), _fraction(rng, cfg)
-            verts.append(
-                Point3.affine(
-                    *(ui + a * (vi - ui) + b * (wi - ui) for ui, vi, wi in zip(u, v, w))
-                )
-            )
+            # u + a (v - u) + b (w - u), a = p/q and b = r/s, times q s u3 v3 w3
+            (p, q), (r, s) = _ratio(rng, cfg), _ratio(rng, cfg)
+            ku = (q * s - p * s - r * q) * v3 * w3
+            kv = p * s * u3 * w3
+            kw = r * q * u3 * v3
+            coords = zip(u.coords, v.coords, w.coords)
+            verts.append(Point3(*[ku * x + kv * y + kw * z for x, y, z in coords]))
         if len(set(verts)) < 4 or any(collinear3(*t) for t in combinations(verts, 3)):
             return None
-        light = Point3.affine(*_triple3(rng, cfg))
+        light = _point3(rng, cfg)
         if plane.contains(light) or DRAWING_PLANE.contains(light):
             return None
-        viewpoint = Point3.affine(*_triple3(rng, cfg))
+        viewpoint = _point3(rng, cfg)
         if DRAWING_PLANE.contains(viewpoint) or viewpoint == light:
             return None
         scene = SpatialScene(

@@ -126,12 +126,29 @@ class PlueckerViolation(GeometryError):
 
 
 def normalize(coords) -> tuple[int, ...]:
-    """Canonical integer form of a homogeneous coordinate tuple.
+    """Canonical integer form of a homogeneous coordinate sequence.
 
     Clears denominators with their lcm, divides by the gcd and flips signs
     so the first nonzero entry is positive.  Raises ZeroVector if every
     coordinate is zero.  Floats are rejected: this kernel is exact.
+
+    All-int input, which every construction in the package produces, is
+    divided by its signed gcd directly; anything else (a Fraction, a bool)
+    goes through Fraction first.  Both give the same canonical tuple.
     """
+    for c in coords:
+        if type(c) is not int:
+            break
+    else:
+        g = gcd(*coords)
+        if not g:
+            raise ZeroVector("all homogeneous coordinates are zero")
+        for c in coords:
+            if c:
+                if c < 0:
+                    g = -g
+                break
+        return tuple([c // g for c in coords])
     fracs = []
     for c in coords:
         if isinstance(c, float):

@@ -24,7 +24,6 @@ least one point; when all four are one line, that line is the common axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .kernel import (
     GeometryError,
@@ -311,6 +310,8 @@ def perspective_collineation(
     points must be off the axis, distinct from the center, and collinear
     with it; an equal pair yields the identity.  The matrix is
     I + k * center * axis^T with the multiplier k solved from the pair.
+    k is never formed: the rows are scaled by its denominator, so they
+    stay integer (the fraction-free pattern of Bareiss).
     """
     x0, x1 = pair
     if axis.contains(x0) or axis.contains(x1):
@@ -325,23 +326,23 @@ def perspective_collineation(
     v0 = x0.coords
     v1 = x1.coords
 
-    # Solve v1 ~ alpha*v0 + beta*c on two independent coordinates.
-    pivot = next(
+    # Solve v1 ~ alpha*v0 + beta*c on two independent coordinates by
+    # Cramer's rule; alpha = d_alpha / d and beta = d_beta / d.
+    i, j = next(
         (i, j)
         for i in range(3)
         for j in range(i + 1, 3)
         if v0[i] * c[j] - v0[j] * c[i] != 0
     )
-    i, j = pivot
-    d = v0[i] * c[j] - v0[j] * c[i]
-    alpha = Fraction(v1[i] * c[j] - v1[j] * c[i], d)
-    beta = Fraction(v0[i] * v1[j] - v0[j] * v1[i], d)
-    if alpha == 0:
+    d_alpha = v1[i] * c[j] - v1[j] * c[i]
+    d_beta = v0[i] * v1[j] - v0[j] * v1[i]
+    if d_alpha == 0:
         raise InvalidPair("image point lies on the center ray degenerately")
 
-    dot = sum(ai * vi for ai, vi in zip(a, v0))
-    k = beta / (alpha * dot)
+    # (I + k c a^T) * d_alpha * dot, with k = d_beta / (d_alpha * dot).
+    scale = d_alpha * sum(ai * vi for ai, vi in zip(a, v0))
     rows = tuple(
-        tuple((1 if r == s else 0) + k * c[r] * a[s] for s in range(3)) for r in range(3)
+        tuple((scale if r == s else 0) + d_beta * c[r] * a[s] for s in range(3))
+        for r in range(3)
     )
     return Collineation(rows)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 import xml.dom.minidom
 from fractions import Fraction as F
 from pathlib import Path
@@ -395,6 +396,25 @@ def test_oversized_rational_exits_two(tmp_path, tiny):
         assert (code, out) == (2, "")
         assert err.startswith("error: ParseError: quad2.P[0]: ")
         assert "exceeds the 1024-bit bound" in err
+
+
+@pytest.mark.parametrize("huge", ["1e-1000000", "1e999999999"])
+def test_huge_exponent_exits_two_quickly(tmp_path, huge):
+    # rejected before Fraction builds 10**exponent, which takes seconds
+    # to forever at these sizes
+    p = _shrunk_square(tmp_path, huge)
+    start = time.perf_counter()
+    code, out, err = run("check", str(p))
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ParseError: quad2.P[0]: exponent ")
+    assert "exceeds the 1024-bit bound" in err
+
+
+def test_exponent_inside_the_bound_parses(tmp_path):
+    p = _shrunk_square(tmp_path, "1e-300")
+    assert run("check", str(p))[0] == 0
+    assert parse_diagram(p.read_text()).quad2.P == Point2(1, 1, 10**300)
 
 
 def test_overlong_json_integer_exits_two(tmp_path):

@@ -1,13 +1,16 @@
 """Algebraic invariants checked over randomized inputs."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from quadshadow.kernel import (
     Line2,
     Point2,
     Point3,
+    ZeroVector,
     chart_drawing,
     embed_drawing,
     join2,
@@ -38,6 +41,53 @@ def test_normalize_is_idempotent(t):
 @given(nonzero_triple(), scale)
 def test_normalize_kills_scalar_factors(t, k):
     assert Point2(*(k * c for c in t)) == Point2(*t)
+
+
+def reference_normalize(coords):
+    """normalize by way of Fraction: clear denominators, divide, fix the sign."""
+    fracs = [Fraction(c) for c in coords]
+    mult = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * mult) for f in fracs]
+    g = gcd(*ints)
+    ints = [n // g for n in ints]
+    if next(n for n in ints if n) < 0:
+        ints = [-n for n in ints]
+    return tuple(ints)
+
+
+def coord_tuples(element):
+    """Tuples of the kernel's arities (3, 4, 6 and 9), not all zero."""
+    return st.sampled_from([3, 4, 6, 9]).flatmap(
+        lambda n: st.tuples(*[element] * n).filter(any)
+    )
+
+
+int_coord = st.one_of(st.just(0), coord, st.integers())
+
+
+@given(coord_tuples(int_coord))
+def test_normalize_int_branch_matches_fraction_reference(t):
+    got = normalize(t)
+    assert got == reference_normalize(t)
+    assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("arity", [3, 4, 6, 9])
+def test_normalize_all_zero_ints_raise(arity):
+    with pytest.raises(ZeroVector):
+        normalize((0,) * arity)
+
+
+def test_normalize_rejects_a_float_among_ints():
+    with pytest.raises(TypeError):
+        normalize((1, 2, 3.0))
+
+
+@given(coord_tuples(st.one_of(int_coord, st.booleans(), st.fractions(max_denominator=60))))
+def test_normalize_bool_and_mixed_input_matches_fraction_reference(t):
+    got = normalize(t)
+    assert got == reference_normalize(t)
+    assert all(type(c) is int for c in got)
 
 
 @given(nonzero_triple(), nonzero_triple())
