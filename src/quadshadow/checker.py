@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .kernel import Point2, collinear2
-from .quadrangle import (
-    SIDE_LABELS,
-    VERTEX_LABELS,
-    Quadrangle,
-    diagonal_triangle,
-    sides,
-)
+from .quadrangle import VERTEX_LABELS, Quadrangle, diagonal_triangle, sides
 from .perspectivity import CenterIsVertex, pair_perspective_from, quad_perspective
 
 __all__ = [
@@ -133,9 +127,8 @@ class Verdict:
 def _notes(d: PlanarDiagram) -> tuple[str, ...]:
     notes = []
     for which, q in (("quadrangle 1", d.quad1), ("quadrangle 2", d.quad2)):
-        side_set = sides(q)
-        for lab in SIDE_LABELS:
-            if side_set[lab].contains(d.O):
+        for lab, side in sides(q).labeled().items():
+            if side.contains(d.O):
                 notes.append(f"center O lies on side {lab} of {which}")
     return tuple(notes)
 

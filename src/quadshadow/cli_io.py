@@ -97,7 +97,8 @@ class InvariantViolation(Exception):
 # rational plumbing
 
 
-def _rational(node: Any, path: str) -> Fraction:
+def _rational(node: Any, path: str) -> int | Fraction:
+    """A bounded rational, as an int when it is integral."""
     if isinstance(node, bool) or isinstance(node, float):
         raise ParseError(f"{path}: coordinates must be rational strings, got {node!r}")
     if not isinstance(node, (int, str)):
@@ -124,7 +125,7 @@ def _rational(node: Any, path: str) -> Fraction:
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())
     if bits > _MAX_COORD_BITS:
         raise ParseError(f"{path}: a {bits}-bit rational exceeds the {_MAX_COORD_BITS}-bit bound")
-    return value
+    return value.numerator if value.denominator == 1 else value
 
 
 def _strings(value) -> list[str]:
@@ -620,6 +621,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _argument(text: str, name: str) -> int | Fraction:
+    """A rational command-line argument, bounded like a document coordinate."""
+    try:
+        return _rational(text, name)
+    except ParseError as e:
+        raise _UsageError(str(e)) from None
+
+
 def _cmd_check(args, out: TextIO, err: TextIO) -> int:
     verdict = decide_depiction(parse_diagram(_read_text(args.input)))
     out.write(emit_verdict(verdict))
@@ -631,10 +640,7 @@ def _cmd_check(args, out: TextIO, err: TextIO) -> int:
 def _cmd_lift(args, out: TextIO, err: TextIO) -> int:
     diagram = parse_diagram(_read_text(args.input))
     if args.method == "centers":
-        try:
-            c1, c2 = Fraction(args.c1), Fraction(args.c2)
-        except (ValueError, ZeroDivisionError):
-            raise _UsageError(f"displacements must be rationals, got {args.c1!r}, {args.c2!r}")
+        c1, c2 = _argument(args.c1, "--c1"), _argument(args.c2, "--c2")
         witness = lift_collinear_centers(diagram, c1, c2)
     else:
         witness = lift_via_axis(diagram)
@@ -667,10 +673,7 @@ def _cmd_qset(args, out: TextIO, err: TextIO) -> int:
     pieces = args.line.split(",")
     if len(pieces) != 3:
         raise _UsageError(f"line must be 'a,b,c', got {args.line!r}")
-    try:
-        coeffs = [Fraction(p.strip()) for p in pieces]
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"line coordinates must be rationals, got {args.line!r}")
+    coeffs = [_argument(p.strip(), f"line[{i}]") for i, p in enumerate(pieces)]
     try:
         line = Line2(*coeffs)
     except GeometryError as e:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .kernel import (
     DRAWING_PLANE,
@@ -42,7 +41,7 @@ from .kernel import (
     meet2,
     plane_through,
 )
-from .quadrangle import Quadrangle, validate_quadrangle
+from .quadrangle import Quadrangle, _check_vertices, validate_quadrangle
 from .perspectivity import Collineation, Triple, _triangle_sides, general_position
 from .checker import DegeneracyKind, PlanarDiagram, classify_degeneracy, decide_depiction
 from .lift import SpatialQuadrangle, SpatialScene, _invariant, project_scene
@@ -198,8 +197,7 @@ def gen_correct_diagram(
             kw = r * q * u3 * v3
             coords = zip(u.coords, v.coords, w.coords)
             verts.append(Point3(*[ku * x + kv * y + kw * z for x, y, z in coords]))
-        if len(set(verts)) < 4 or any(collinear3(*t) for t in combinations(verts, 3)):
-            return None
+        _check_vertices(verts, collinear3)
         light = _point3(rng, cfg)
         if plane.contains(light) or DRAWING_PLANE.contains(light):
             return None

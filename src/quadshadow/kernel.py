@@ -47,7 +47,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 __all__ = [
@@ -351,16 +350,21 @@ def line3_through(a: Point3, b: Point3) -> Line3:
     )
 
 
+def _plane_coeffs(a: Point3, b: Point3, c: Point3) -> tuple[int, ...]:
+    """Signed 3x3 minors of the stacked 3x4 coordinate matrix, not normalised."""
+    rows = (a.coords, b.coords, c.coords)
+    return tuple(
+        (-1) ** k * _det3(*(row[:k] + row[k + 1 :] for row in rows)) for k in range(4)
+    )
+
+
 def plane_through(a: Point3, b: Point3, c: Point3) -> Plane3:
     """Plane spanned by three non-collinear spatial points.
 
     Coefficients are the signed 3x3 minors of the stacked 3x4 coordinate
     matrix; a zero vector means the points are collinear (or coincident).
     """
-    rows = (a.coords, b.coords, c.coords)
-    coeffs = tuple(
-        (-1) ** k * _det3(*(row[:k] + row[k + 1 :] for row in rows)) for k in range(4)
-    )
+    coeffs = _plane_coeffs(a, b, c)
     if not any(coeffs):
         raise CollinearPoints(f"{a!r}, {b!r}, {c!r} do not span a plane")
     return Plane3(*coeffs)
@@ -444,13 +448,10 @@ def coplanarity_det(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
 
     Zero exactly when the points are coplanar.  Because canonical forms are
     unique, the integer value itself is deterministic and can serve as a
-    certificate of non-planarity.
+    certificate of non-planarity.  Expanded along d's row, it is minus the
+    dot product of d with the unnormalised plane coefficients of a, b, c.
     """
-    rest = (b.coords, c.coords, d.coords)
-    return sum(
-        (-1) ** j * x * _det3(*(row[:j] + row[j + 1 :] for row in rest))
-        for j, x in enumerate(a.coords)
-    )
+    return -sum(p * x for p, x in zip(_plane_coeffs(a, b, c), d.coords))
 
 
 def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:

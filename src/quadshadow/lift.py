@@ -35,7 +35,6 @@ raising, so broken witnesses can be described, not just rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .kernel import (
     DRAWING_PLANE,
@@ -61,6 +60,7 @@ from .quadrangle import (
     SIDE_LABELS,
     VERTEX_LABELS,
     Quadrangle,
+    _check_vertices,
     diagonal_triangle,
 )
 from .perspectivity import common_axis, general_position
@@ -418,14 +418,8 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
     quad = w.quad
 
     def clause_quad() -> tuple[bool, str]:
-        labeled = quad.labeled().items()
-        for (la, a), (lb, b) in combinations(labeled, 2):
-            if a == b:
-                return False, f"vertices {la} and {lb} coincide"
-        for (la, a), (lb, b), (lc, c) in combinations(labeled, 3):
-            if collinear3(a, b, c):
-                return False, f"vertices {la}, {lb}, {lc} are collinear"
-        for la, a in labeled:
+        _check_vertices(quad.vertices, collinear3)
+        for la, a in quad.labeled().items():
             if not quad.plane.contains(a):
                 return False, f"vertex {la} is off the declared plane"
         if quad.plane == w.drawing_plane:
@@ -454,10 +448,8 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
             if x is None:
                 return False, f"opposite sides {s1}, {s2} are skew"
             spatial.append(x)
-        dt1 = diagonal_triangle(d.quad1)
-        dt2 = diagonal_triangle(d.quad2)
-        for center, dt in ((w.O1, dt1), (w.O2, dt2)):
-            for name, x, planar in zip("ABC", spatial, dt.points):
+        for center, planar_quad in ((w.O1, d.quad1), (w.O2, d.quad2)):
+            for name, x, planar in zip("ABC", spatial, diagonal_triangle(planar_quad).points):
                 image = central_project(center, DRAWING_PLANE, x)
                 if image != embed_drawing(planar):
                     return False, f"diagonal point {name} projects to {image!r}"

@@ -29,6 +29,7 @@ from .kernel import (
     GeometryError,
     Line2,
     Point2,
+    _cross,
     _det3,
     collinear2,
     join2,
@@ -264,15 +265,9 @@ class Collineation:
         return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def _cofactor(self) -> tuple[tuple[int, int, int], ...]:
-        m = self.matrix
-
-        def cof(i: int, j: int) -> int:
-            rs = [r for r in range(3) if r != i]
-            cs = [c for c in range(3) if c != j]
-            minor = m[rs[0]][cs[0]] * m[rs[1]][cs[1]] - m[rs[0]][cs[1]] * m[rs[1]][cs[0]]
-            return (-1) ** (i + j) * minor
-
-        return tuple(tuple(cof(i, j) for j in range(3)) for i in range(3))
+        """Cofactor matrix: row i is the cross product of rows i+1 and i+2 (mod 3)."""
+        m0, m1, m2 = self.matrix
+        return (_cross(m1, m2), _cross(m2, m0), _cross(m0, m1))
 
     def apply(self, p: Point2) -> Point2:
         return Point2(*(sum(r * c for r, c in zip(row, p.coords)) for row in self.matrix))
@@ -296,9 +291,7 @@ class Collineation:
         return Collineation(rows)
 
     def inverse(self) -> "Collineation":
-        cof = self._cofactor()
-        adj = tuple(tuple(cof[j][i] for j in range(3)) for i in range(3))
-        return Collineation(adj)
+        return Collineation(zip(*self._cofactor()))  # the adjugate
 
 
 def perspective_collineation(

@@ -16,6 +16,7 @@ separate helper ``same_vertex_set`` compares them as bare point sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .kernel import GeometryError, Line2, Point2, join2, meet2, collinear2
@@ -55,19 +56,24 @@ class LineThroughVertex(GeometryError):
     """A trace line passes through a vertex of the quadrangle."""
 
 
-def _check_vertices(p: Point2, q: Point2, r: Point2, s: Point2) -> None:
-    labeled = tuple(zip(VERTEX_LABELS, (p, q, r, s)))
+def _check_vertices(vertices, collinear) -> None:
+    """Raise unless the labeled vertices are distinct, no three collinear."""
+    labeled = tuple(zip(VERTEX_LABELS, vertices))
     for (la, a), (lb, b) in combinations(labeled, 2):
         if a == b:
             raise RepeatedVertex(f"vertices {la} and {lb} coincide at {a!r}")
     for (la, a), (lb, b), (lc, c) in combinations(labeled, 3):
-        if collinear2(a, b, c):
+        if collinear(a, b, c):
             raise CollinearTriple(f"vertices {la}, {lb}, {lc} are collinear")
 
 
 @dataclass(frozen=True)
 class Quadrangle:
-    """Four labeled points, no three collinear.  Checked on construction."""
+    """Four labeled points, no three collinear.  Checked on construction.
+
+    Its sides and diagonal triangle are built once, on first use; they are
+    not fields, so equality, hashing and repr ignore them.
+    """
 
     P: Point2
     Q: Point2
@@ -75,7 +81,17 @@ class Quadrangle:
     S: Point2
 
     def __post_init__(self) -> None:
-        _check_vertices(self.P, self.Q, self.R, self.S)
+        _check_vertices(self.vertices, collinear2)
+
+    @cached_property
+    def _sides(self) -> SideSet:
+        v = self.labeled()
+        return SideSet(**{lab: join2(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS})
+
+    @cached_property
+    def _diagonal_triangle(self) -> DiagonalTriangle:
+        s = self._sides
+        return DiagonalTriangle(*(meet2(s[b], s[a]) for a, b in OPPOSITE_SIDES))
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
@@ -125,9 +141,8 @@ class SideSet(_BySide):
 
 
 def sides(q: Quadrangle) -> SideSet:
-    """All six sides; always defined for a valid quadrangle."""
-    v = q.labeled()
-    return SideSet(**{lab: join2(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS})
+    """All six sides; always defined for a valid quadrangle, built once."""
+    return q._sides
 
 
 @dataclass(frozen=True)
@@ -147,10 +162,10 @@ def diagonal_triangle(q: Quadrangle) -> DiagonalTriangle:
     """Meet each pair of opposite sides.
 
     The three points are never collinear over the rationals, so they do
-    form a triangle; callers may rely on that without re-checking.
+    form a triangle; callers may rely on that without re-checking.  Built
+    once per quadrangle.
     """
-    s = sides(q)
-    return DiagonalTriangle(*(meet2(s[b], s[a]) for a, b in OPPOSITE_SIDES))
+    return q._diagonal_triangle
 
 
 @dataclass(frozen=True)
@@ -176,6 +191,5 @@ def quadrangular_trace(q: Quadrangle, line: Line2) -> QuadrangularTrace:
     for lab, v in q.labeled().items():
         if line.contains(v):
             raise LineThroughVertex(f"trace line {line!r} passes through vertex {lab}")
-    s = sides(q)
-    meets = {lab: meet2(s[lab], line) for lab in SIDE_LABELS}
+    meets = {lab: meet2(side, line) for lab, side in sides(q).labeled().items()}
     return QuadrangularTrace(line=line, **meets)

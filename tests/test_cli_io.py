@@ -17,6 +17,7 @@ from quadshadow.generators import gen_general_position_diagram
 from quadshadow.cli_io import (
     InvariantViolation,
     ParseError,
+    _rational,
     emit_diagram,
     emit_scene,
     emit_verdict,
@@ -424,6 +425,52 @@ def test_overlong_json_integer_exits_two(tmp_path):
     assert code == 2
     assert err.startswith("error: ParseError: ")
     assert "exceeds the 1024-bit bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lift", "--c1=1e-5000"),
+        ("lift", "--c1=1e-99999999"),
+        ("lift", f"--c2=1/{2**1024}"),
+        ("qset", "1e99999999,1,1"),
+        ("qset", "1e-5000,1,1"),
+    ],
+    ids=["c1-exponent", "c1-huge-exponent", "c2-2**1024", "qset-huge-exponent", "qset-exponent"],
+)
+def test_oversized_cli_rationals_exit_sixty_four_quickly(argv):
+    # unbounded, Fraction() builds 10**e for these: seconds of work, or a
+    # witness past the interpreter's int-to-str digit limit on emit
+    command, value = argv
+    start = time.perf_counter()
+    code, out, err = run(command, str(DILATION), value)
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (64, "")
+    assert err.startswith("error: usage: ")
+    assert "exceeds the 1024-bit bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("lift", "--c1", "nope"), ("lift", "--c2=1/0"), ("qset", "1,x,1")],
+    ids=["c1-word", "c2-zero-denominator", "qset-word"],
+)
+def test_non_rational_cli_arguments_exit_sixty_four(argv):
+    command, *rest = argv
+    code, out, err = run(command, str(DILATION), *rest)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: usage: ") and "not a rational" in err
+
+
+@pytest.mark.parametrize("node", ["4", "8/2", 4], ids=["string", "reducible", "json-integer"])
+def test_integral_coordinates_parse_to_int(node):
+    value = _rational(node, "x")
+    assert type(value) is int and value == 4
+
+
+def test_non_integral_coordinate_stays_a_fraction():
+    value = _rational("1/3", "x")
+    assert type(value) is F and value == F(1, 3)
 
 
 def test_rationals_at_the_bound_lift_and_emit(tmp_path):

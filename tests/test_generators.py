@@ -13,6 +13,7 @@ import pytest
 from quadshadow.kernel import collinear2, join2, meet2
 from quadshadow.quadrangle import VERTEX_LABELS, diagonal_triangle, sides
 from quadshadow.perspectivity import (
+    Collineation,
     desargues_axis,
     general_position,
     perspective_center,
@@ -225,3 +226,11 @@ def test_gen_collineation_is_invertible():
         inv = m.inverse()
         q = gen_quadrangle(seed)
         assert inv.apply_quadrangle(m.apply_quadrangle(q)) == q
+
+
+def test_gen_collineation_inverse_composes_to_identity():
+    identity = Collineation.identity()
+    for seed in range(50):
+        m = gen_collineation(seed)
+        assert m.inverse().compose(m) == identity
+        assert m.compose(m.inverse()) == identity

@@ -236,7 +236,23 @@ def test_verify_witness_reports_instead_of_raising_on_garbage():
     report = verify_witness(DIAGRAM, degenerate)
     assert not report.passed
     assert not report.clauses[0].ok
-    assert "P" in report.clauses[0].detail and "Q" in report.clauses[0].detail
+    assert report.clauses[0].detail == (
+        "RepeatedVertex: vertices P and Q coincide at Point3(1:1:1:1)"
+    )
+
+
+def test_verify_witness_names_a_collinear_spatial_triple():
+    w = lift_collinear_centers(DIAGRAM)
+    P, Q = w.quad.Pbar, w.quad.Qbar
+    middle = Point3(*(a * Q.coords[3] + b * P.coords[3] for a, b in zip(P.coords, Q.coords)))
+    tampered = Witness(
+        quad=SpatialQuadrangle(P, Q, middle, w.quad.Sbar, plane=w.quad.plane),
+        O1=w.O1,
+        O2=w.O2,
+        drawing_plane=w.drawing_plane,
+    )
+    detail = verify_witness(DIAGRAM, tampered).clauses[0].detail
+    assert detail == "CollinearTriple: vertices P, Q, R are collinear"
 
 
 # --- scene projection ---------------------------------------------------------

@@ -12,6 +12,7 @@ from quadshadow.kernel import (
     Point3,
     ZeroVector,
     chart_drawing,
+    coplanarity_det,
     embed_drawing,
     join2,
     line3_through,
@@ -151,3 +152,25 @@ def test_meet_lines3_incidence(a, b, c):
 def test_embed_chart_round_trip(t):
     p = Point2(*t)
     assert chart_drawing(embed_drawing(p)) == p
+
+
+def reference_coplanarity_det(a, b, c, d):
+    """The 4x4 determinant of the rows a, b, c, d by Laplace expansion along a."""
+
+    def det3(r0, r1, r2):
+        (p, q, r), (s, t, u), (v, w, x) = r0, r1, r2
+        return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+
+    rest = (b.coords, c.coords, d.coords)
+    return sum(
+        (-1) ** j * x * det3(*(row[:j] + row[j + 1 :] for row in rest))
+        for j, x in enumerate(a.coords)
+    )
+
+
+@given(quad_coord, quad_coord, quad_coord, quad_coord)
+@example(a=(1, 0, 0, 1), b=(0, 1, 0, 1), c=(0, 0, 1, 1), d=(1, 1, -1, 1))  # coplanar
+@example(a=(1, 0, 0, 0), b=(0, 1, 0, 0), c=(0, 0, 1, 0), d=(0, 0, 0, 1))  # det 1
+def test_coplanarity_det_matches_laplace_reference(a, b, c, d):
+    points = [Point3(*t) for t in (a, b, c, d)]
+    assert coplanarity_det(*points) == reference_coplanarity_det(*points)

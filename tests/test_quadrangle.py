@@ -89,6 +89,24 @@ def test_sides_match_joins():
         assert s[lab] == join2(labeled[a], labeled[b])
 
 
+def test_sides_and_diagonal_triangle_are_built_once():
+    q = Quadrangle(*SQUARE.vertices)
+    assert sides(q) is sides(q)
+    assert diagonal_triangle(q) is diagonal_triangle(q)
+
+
+@pytest.mark.parametrize("first", [sides, diagonal_triangle])
+def test_built_sides_leave_equality_hash_and_repr_alone(first):
+    used = Quadrangle(*SQUARE.vertices)
+    first(used)
+    fresh = Quadrangle(*SQUARE.vertices)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert sides(used) == sides(fresh)
+    assert diagonal_triangle(used) == diagonal_triangle(fresh)
+
+
 def test_opposite_sides_share_no_vertex():
     for one, other in OPPOSITE_SIDES:
         assert set(one) & set(other) == set()
