@@ -1,5 +1,6 @@
 """Document serialization, the command line, and SVG rendering."""
 
+import hashlib
 import io
 import json
 import time
@@ -12,8 +13,13 @@ import pytest
 import quadshadow.lift
 from quadshadow.kernel import Point2
 from quadshadow.quadrangle import Quadrangle
-from quadshadow.checker import PlanarDiagram, decide_depiction
-from quadshadow.generators import gen_general_position_diagram
+from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
+from quadshadow.generators import (
+    gen_correct_diagram,
+    gen_degenerate_diagram,
+    gen_general_position_diagram,
+    gen_incorrect_diagram,
+)
 from quadshadow.cli_io import (
     InvariantViolation,
     ParseError,
@@ -348,6 +354,31 @@ def test_render_merges_coincident_labels():
 def test_render_matches_golden_svg(name):
     d = parse_diagram((DATA / f"{name}.json").read_text())
     assert render_svg(d) == (DATA / f"{name}.svg").read_text()
+
+
+def test_render_outputs_are_frozen():
+    # sha256 of the SVGs of generated diagrams and both golden documents
+    # (ideal points, an ideal axis, merged labels); any change to a
+    # chord, a marker, a number's formatting or the layering moves it.
+    diagrams = [
+        gen_general_position_diagram(seed, correct=correct)
+        for seed in range(100)
+        for correct in (True, False)
+    ]
+    for seed in range(50):
+        diagrams += [
+            gen_correct_diagram(seed)[1],
+            gen_incorrect_diagram(seed),
+            gen_degenerate_diagram(seed, kind=DegeneracyKind.TRIANGLE),
+            gen_degenerate_diagram(seed, kind=DegeneracyKind.VERTEX),
+        ]
+    diagrams += [parse_diagram(path.read_text()) for path in (DILATION, PERTURBED)]
+    digest = hashlib.sha256()
+    for d in diagrams:
+        digest.update(render_svg(d).encode())
+    assert digest.hexdigest() == (
+        "3faf6288d5d57c93c49e14e616369642034b1c19153c68c0b6b0ec63f2e8b3cd"
+    )
 
 
 # --- internal errors ----------------------------------------------------------------------
