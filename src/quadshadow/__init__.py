@@ -12,8 +12,9 @@ from .perspectivity import *
 from .checker import *
 from .lift import *
 from .generators import *
+from .render import *
 from .cli_io import *
-from . import checker, cli_io, generators, kernel, lift, perspectivity, quadrangle
+from . import checker, cli_io, generators, kernel, lift, perspectivity, quadrangle, render
 
 __version__ = "0.1.0"
 
@@ -25,5 +26,6 @@ __all__ = [
     *checker.__all__,
     *lift.__all__,
     *generators.__all__,
+    *render.__all__,
     *cli_io.__all__,
 ]

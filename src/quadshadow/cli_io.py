@@ -1,4 +1,4 @@
-"""Documents, command line, and SVG figures.
+"""Documents and the command line.
 
 Documents are versioned JSON with fixed field names and fixed key order;
 every coordinate travels as a rational string ("-7/3", "4") or a JSON
@@ -28,14 +28,11 @@ from .kernel import (
     Plane3,
     Point2,
     Point3,
-    join2,
 )
 from .quadrangle import (
     VERTEX_LABELS,
     Quadrangle,
-    diagonal_triangle,
     quadrangular_trace,
-    sides,
 )
 from .perspectivity import common_axis, desargues_axis, perspective_center
 from .checker import (
@@ -55,6 +52,7 @@ from .lift import (
     planarity_certificate,
     project_scene,
 )
+from .render import render_svg
 from .generators import (
     gen_axis_perspective_triangles,
     gen_correct_diagram,
@@ -73,7 +71,6 @@ __all__ = [
     "emit_scene",
     "parse_verdict",
     "emit_verdict",
-    "render_svg",
     "run_cli",
 ]
 
@@ -343,216 +340,6 @@ def parse_verdict(text: str) -> Verdict:
         reason=reason,
         notes=tuple(doc["notes"]),
     )
-
-
-# ---------------------------------------------------------------------------
-# SVG rendering
-
-_CANVAS = 640.0
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _clip_to_rect(
-    line: Line2, rect: tuple[Fraction, Fraction, Fraction, Fraction]
-):
-    """Chord of an affine line across a rectangle, or None if it misses."""
-    a, b, c = line.coords
-    if a == 0 and b == 0:
-        return None
-    xmin, ymin, xmax, ymax = rect
-    hits = set()
-    for x in (xmin, xmax):
-        if b != 0:
-            y = Fraction(-(a * x + c), b)
-            if ymin <= y <= ymax:
-                hits.add((x, y))
-    for y in (ymin, ymax):
-        if a != 0:
-            x = Fraction(-(b * y + c), a)
-            if xmin <= x <= xmax:
-                hits.add((x, y))
-    if len(hits) < 2:
-        return None
-    ordered = sorted(hits)
-    return ordered[0], ordered[-1]
-
-
-def render_svg(d: PlanarDiagram) -> str:
-    """Deterministic SVG of the diagram in the affine chart.
-
-    Layered groups: quad1 sides, quad2 sides, rays through O, diagonal
-    triangles, the common axis when one exists, then labeled markers.
-    Ideal labeled points become labeled boundary arrows; an ideal common
-    axis becomes one more arrow.  Coincident labeled points share a
-    marker (or arrow) with their labels joined by '='.
-    """
-    labeled: list[tuple[str, str, Point2]] = []
-    for suffix, quad in (("1", d.quad1), ("2", d.quad2)):
-        for lab in VERTEX_LABELS:
-            labeled.append((f"{lab}{suffix}", "vertex", quad.vertex(lab)))
-    labeled.append(("O", "center", d.O))
-    triangles = (diagonal_triangle(d.quad1), diagonal_triangle(d.quad2))
-    for suffix, dt in zip("12", triangles):
-        for name, point in zip("ABC", dt.points):
-            labeled.append((f"{name}{suffix}", "diagonal", point))
-
-    affine_groups: dict[Point2, list[tuple[str, str]]] = {}
-    ideal_groups: dict[Point2, list[tuple[str, str]]] = {}
-    for label, role, point in labeled:
-        target = ideal_groups if point.is_ideal else affine_groups
-        target.setdefault(point, []).append((label, role))
-
-    if affine_groups:
-        xs = [p.affine_coords[0] for p in affine_groups]
-        ys = [p.affine_coords[1] for p in affine_groups]
-        xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
-    else:
-        xmin = ymin = Fraction(-1)
-        xmax = ymax = Fraction(1)
-    pad_x = (xmax - xmin) * Fraction(1, 10) or Fraction(1, 2)
-    pad_y = (ymax - ymin) * Fraction(1, 10) or Fraction(1, 2)
-    rect = (xmin - pad_x, ymin - pad_y, xmax + pad_x, ymax + pad_y)
-    world_w = rect[2] - rect[0]
-    world_h = rect[3] - rect[1]
-    scale = _CANVAS / float(max(world_w, world_h))
-    width = float(world_w) * scale
-    height = float(world_h) * scale
-
-    def pixel(p: tuple[Fraction, Fraction]) -> tuple[float, float]:
-        return (float(p[0] - rect[0]) * scale, float(rect[3] - p[1]) * scale)
-
-    def line_tag(a: tuple[float, float], b: tuple[float, float]) -> str:
-        return f'<line x1="{a[0]:.4f}" y1="{a[1]:.4f}" x2="{b[0]:.4f}" y2="{b[1]:.4f}"/>'
-
-    def line_elements(lines, dedupe: set) -> list[str]:
-        out = []
-        for line in lines:
-            if line in dedupe:
-                continue
-            dedupe.add(line)
-            chord = _clip_to_rect(line, rect)
-            if chord is None:
-                continue
-            out.append(line_tag(pixel(chord[0]), pixel(chord[1])))
-        return out
-
-    parts: list[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.4f} {height:.4f}" '
-        f'font-family="sans-serif" font-size="12">'
-    )
-    parts.append(f'<rect width="{width:.4f}" height="{height:.4f}" fill="white"/>')
-
-    seen: set[Line2] = set()
-    parts.append('<g class="quad1-sides" stroke="#1f77b4" stroke-width="1.5">')
-    parts.extend(line_elements(sides(d.quad1).labeled().values(), seen))
-    parts.append("</g>")
-    parts.append('<g class="quad2-sides" stroke="#d62728" stroke-width="1.5">')
-    parts.extend(line_elements(sides(d.quad2).labeled().values(), seen))
-    parts.append("</g>")
-
-    rays = (join2(d.O, v) for quad in (d.quad1, d.quad2) for v in quad.vertices)
-    parts.append(
-        '<g class="rays" stroke="#999999" stroke-width="0.75" stroke-dasharray="6 4">'
-    )
-    parts.extend(line_elements(rays, set()))
-    parts.append("</g>")
-
-    # diagonal points never coincide, so each triangle has three sides
-    diag_lines = (
-        join2(u, v)
-        for dt in triangles
-        for u, v in ((dt.A, dt.B), (dt.B, dt.C), (dt.C, dt.A))
-    )
-    parts.append(
-        '<g class="diagonal-triangles" stroke="#2ca02c" stroke-width="1" '
-        'stroke-dasharray="3 3">'
-    )
-    parts.extend(line_elements(diag_lines, set()))
-    parts.append("</g>")
-
-    try:
-        axis = common_axis(d.quad1, d.quad2)
-    except GeometryError:
-        axis = None
-    if axis is not None and not axis.is_ideal:
-        parts.append('<g class="axis" stroke="#000000" stroke-width="2">')
-        chord = _clip_to_rect(axis, rect)
-        if chord is not None:
-            start = pixel(chord[0])
-            parts.append(line_tag(start, pixel(chord[1])))
-            parts.append(
-                f'<text x="{start[0] + 4:.4f}" y="{start[1] - 4:.4f}" stroke="none" '
-                f'fill="#000000">o</text>'
-            )
-        parts.append("</g>")
-
-    role_style = {
-        "vertex": ("vertex", "#1f77b4", 3.5),
-        "center": ("center", "#000000", 4.5),
-        "diagonal": ("diagonal", "#2ca02c", 3.0),
-    }
-    _priority = ("center", "vertex", "diagonal")
-    parts.append('<g class="markers">')
-    for point, members in affine_groups.items():
-        role = min((m[1] for m in members), key=_priority.index)
-        css, color, radius = role_style[role]
-        cx, cy = pixel(point.affine_coords)
-        label = "=".join(m[0] for m in members)
-        parts.append(
-            f'<circle class="{css}" cx="{cx:.4f}" cy="{cy:.4f}" r="{radius}" '
-            f'fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{cx + 6:.4f}" y="{cy - 6:.4f}" fill="{color}">'
-            f"{_escape(label)}</text>"
-        )
-    parts.append("</g>")
-
-    arrows: list[tuple[tuple[float, float], str]] = []
-    for point, members in ideal_groups.items():
-        direction = (float(point.coords[0]), -float(point.coords[1]))
-        label = "=".join(m[0] for m in members)
-        arrows.append((direction, label))
-    if axis is not None and axis.is_ideal:
-        arrows.append(((0.7071, -0.7071), "o"))
-
-    parts.append('<g class="ideal" stroke="#555555" stroke-width="1.5">')
-    for (dx, dy), label in arrows:
-        norm = (dx * dx + dy * dy) ** 0.5
-        ux, uy = dx / norm, dy / norm
-        cx, cy = width / 2.0, height / 2.0
-        t = float("inf")
-        if ux > 0:
-            t = min(t, (width - 10.0 - cx) / ux)
-        elif ux < 0:
-            t = min(t, (10.0 - cx) / ux)
-        if uy > 0:
-            t = min(t, (height - 10.0 - cy) / uy)
-        elif uy < 0:
-            t = min(t, (10.0 - cy) / uy)
-        tip = (cx + t * ux, cy + t * uy)
-        tail = (tip[0] - 26.0 * ux, tip[1] - 26.0 * uy)
-        px, py = -uy, ux
-        head1 = (tip[0] - 8.0 * ux + 4.0 * px, tip[1] - 8.0 * uy + 4.0 * py)
-        head2 = (tip[0] - 8.0 * ux - 4.0 * px, tip[1] - 8.0 * uy - 4.0 * py)
-        parts.append('<g class="arrow">')
-        parts.extend(line_tag(start, tip) for start in (tail, head1, head2))
-        lx = min(max(tail[0] - 10.0 * ux, 14.0), width - 14.0)
-        ly = min(max(tail[1] - 10.0 * uy, 14.0), height - 14.0)
-        parts.append(
-            f'<text x="{lx:.4f}" y="{ly:.4f}" stroke="none" fill="#555555">'
-            f"{_escape(label)}</text>"
-        )
-        parts.append("</g>")
-    parts.append("</g>")
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,249 @@
+"""SVG figures of planar diagrams, placed in exact integers.
+
+The padded bounding box is one rectangle over a common denominator and
+each line is clipped to it as homogeneous integer points.  A coordinate
+becomes a float only when written, as one correctly rounded integer
+quotient times the canvas scale, so it is the float of the exact rational.
+A figure too large or too small for floats is first rescaled by a power of 2.
+"""
+
+from __future__ import annotations
+
+from functools import cmp_to_key
+from math import isfinite
+
+from .kernel import GeometryError, Line2, Point2, join2
+from .quadrangle import VERTEX_LABELS, diagonal_triangle, sides
+from .perspectivity import common_axis
+from .checker import PlanarDiagram
+
+__all__ = ["render_svg"]
+
+_CANVAS = 640.0
+
+#: An affine point (x/w, y/w) as integers (x, y, w) with w > 0.
+Homogeneous = tuple[int, int, int]
+#: Marker color and radius by role; a shared marker takes its first role here.
+_MARKERS = {"center": ("#000000", 4.5), "vertex": ("#1f77b4", 3.5), "diagonal": ("#2ca02c", 3.0)}
+
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _lex(p: Homogeneous, q: Homogeneous) -> int:
+    """Sign of p - q in lexicographic (x, y) order, by cross-multiplication."""
+    return (p[0] * q[2] - q[0] * p[2]) or (p[1] * q[2] - q[1] * p[2])
+
+
+_LEX = cmp_to_key(_lex)
+_BY_X = cmp_to_key(lambda p, q: p[0] * q[2] - q[0] * p[2])
+_BY_Y = cmp_to_key(lambda p, q: p[1] * q[2] - q[1] * p[2])
+
+
+def _padded(lo: Homogeneous, hi: Homogeneous, i: int) -> tuple[int, int, int]:
+    """Coordinate i's range [lo, hi] padded by a tenth of its length, or by
+    1/2 when it has none, as (low, high, denominator)."""
+    a, p, b, q = lo[i], lo[2], hi[i], hi[2]
+    if a * q == b * p:
+        return 2 * a - p, 2 * a + p, 2 * p
+    return 11 * a * q - b * p, 11 * b * p - a * q, 10 * p * q
+
+
+def _rectangle(points: list[Homogeneous]) -> tuple[int, int, int, int, int]:
+    """Padded bounding box of the points, or of (-1, -1) and (1, 1) if none,
+    as (X0, Y0, X1, Y1, D): the rectangle [X0/D, X1/D] x [Y0/D, Y1/D], D > 0."""
+    points = points or [(-1, -1, 1), (1, 1, 1)]
+    x0, x1, dx = _padded(min(points, key=_BY_X), max(points, key=_BY_X), 0)
+    y0, y1, dy = _padded(min(points, key=_BY_Y), max(points, key=_BY_Y), 1)
+    return x0 * dy, y0 * dx, x1 * dy, y1 * dx, dx * dy
+
+
+def _clip_to_rect(line: Line2, rect: tuple) -> tuple[Homogeneous, Homogeneous] | None:
+    """Chord of a line across a rectangle of `_rectangle`, its ends in
+    lexicographic order, or None if the line meets it in fewer than two points."""
+    a, b, c = line.coords
+    x0, y0, x1, y1, d = rect
+    hits = []
+    if b:  # the line meets x = X/D at y/(|b| D)
+        sign, m = (1, b) if b > 0 else (-1, -b)
+        for x in (x0, x1):
+            y = -sign * (a * x + c * d)
+            if y0 * m <= y <= y1 * m:
+                hits.append((x * m, y, m * d))
+    if a:  # canonical, so a > 0: it meets y = Y/D at x/(a D)
+        for y in (y0, y1):
+            x = -(b * y + c * d)
+            if x0 * a <= x <= x1 * a:
+                hits.append((x, y * a, a * d))
+    if hits:
+        lo, hi = min(hits, key=_LEX), max(hits, key=_LEX)
+        if _lex(lo, hi):
+            return lo, hi
+    return None
+
+
+def render_svg(d: PlanarDiagram) -> str:
+    """Deterministic SVG of the diagram in the affine chart.
+
+    Layered groups: quad1 sides, quad2 sides, rays through O, diagonal
+    triangles, the common axis when one exists, then labeled markers.
+    Ideal labeled points become labeled boundary arrows; an ideal common
+    axis becomes one more arrow.  Coincident labeled points share a
+    marker (or arrow) with their labels joined by '='.
+    """
+    labeled: list[tuple[str, str, Point2]] = []
+    for suffix, quad in (("1", d.quad1), ("2", d.quad2)):
+        for lab in VERTEX_LABELS:
+            labeled.append((f"{lab}{suffix}", "vertex", quad.vertex(lab)))
+    labeled.append(("O", "center", d.O))
+    triangles = (diagonal_triangle(d.quad1), diagonal_triangle(d.quad2))
+    for suffix, dt in zip("12", triangles):
+        for name, point in zip("ABC", dt.points):
+            labeled.append((f"{name}{suffix}", "diagonal", point))
+
+    affine_groups: dict[Point2, list[tuple[str, str]]] = {}
+    ideal_groups: dict[Point2, list[tuple[str, str]]] = {}
+    for label, role, point in labeled:
+        target = ideal_groups if point.is_ideal else affine_groups
+        target.setdefault(point, []).append((label, role))
+
+    affine = [p.coords if p.coords[2] > 0 else tuple(-c for c in p.coords) for p in affine_groups]
+    left, bottom, right, top, den = rect = _rectangle(affine)
+    world_w, world_h, num = right - left, top - bottom, den
+    try:
+        scale = _CANVAS / (max(world_w, world_h) / den)
+    except (OverflowError, ZeroDivisionError):
+        scale = float("inf")
+    if not isfinite(scale):  # rescaled by 2**k, the world spans between 1/2 and 2
+        k = den.bit_length() - max(world_w, world_h).bit_length()
+        up, den = 1 << max(k, 0), den << max(-k, 0)
+        world_w, world_h, num, left, top = (v * up for v in (world_w, world_h, num, left, top))
+        scale = _CANVAS / (max(world_w, world_h) / den)
+    width, height = world_w / den * scale, world_h / den * scale
+
+    def pixel(p: tuple[int, int, int]) -> tuple[float, float]:
+        x, y, w = p
+        return (x * num - left * w) / (w * den) * scale, (top * w - y * num) / (w * den) * scale
+
+    def line_tag(a: tuple[float, float], b: tuple[float, float]) -> str:
+        return f'<line x1="{a[0]:.4f}" y1="{a[1]:.4f}" x2="{b[0]:.4f}" y2="{b[1]:.4f}"/>'
+
+    def line_elements(lines, dedupe: set) -> list[str]:
+        out = []
+        for line in lines:
+            if line in dedupe:
+                continue
+            dedupe.add(line)
+            chord = _clip_to_rect(line, rect)
+            if chord is not None:
+                out.append(line_tag(pixel(chord[0]), pixel(chord[1])))
+        return out
+
+    parts: list[str] = []
+    parts.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.4f} {height:.4f}" '
+        f'font-family="sans-serif" font-size="12">'
+    )
+    parts.append(f'<rect width="{width:.4f}" height="{height:.4f}" fill="white"/>')
+
+    seen: set[Line2] = set()
+    parts.append('<g class="quad1-sides" stroke="#1f77b4" stroke-width="1.5">')
+    parts.extend(line_elements(sides(d.quad1).labeled().values(), seen))
+    parts.append("</g>")
+    parts.append('<g class="quad2-sides" stroke="#d62728" stroke-width="1.5">')
+    parts.extend(line_elements(sides(d.quad2).labeled().values(), seen))
+    parts.append("</g>")
+
+    rays = (join2(d.O, v) for quad in (d.quad1, d.quad2) for v in quad.vertices)
+    parts.append('<g class="rays" stroke="#999999" stroke-width="0.75" stroke-dasharray="6 4">')
+    parts.extend(line_elements(rays, set()))
+    parts.append("</g>")
+
+    # diagonal points never coincide, so each triangle has three sides
+    diag_lines = (
+        join2(u, v)
+        for dt in triangles
+        for u, v in ((dt.A, dt.B), (dt.B, dt.C), (dt.C, dt.A))
+    )
+    parts.append(
+        '<g class="diagonal-triangles" stroke="#2ca02c" stroke-width="1" '
+        'stroke-dasharray="3 3">'
+    )
+    parts.extend(line_elements(diag_lines, set()))
+    parts.append("</g>")
+
+    try:
+        axis = common_axis(d.quad1, d.quad2)
+    except GeometryError:
+        axis = None
+    if axis is not None and not axis.is_ideal:
+        parts.append('<g class="axis" stroke="#000000" stroke-width="2">')
+        chord = _clip_to_rect(axis, rect)
+        if chord is not None:
+            start = pixel(chord[0])
+            parts.append(line_tag(start, pixel(chord[1])))
+            parts.append(
+                f'<text x="{start[0] + 4:.4f}" y="{start[1] - 4:.4f}" stroke="none" '
+                f'fill="#000000">o</text>'
+            )
+        parts.append("</g>")
+
+    parts.append('<g class="markers">')
+    for point, members in affine_groups.items():
+        role = min((m[1] for m in members), key=list(_MARKERS).index)
+        color, radius = _MARKERS[role]
+        cx, cy = pixel(point.coords)
+        label = "=".join(m[0] for m in members)
+        parts.append(
+            f'<circle class="{role}" cx="{cx:.4f}" cy="{cy:.4f}" r="{radius}" fill="{color}"/>'
+        )
+        parts.append(
+            f'<text x="{cx + 6:.4f}" y="{cy - 6:.4f}" fill="{color}">'
+            f"{_escape(label)}</text>"
+        )
+    parts.append("</g>")
+
+    arrows: list[tuple[tuple[float, float], str]] = []
+    for point, members in ideal_groups.items():
+        dx, dy = point.coords[0], -point.coords[1]
+        # a component past 2**511 would overflow the squared norm: divide both by 2**k
+        unit = 1 << max(max(abs(dx), abs(dy)).bit_length() - 511, 0)
+        label = "=".join(m[0] for m in members)
+        arrows.append(((dx / unit, dy / unit), label))
+    if axis is not None and axis.is_ideal:
+        arrows.append(((0.7071, -0.7071), "o"))
+
+    parts.append('<g class="ideal" stroke="#555555" stroke-width="1.5">')
+    for (dx, dy), label in arrows:
+        norm = (dx * dx + dy * dy) ** 0.5
+        ux, uy = dx / norm, dy / norm
+        cx, cy = width / 2.0, height / 2.0
+        t = float("inf")
+        if ux > 0:
+            t = min(t, (width - 10.0 - cx) / ux)
+        elif ux < 0:
+            t = min(t, (10.0 - cx) / ux)
+        if uy > 0:
+            t = min(t, (height - 10.0 - cy) / uy)
+        elif uy < 0:
+            t = min(t, (10.0 - cy) / uy)
+        tip = (cx + t * ux, cy + t * uy)
+        tail = (tip[0] - 26.0 * ux, tip[1] - 26.0 * uy)
+        px, py = -uy, ux
+        head1 = (tip[0] - 8.0 * ux + 4.0 * px, tip[1] - 8.0 * uy + 4.0 * py)
+        head2 = (tip[0] - 8.0 * ux - 4.0 * px, tip[1] - 8.0 * uy - 4.0 * py)
+        parts.append('<g class="arrow">')
+        parts.extend(line_tag(start, tip) for start in (tail, head1, head2))
+        lx = min(max(tail[0] - 10.0 * ux, 14.0), width - 14.0)
+        ly = min(max(tail[1] - 10.0 * uy, 14.0), height - 14.0)
+        parts.append(
+            f'<text x="{lx:.4f}" y="{ly:.4f}" stroke="none" fill="#555555">'
+            f"{_escape(label)}</text>"
+        )
+        parts.append("</g>")
+    parts.append("</g>")
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -381,19 +381,51 @@ def test_render_outputs_are_frozen():
     )
 
 
-# --- internal errors ----------------------------------------------------------------------
+def _render_document(tmp_path, doc) -> str:
+    """Render a diagram document through the command line; exit 0 and
+    well-formed XML without inf or nan are required."""
+    source, target = tmp_path / "figure.json", tmp_path / "figure.svg"
+    source.write_text(json.dumps(doc))
+    assert run("render", str(source), "--out", str(target)) == (0, "", "")
+    svg = target.read_text()
+    xml.dom.minidom.parseString(svg)
+    assert "inf" not in svg and "nan" not in svg
+    return svg
 
-def test_render_float_overflow_exits_seventy(tmp_path):
-    # within the coordinate bound, but N**2 overflows a float
+
+def test_render_huge_figure_exits_zero(tmp_path):
+    # within the coordinate bound, but the figure's extent overflows a float
     n = str(2**1000)
     doc = json.loads(DILATION.read_text())
     doc["quad1"]["P"] = [n, "1", "1/" + n]
-    p = tmp_path / "huge.json"
-    p.write_text(json.dumps(doc))
-    code, _, err = run("render", str(p), "--out", str(tmp_path / "huge.svg"))
-    assert code == 70
-    assert err.startswith("error: internal: OverflowError: ")
+    _render_document(tmp_path, doc)
 
+
+def test_render_tiny_figure_is_rescaled_exactly(tmp_path):
+    # the dilation shrunk by 2**-1018: 640 over its extent overflows a float
+    doc = json.loads(DILATION.read_text())
+    for point in [doc["O"], *doc["quad1"].values(), *doc["quad2"].values()]:
+        point[2] = str(int(point[2]) * 2**1018)
+    svg = _render_document(tmp_path, doc)
+    root = xml.dom.minidom.parseString(svg).documentElement
+    width, height = (float(v) for v in root.getAttribute("viewBox").split()[2:])
+    for element in root.getElementsByTagName("*"):
+        for names, bound in (("x x1 x2 cx", width), ("y y1 y2 cy", height)):
+            for name in names.split():
+                if element.hasAttribute(name):
+                    assert 0 <= float(element.getAttribute(name)) <= bound
+    # a power-of-two scaling is exact, so the picture is the dilation's
+    assert svg == (DATA / "dilation.svg").read_text()
+
+
+def test_render_huge_ideal_direction_exits_zero(tmp_path):
+    # squaring the direction (2**600 : 1 : 0) overflows a float
+    doc = json.loads(DILATION.read_text())
+    doc["quad1"]["P"] = [str(2**600), "1", "0"]
+    assert '<g class="arrow">' in _render_document(tmp_path, doc)
+
+
+# --- internal errors ----------------------------------------------------------------------
 
 def _shrunk_square(tmp_path, tiny: str):
     """The square (+-1, +-1) and its dilation from the origin by `tiny`."""
