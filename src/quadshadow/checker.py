@@ -23,7 +23,7 @@ from enum import Enum
 
 from .kernel import Point2, collinear2
 from .quadrangle import VERTEX_LABELS, Quadrangle, diagonal_triangle, sides
-from .perspectivity import CenterIsVertex, pair_perspective_from, quad_perspective
+from .perspectivity import CenterIsVertex, pair_perspective_from
 
 __all__ = [
     "DegeneracyKind",
@@ -143,7 +143,10 @@ def decide_depiction(d: PlanarDiagram) -> Verdict:
     """
     degeneracy = classify_degeneracy(d.quad1, d.quad2)
     notes = _notes(d)
-    applicable = quad_perspective(d.O, d.quad1, d.quad2)
+    # PlanarDiagram has ruled out O as a vertex, so quad_perspective's scan is not repeated
+    applicable = all(
+        pair_perspective_from(d.O, x1, x2) for x1, x2 in zip(d.quad1.vertices, d.quad2.vertices)
+    )
     if not applicable:
         return Verdict(False, None, degeneracy, False, Reason.NOT_PERSPECTIVE, notes)
 

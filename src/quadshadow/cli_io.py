@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Sequence, TextIO
@@ -80,6 +81,11 @@ DOCUMENT_VERSION = 1
 _MAX_COORD_BITS = 1024
 #: Decimal digits of 2**_MAX_COORD_BITS, so 10**_MAX_COORD_DIGITS is past the bound.
 _MAX_COORD_DIGITS = len(str(1 << _MAX_COORD_BITS))
+#: A sign and decimal digits, ASCII only, as int() reads them.
+_PLAIN_INT = re.compile(r"-?[0-9]+")
+#: Longest string the int fast path takes: past any bounded integer, and far
+#: below the least int-to-str digit limit an interpreter may set (640).
+_MAX_INT_CHARS = _MAX_COORD_DIGITS + 1
 
 
 class ParseError(Exception):
@@ -95,7 +101,28 @@ class InvariantViolation(Exception):
 
 
 def _rational(node: Any, path: str) -> int | Fraction:
-    """A bounded rational, as an int when it is integral."""
+    """A bounded rational, as an int when it is integral.
+
+    A JSON integer or a short plain decimal integer string goes straight to
+    int; every other spelling goes through Fraction, to the same value.
+    """
+    if type(node) is int or (
+        type(node) is str and len(node) <= _MAX_INT_CHARS and _PLAIN_INT.fullmatch(node)
+    ):
+        value = int(node)
+        bits = value.bit_length()
+    else:
+        value = _fraction(node, path)
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if value.denominator == 1:
+            value = value.numerator
+    if bits > _MAX_COORD_BITS:
+        raise ParseError(f"{path}: a {bits}-bit rational exceeds the {_MAX_COORD_BITS}-bit bound")
+    return value
+
+
+def _fraction(node: Any, path: str) -> Fraction:
+    """Any other rational spelling, read by Fraction once it is known to be bounded."""
     if isinstance(node, bool) or isinstance(node, float):
         raise ParseError(f"{path}: coordinates must be rational strings, got {node!r}")
     if not isinstance(node, (int, str)):
@@ -116,13 +143,9 @@ def _rational(node: Any, path: str) -> int | Fraction:
                 f"{path}: exponent {exponent} exceeds the {_MAX_COORD_BITS}-bit bound"
             )
     try:
-        value = Fraction(node)
+        return Fraction(node)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{path}: not a rational: {node!r}") from None
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    if bits > _MAX_COORD_BITS:
-        raise ParseError(f"{path}: a {bits}-bit rational exceeds the {_MAX_COORD_BITS}-bit bound")
-    return value.numerator if value.denominator == 1 else value
 
 
 def _strings(value) -> list[str]:

@@ -214,6 +214,45 @@ def displaced_centers(O: Point2, c1: Scalar, c2: Scalar) -> tuple[Point3, Point3
     return Point3(e0, e1, c1, e3), Point3(e0, e1, c2, e3)
 
 
+def _planar_multiple(O: Point2, center: Point3) -> int:
+    """The integer k with (x0, x1, x3) of a displaced center equal to k times O."""
+    x0, x1, _, x3 = center.coords
+    o0, o1, o2 = O.coords
+    k = x0 // o0 if o0 else x1 // o1 if o1 else x3 // o2
+    _invariant((x0, x1, x3) == (k * o0, k * o1, k * o2), "center is not O displaced along x2")
+    return k
+
+
+def _ray_meet(O: Point2, O1: Point3, O2: Point3, X1: Point2, X2: Point2) -> Point3 | None:
+    """Common point of the rays O1-X1 and O2-X2, or None when they are skew.
+
+    O1 = k1 O + m1 e2 and O2 = k2 O + m2 e2 in canonical coordinates, where
+    e2 = (0 : 0 : 1 : 0) and m_i / k_i is the displacement c_i.  The 2x2
+    minors of O, X1, X2 on two rows give a relation a O + b X1 + c X2 = 0,
+    which holds on the third row exactly when the three are collinear.  Then
+
+        a m2 O1 + b (k1 m2 - k2 m1) X1  =  a m1 O2 - c (k1 m2 - k2 m1) X2
+
+    (planar points read embedded) lies on both rays; a = 0 when X1 = X2.
+    """
+    o, u, v = O.coords, X1.coords, X2.coords
+    for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        a = u[i] * v[j] - u[j] * v[i]
+        b = v[i] * o[j] - v[j] * o[i]
+        c = o[i] * u[j] - o[j] * u[i]
+        if a or b or c:
+            break
+    else:
+        _invariant(False, "center O is a vertex")
+    if a * o[r] + b * u[r] + c * v[r]:
+        return None
+    p0, p1, m1, p3 = O1.coords
+    m2 = O2.coords[2]
+    s = a * m2
+    t = b * (_planar_multiple(O, O1) * m2 - _planar_multiple(O, O2) * m1)
+    return Point3(s * p0 + t * u[0], s * p1 + t * u[1], s * m1, s * p3 + t * u[2])
+
+
 def planarity_certificate(
     d: PlanarDiagram, c1: Scalar = 1, c2: Scalar = -1
 ) -> PlanarityCertificate:
@@ -227,10 +266,8 @@ def planarity_certificate(
         raise NotCorrectDiagram("diagram is not vertex-perspective; rays would be skew")
     O1, O2 = displaced_centers(d.O, c1, c2)
     points: dict[str, Point3] = {}
-    for lab in VERTEX_LABELS:
-        ray1 = line3_through(O1, embed_drawing(d.quad1.vertex(lab)))
-        ray2 = line3_through(O2, embed_drawing(d.quad2.vertex(lab)))
-        x = meet_lines3(ray1, ray2)
+    for lab, x1, x2 in zip(VERTEX_LABELS, d.quad1.vertices, d.quad2.vertices):
+        x = _ray_meet(d.O, O1, O2, x1, x2)
         _invariant(x is not None, "perspective rays cannot be skew")
         points[lab] = x
     det = coplanarity_det(*(points[lab] for lab in VERTEX_LABELS))

@@ -31,6 +31,21 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+#: A canvas side shorter than this prints as 0.0000: the figure is flat at float precision.
+_COLLAPSED = 0.5e-4
+
+
+def _clamp(v: float, extent: float) -> float:
+    return min(max(v, 0.0), extent)
+
+
+def _beside(v: float, offset: int, extent: float) -> float:
+    """A label's coordinate, offset from its point at v.  It may overhang
+    the canvas edge by the offset, except on a collapsed side, where no
+    offset fits and the label is clamped onto the canvas."""
+    return _clamp(v + offset, extent) if extent < _COLLAPSED else v + offset
+
+
 def _lex(p: Homogeneous, q: Homogeneous) -> int:
     """Sign of p - q in lexicographic (x, y) order, by cross-multiplication."""
     return (p[0] * q[2] - q[0] * p[2]) or (p[1] * q[2] - q[1] * p[2])
@@ -185,8 +200,8 @@ def render_svg(d: PlanarDiagram) -> str:
             start = pixel(chord[0])
             parts.append(line_tag(start, pixel(chord[1])))
             parts.append(
-                f'<text x="{start[0] + 4:.4f}" y="{start[1] - 4:.4f}" stroke="none" '
-                f'fill="#000000">o</text>'
+                f'<text x="{_beside(start[0], 4, width):.4f}" '
+                f'y="{_beside(start[1], -4, height):.4f}" stroke="none" fill="#000000">o</text>'
             )
         parts.append("</g>")
 
@@ -200,8 +215,8 @@ def render_svg(d: PlanarDiagram) -> str:
             f'<circle class="{role}" cx="{cx:.4f}" cy="{cy:.4f}" r="{radius}" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{cx + 6:.4f}" y="{cy - 6:.4f}" fill="{color}">'
-            f"{_escape(label)}</text>"
+            f'<text x="{_beside(cx, 6, width):.4f}" y="{_beside(cy, -6, height):.4f}" '
+            f'fill="{color}">{_escape(label)}</text>'
         )
     parts.append("</g>")
 
@@ -220,24 +235,23 @@ def render_svg(d: PlanarDiagram) -> str:
         norm = (dx * dx + dy * dy) ** 0.5
         ux, uy = dx / norm, dy / norm
         cx, cy = width / 2.0, height / 2.0
-        t = float("inf")
-        if ux > 0:
-            t = min(t, (width - 10.0 - cx) / ux)
-        elif ux < 0:
-            t = min(t, (10.0 - cx) / ux)
-        if uy > 0:
-            t = min(t, (height - 10.0 - cy) / uy)
-        elif uy < 0:
-            t = min(t, (10.0 - cy) / uy)
-        tip = (cx + t * ux, cy + t * uy)
+        # run to 10 short of each edge the arrow heads for; a component so
+        # small that its run is not a finite float sets no bound
+        runs = [
+            ((extent - 10.0 if u > 0 else 10.0) - c) / u
+            for u, c, extent in ((ux, cx, width), (uy, cy, height))
+            if u
+        ]
+        t = min((run for run in runs if isfinite(run)), default=0.0)
+        tip = (_clamp(cx + t * ux, width), _clamp(cy + t * uy, height))
         tail = (tip[0] - 26.0 * ux, tip[1] - 26.0 * uy)
         px, py = -uy, ux
         head1 = (tip[0] - 8.0 * ux + 4.0 * px, tip[1] - 8.0 * uy + 4.0 * py)
         head2 = (tip[0] - 8.0 * ux - 4.0 * px, tip[1] - 8.0 * uy - 4.0 * py)
         parts.append('<g class="arrow">')
         parts.extend(line_tag(start, tip) for start in (tail, head1, head2))
-        lx = min(max(tail[0] - 10.0 * ux, 14.0), width - 14.0)
-        ly = min(max(tail[1] - 10.0 * uy, 14.0), height - 14.0)
+        lx = _clamp(min(max(tail[0] - 10.0 * ux, 14.0), width - 14.0), width)
+        ly = _clamp(min(max(tail[1] - 10.0 * uy, 14.0), height - 14.0), height)
         parts.append(
             f'<text x="{lx:.4f}" y="{ly:.4f}" stroke="none" fill="#555555">'
             f"{_escape(label)}</text>"

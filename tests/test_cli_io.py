@@ -393,6 +393,18 @@ def _render_document(tmp_path, doc) -> str:
     return svg
 
 
+def _assert_inside_viewbox(svg: str, xs: str, ys: str) -> None:
+    """Every attribute named in xs lies in [0, width], in ys in [0, height]."""
+    root = xml.dom.minidom.parseString(svg).documentElement
+    width, height = (float(v) for v in root.getAttribute("viewBox").split()[2:])
+    for element in root.getElementsByTagName("*"):
+        for names, bound in ((xs, width), (ys, height)):
+            for name in names.split():
+                if element.hasAttribute(name):
+                    value = float(element.getAttribute(name))
+                    assert 0 <= value <= bound, (element.toxml(), bound)
+
+
 def test_render_huge_figure_exits_zero(tmp_path):
     # within the coordinate bound, but the figure's extent overflows a float
     n = str(2**1000)
@@ -407,13 +419,7 @@ def test_render_tiny_figure_is_rescaled_exactly(tmp_path):
     for point in [doc["O"], *doc["quad1"].values(), *doc["quad2"].values()]:
         point[2] = str(int(point[2]) * 2**1018)
     svg = _render_document(tmp_path, doc)
-    root = xml.dom.minidom.parseString(svg).documentElement
-    width, height = (float(v) for v in root.getAttribute("viewBox").split()[2:])
-    for element in root.getElementsByTagName("*"):
-        for names, bound in (("x x1 x2 cx", width), ("y y1 y2 cy", height)):
-            for name in names.split():
-                if element.hasAttribute(name):
-                    assert 0 <= float(element.getAttribute(name)) <= bound
+    _assert_inside_viewbox(svg, "x x1 x2 cx", "y y1 y2 cy")
     # a power-of-two scaling is exact, so the picture is the dilation's
     assert svg == (DATA / "dilation.svg").read_text()
 
@@ -423,6 +429,22 @@ def test_render_huge_ideal_direction_exits_zero(tmp_path):
     doc = json.loads(DILATION.read_text())
     doc["quad1"]["P"] = [str(2**600), "1", "0"]
     assert '<g class="arrow">' in _render_document(tmp_path, doc)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [[str(2**1000), "1", "1/" + str(2**1000)], [str(2**1024 - 1), "1", "0"]],
+    ids=["zero-height-canvas", "ideal-direction-2**1024-1"],
+)
+def test_render_keeps_markers_labels_and_arrow_tips_in_the_viewbox(tmp_path, P):
+    # the first figure is so flat that its canvas is 0 high, so labels
+    # offset upwards left it; the second direction's y is a subnormal
+    # float, so the arrow's run to the top edge was -inf
+    doc = json.loads(DILATION.read_text())
+    doc["quad1"]["P"] = P
+    svg = _render_document(tmp_path, doc)
+    # x2/y2: chords end on the canvas edge and arrows at their tips
+    _assert_inside_viewbox(svg, "x x2 cx", "y y2 cy")
 
 
 # --- internal errors ----------------------------------------------------------------------
@@ -536,6 +558,59 @@ def test_non_integral_coordinate_stays_a_fraction():
     assert type(value) is F and value == F(1, 3)
 
 
+def reference_rational(node, path):
+    """Every spelling through Fraction, as the parser read all of them
+    before plain integers took a shortcut to int."""
+    if isinstance(node, bool) or isinstance(node, float):
+        raise ParseError(f"{path}: coordinates must be rational strings, got {node!r}")
+    if not isinstance(node, (int, str)):
+        raise ParseError(
+            f"{path}: coordinates must be rational strings, got {type(node).__name__}"
+        )
+    if isinstance(node, str):
+        _, sep, tail = node.lower().rpartition("e")
+        try:
+            exponent = int(tail) if sep else 0
+        except ValueError:
+            exponent = 0
+        if abs(exponent) > 309 + len(node):
+            raise ParseError(f"{path}: exponent {exponent} exceeds the 1024-bit bound")
+    try:
+        value = F(node)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{path}: not a rational: {node!r}") from None
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > 1024:
+        raise ParseError(f"{path}: a {bits}-bit rational exceeds the 1024-bit bound")
+    return value.numerator if value.denominator == 1 else value
+
+
+def _read(read, node):
+    try:
+        value = read(node, "x")
+    except ParseError as e:
+        return "ParseError", str(e)
+    return type(value), value
+
+
+_BOUND_INTEGERS = [2**1024 - 1, 2**1024, -(2**1024 - 1), -(2**1024)]  # 1024 and 1025 bits
+
+
+def test_integer_shortcut_matches_the_fraction_reader():
+    # the shortcut takes ASCII -?[0-9]+ of at most 310 characters and JSON
+    # integers; everything else must reach Fraction and read as before
+    corpus = [
+        "+3", " 3", "3 ", "03", "-0", "0", "-12", "3_0", "\u0663", "\uff13", "6/2", "-6/2",
+        "1.5", "1e3", "1E3", "", "-", "--3", "3\n", "0x10", "1/0",
+        7, -7, 0, True, False, 1.5, None, [3],
+        *_BOUND_INTEGERS,
+        *(str(n) for n in _BOUND_INTEGERS),
+        "7" * 4301, "0" * 4300 + "7", "0" * 400 + "7",
+    ]
+    for node in corpus:
+        assert _read(_rational, node) == _read(reference_rational, node), repr(node)[:40]
+
+
 def test_rationals_at_the_bound_lift_and_emit(tmp_path):
     p = _shrunk_square(tmp_path, f"1/{2**1024 - 1}")
     assert run("check", str(p))[0] == 0
@@ -546,7 +621,7 @@ def test_rationals_at_the_bound_lift_and_emit(tmp_path):
 
 
 def test_broken_invariant_exits_seventy(monkeypatch):
-    monkeypatch.setattr(quadshadow.lift, "meet_lines3", lambda l1, l2: None)
+    monkeypatch.setattr(quadshadow.lift, "_ray_meet", lambda O, O1, O2, X1, X2: None)
     code, out, err = run("lift", str(DILATION))
     assert (code, out) == (70, "")
     assert err == "error: internal: RuntimeError: invariant broken: perspective rays cannot be skew\n"
