@@ -213,7 +213,9 @@ class Line2(_Element):
     """Line of the projective plane; a point x lies on it iff l . x = 0."""
 
     def contains(self, p: Point2) -> bool:
-        return sum(a * b for a, b in zip(self.coords, p.coords)) == 0
+        l0, l1, l2 = self.coords
+        x0, x1, x2 = p.coords
+        return l0 * x0 + l1 * x1 + l2 * x2 == 0
 
     @property
     def is_ideal(self) -> bool:
@@ -237,7 +239,9 @@ class Plane3(_Element):
     _ARITY = 4
 
     def contains(self, p: Point3) -> bool:
-        return sum(a * b for a, b in zip(self.coords, p.coords)) == 0
+        a0, a1, a2, a3 = self.coords
+        x0, x1, x2, x3 = p.coords
+        return a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3 == 0
 
 
 @dataclass(frozen=True)
@@ -264,23 +268,34 @@ class Line3:
 
     def contains(self, x: Point3) -> bool:
         """Incidence test: all 3x3 minors of the stacked matrix vanish."""
-        p01, p02, p03, p23, p31, p12 = self.pluecker
-        x0, x1, x2, x3 = x.coords
-        return (
-            p01 * x2 - p02 * x1 + p12 * x0 == 0
-            and p01 * x3 - p03 * x1 - p31 * x0 == 0
-            and p02 * x3 - p03 * x2 + p23 * x0 == 0
-            and p12 * x3 + p31 * x2 + p23 * x1 == 0
-        )
+        return not any(_span(self.pluecker, x.coords))
 
     def __repr__(self) -> str:
         return f"Line3({_fmt(self.pluecker)})"
 
 
+def _span(p: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Coefficients of the plane through x and the line with (possibly
+    unnormalised) Pluecker coordinates p, not normalised.
+
+    For p the 2x2 minors of a and b these are the signed 3x3 minors of the
+    stacked rows a, b, x, expanded along x.  They all vanish exactly when x
+    lies on the line, and when p is zero.
+    """
+    p01, p02, p03, p23, p31, p12 = p
+    x0, x1, x2, x3 = x
+    return (
+        p23 * x1 + p31 * x2 + p12 * x3,
+        -p23 * x0 + p03 * x2 - p02 * x3,
+        -p31 * x0 - p03 * x1 + p01 * x3,
+        -p12 * x0 + p02 * x1 - p01 * x2,
+    )
+
+
 #: The canonical drawing plane x2 = 0.
 DRAWING_PLANE = Plane3(0, 0, 1, 0)
 
-_BASIS3 = (Point3(1, 0, 0, 0), Point3(0, 1, 0, 0), Point3(0, 0, 1, 0), Point3(0, 0, 0, 1))
+_BASIS3 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -334,13 +349,12 @@ def points_on_line2(l: Line2) -> tuple[Point2, Point2]:
     raise ZeroVector(f"no two distinct points found on {l!r}")  # pragma: no cover
 
 
-def line3_through(a: Point3, b: Point3) -> Line3:
-    """Pluecker line through two distinct spatial points."""
-    if a == b:
-        raise CoincidentPoints(f"cannot join {a!r} with itself")
+def _pluecker(a: Point3, b: Point3) -> tuple[int, int, int, int, int, int]:
+    """Raw 2x2 minors of the stacked coordinates of a and b, in Pluecker
+    order; not normalised, and zero exactly when a equals b."""
     a0, a1, a2, a3 = a.coords
     b0, b1, b2, b3 = b.coords
-    return Line3(
+    return (
         a0 * b1 - a1 * b0,  # p01
         a0 * b2 - a2 * b0,  # p02
         a0 * b3 - a3 * b0,  # p03
@@ -350,12 +364,16 @@ def line3_through(a: Point3, b: Point3) -> Line3:
     )
 
 
-def _plane_coeffs(a: Point3, b: Point3, c: Point3) -> tuple[int, ...]:
+def line3_through(a: Point3, b: Point3) -> Line3:
+    """Pluecker line through two distinct spatial points."""
+    if a == b:
+        raise CoincidentPoints(f"cannot join {a!r} with itself")
+    return Line3(*_pluecker(a, b))
+
+
+def _plane_coeffs(a: Point3, b: Point3, c: Point3) -> tuple[int, int, int, int]:
     """Signed 3x3 minors of the stacked 3x4 coordinate matrix, not normalised."""
-    rows = (a.coords, b.coords, c.coords)
-    return tuple(
-        (-1) ** k * _det3(*(row[:k] + row[k + 1 :] for row in rows)) for k in range(4)
-    )
+    return _span(_pluecker(a, b), c.coords)
 
 
 def plane_through(a: Point3, b: Point3, c: Point3) -> Plane3:
@@ -370,10 +388,10 @@ def plane_through(a: Point3, b: Point3, c: Point3) -> Plane3:
     return Plane3(*coeffs)
 
 
-def _pierce(line: Line3, plane: Plane3) -> tuple[int, int, int, int]:
+def _pierce(p: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, int, int, int]:
     """Raw Pluecker-matrix product P . a (zero vector iff line lies in plane)."""
-    p01, p02, p03, p23, p31, p12 = line.pluecker
-    a0, a1, a2, a3 = plane.coords
+    p01, p02, p03, p23, p31, p12 = p
+    a0, a1, a2, a3 = a
     return (
         p01 * a1 + p02 * a2 + p03 * a3,
         -p01 * a0 + p12 * a2 - p31 * a3,
@@ -384,7 +402,7 @@ def _pierce(line: Line3, plane: Plane3) -> tuple[int, int, int, int]:
 
 def meet_line_plane(line: Line3, plane: Plane3) -> Point3:
     """Unique intersection point of a line with a plane not containing it."""
-    x = _pierce(line, plane)
+    x = _pierce(line.pluecker, plane.coords)
     if not any(x):
         raise LineInPlane(f"{line!r} lies inside {plane!r}")
     return Point3(*x)
@@ -416,7 +434,7 @@ def meet_lines3(l1: Line3, l2: Line3) -> Point3 | None:
     The reciprocal bilinear form decides coplanarity.  For coplanar
     distinct lines the common point is found by cutting l2 with a plane
     through l1 that differs from the common plane; some coordinate basis
-    point always provides such a plane.
+    point off l1 always spans such a plane with it.
     """
     if l1 == l2:
         raise CoincidentLines(f"cannot intersect {l1!r} with itself")
@@ -425,22 +443,23 @@ def meet_lines3(l1: Line3, l2: Line3) -> Point3 | None:
     form = p[0] * q[3] + p[1] * q[4] + p[2] * q[5] + p[3] * q[0] + p[4] * q[1] + p[5] * q[2]
     if form != 0:
         return None
-    u, v = points_on_line3(l1)
     for z in _BASIS3:
-        if l1.contains(z):
+        plane = _span(p, z)
+        if not any(plane):
             continue
-        plane = plane_through(u, v, z)
-        x = _pierce(l2, plane)
+        x = _pierce(q, plane)
         if any(x):
             return Point3(*x)
     raise ZeroVector("no cutting plane found")  # pragma: no cover
 
 
 def collinear3(a: Point3, b: Point3, c: Point3) -> bool:
-    """Spatial collinearity; coincident pairs count as collinear."""
-    if a == b or a == c or b == c:
-        return True
-    return line3_through(a, b).contains(c)
+    """Spatial collinearity; coincident pairs count as collinear.
+
+    The three are collinear exactly when they span no plane; no Line3 is
+    built.
+    """
+    return not any(_plane_coeffs(a, b, c))
 
 
 def coplanarity_det(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
@@ -451,20 +470,29 @@ def coplanarity_det(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     certificate of non-planarity.  Expanded along d's row, it is minus the
     dot product of d with the unnormalised plane coefficients of a, b, c.
     """
-    return -sum(p * x for p, x in zip(_plane_coeffs(a, b, c), d.coords))
+    p0, p1, p2, p3 = _plane_coeffs(a, b, c)
+    x0, x1, x2, x3 = d.coords
+    return -(p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3)
 
 
 def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:
     """Image of x on the target plane as seen from the center.
 
     Points already on the target are fixed.  The center must be off the
-    target plane and x must differ from the center.
+    target plane and x must differ from the center.  For a target with
+    coefficients a the image is (a.c) x - (a.x) c: it lies on the line
+    through c and x, and a annihilates it.
     """
-    if target.contains(center):
+    a0, a1, a2, a3 = target.coords
+    c0, c1, c2, c3 = center.coords
+    pc = a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3
+    if not pc:
         raise CenterOnTarget(f"projection center {center!r} lies on {target!r}")
     if x == center:
         raise ProjectingCenter(f"cannot project the center {center!r} itself")
-    return meet_line_plane(line3_through(center, x), target)
+    x0, x1, x2, x3 = x.coords
+    px = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
+    return Point3(pc * x0 - px * c0, pc * x1 - px * c1, pc * x2 - px * c2, pc * x3 - px * c3)
 
 
 def embed_drawing(p: Point2) -> Point3:

@@ -331,10 +331,10 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
         if not plane.contains(c) and not DRAWING_PLANE.contains(c)
     )
 
-    barred: dict[str, Point3] = {}
-    for lab in VERTEX_LABELS:
-        ray = line3_through(O1, embed_drawing(d.quad1.vertex(lab)))
-        barred[lab] = meet_line_plane(ray, plane)
+    barred = {
+        lab: central_project(O1, plane, embed_drawing(d.quad1.vertex(lab)))
+        for lab in VERTEX_LABELS
+    }
     quad = SpatialQuadrangle(*(barred[lab] for lab in VERTEX_LABELS), plane=plane)
 
     ray_p = line3_through(barred["P"], embed_drawing(d.quad2.P))

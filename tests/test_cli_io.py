@@ -3,8 +3,12 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.dom.minidom
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,6 +23,14 @@ from quadshadow.generators import (
     gen_degenerate_diagram,
     gen_general_position_diagram,
     gen_incorrect_diagram,
+)
+from quadshadow.lift import (
+    DegenerateScene,
+    lift_collinear_centers,
+    lift_via_axis,
+    project_scene,
+    scene_from_witness,
+    verify_witness,
 )
 from quadshadow.cli_io import (
     InvariantViolation,
@@ -231,6 +243,20 @@ def test_help_exits_zero():
     assert code == 0
 
 
+def test_python_dash_m_runs_the_command_line():
+    # through the package's __main__; -m quadshadow.cli_io makes runpy warn,
+    # since the package has already imported cli_io
+    src = str(Path(quadshadow.lift.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quadshadow", "check", str(DILATION)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == run("check", str(DILATION))[1].encode()
+
+
 def test_domain_failure_exits_one():
     # the dilation is correct but not in general position, so the axis
     # route has no witness to offer
@@ -378,6 +404,30 @@ def test_render_outputs_are_frozen():
         digest.update(render_svg(d).encode())
     assert digest.hexdigest() == (
         "3faf6288d5d57c93c49e14e616369642034b1c19153c68c0b6b0ec63f2e8b3cd"
+    )
+
+
+def test_witness_outputs_are_frozen():
+    # sha256 of both lifts of general-position seeds 0-99, every clause of
+    # verify_witness (also with the centers swapped, so the projection
+    # clauses fail and print their images), and the diagram each witness
+    # presents seen from O2 and through the drawing plane's chart.
+    digest = hashlib.sha256()
+    for seed in range(100):
+        d = gen_general_position_diagram(seed, correct=True)
+        for w in (lift_collinear_centers(d), lift_via_axis(d)):
+            digest.update(emit_witness(w).encode())
+            for claim in (w, replace(w, O1=w.O2, O2=w.O1)):
+                for c in verify_witness(d, claim).clauses:
+                    digest.update(f"{c.name}|{c.ok}|{c.detail}\n".encode())
+            scene = scene_from_witness(w)
+            for s in (scene, replace(scene, viewpoint=None)):
+                try:
+                    digest.update(emit_diagram(project_scene(s)).encode())
+                except DegenerateScene as e:
+                    digest.update(f"DegenerateScene: {e}\n".encode())
+    assert digest.hexdigest() == (
+        "c96e51d1e5f9f4207761dbb7eedfe51fb1fb6f24bfdee67ada93bcbd0cd14209"
     )
 
 

@@ -8,6 +8,7 @@ intersection) rather than the kernel's own formulas.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from quadshadow.kernel import (
     DRAWING_PLANE,
@@ -15,6 +16,7 @@ from quadshadow.kernel import (
     CoincidentLines,
     CoincidentPoints,
     CollinearPoints,
+    GeometryError,
     Line2,
     Line3,
     LineInPlane,
@@ -349,3 +351,155 @@ def test_embed_preserves_ideal_points():
     lifted = embed_drawing(ideal)
     assert lifted == Point3(2, -3, 0, 0)
     assert chart_drawing(lifted) == ideal
+
+
+# --- closed forms against the Pluecker route ---------------------------
+#
+# central_project, collinear3 and the planar and spatial dot-product
+# incidence tests are computed in closed form.  Each is compared with the
+# general route it replaced, kept here as the reference, on drawn input
+# and on special positions: ideal points, a target other than the drawing
+# plane, points on the target, coordinates near 2**1000.
+
+HUGE = 2**1000
+small = st.integers(min_value=-20, max_value=20)
+coord = st.one_of(small, small.map(lambda n: n + HUGE), small.map(lambda n: n - HUGE))
+vec3 = st.tuples(coord, coord, coord).filter(any)
+vec4 = st.tuples(coord, coord, coord, coord).filter(any)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the GeometryError it raises."""
+    try:
+        return fn(*args)
+    except GeometryError as e:
+        return type(e)
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def on_plane(a, x):
+    """x moved onto the plane a along the basis direction of a's first
+    nonzero coefficient: a_k x - (a . x) e_k."""
+    k = next(i for i, c in enumerate(a) if c)
+    return tuple(a[k] * c - (dot(a, x) if i == k else 0) for i, c in enumerate(x))
+
+
+def pluecker_project(center, target, x):
+    """The central projection by a Pluecker line pierced with the target."""
+    if dot(target.coords, center.coords) == 0:
+        raise CenterOnTarget("center on target")
+    if x == center:
+        raise ProjectingCenter("projecting the center")
+    return meet_line_plane(line3_through(center, x), target)
+
+
+def pluecker_collinear(a, b, c):
+    if a == b or a == c or b == c:
+        return True
+    return line3_through(a, b).contains(c)
+
+
+def signed_minors(a, b, c):
+    """Signed 3x3 minors of the stacked 3x4 coordinate matrix: the
+    coefficients of the plane through a, b, c, all zero when collinear."""
+    rows = (a.coords, b.coords, c.coords)
+    return tuple((-1) ** k * det3(*(r[:k] + r[k + 1 :] for r in rows)) for k in range(4))
+
+
+@given(vec4, vec4, vec4, st.sampled_from(["free", "center", "on-target"]))
+@example((1, 2, 3, 0), (0, 0, 1, 0), (1, 1, 1, 1), "free")  # ideal center: sunlight
+@example((1, 1, 1, 1), (0, 0, 1, 0), (1, -1, 2, 0), "free")  # ideal x
+@example((3, 0, 1, 1), (0, 0, 1, 0), (4, 5, 0, 1), "free")  # x on the target
+@example((3, 0, 1, 1), (1, 2, -1, 3), (1, -4, -1, 3), "free")  # not the drawing plane
+@example((3, 0, 1, 1), (1, 2, -1, 3), (1, -4, -1, 3), "on-target")
+@example((HUGE, 1, 1 - HUGE, 1), (1, HUGE, 1, -HUGE), (HUGE + 1, -HUGE, 2, 1), "free")
+@example((1, 1, 0, 1), (0, 0, 1, 0), (1, 1, 0, 1), "center")  # both errors apply
+@example((1, 1, 1, 1), (0, 0, 1, 0), (0, 0, 1, 1), "center")
+def test_central_project_matches_the_pluecker_route(c, a, x, where):
+    center, target = Point3(*c), Plane3(*a)
+    if where == "center":
+        point = center
+    elif where == "on-target":
+        moved = on_plane(a, x)
+        assume(any(moved))
+        point = Point3(*moved)
+    else:
+        point = Point3(*x)
+    expected = outcome(pluecker_project, center, target, point)
+    assert outcome(central_project, center, target, point) == expected
+    if where == "on-target" and expected is not CenterOnTarget:
+        assert expected == point
+
+
+def test_central_project_checks_the_center_before_the_point():
+    on_target = Point3(1, 1, 0, 1)
+    with pytest.raises(CenterOnTarget):
+        central_project(on_target, DRAWING_PLANE, on_target)
+
+
+@given(vec4, vec4, vec4, small, small, st.sampled_from(["free", "on-line", "a=b", "c=a"]))
+# three points in the coordinate plane x_k = 0, not collinear: only the
+# minor that omits column k tells them apart (x3 = 0: the ideal plane)
+@example((0, 1, 2, 3), (0, 2, -1, 1), (0, 1, 1, -4), 0, 0, "free")
+@example((1, 0, 2, 3), (2, 0, -1, 1), (1, 0, 1, -4), 0, 0, "free")
+@example((1, 2, 0, 3), (2, -1, 0, 1), (1, 1, 0, -4), 0, 0, "free")
+@example((1, 2, 3, 0), (2, -1, 1, 0), (1, 1, -4, 0), 0, 0, "free")
+@example((1, 2, 3, 0), (2, -1, 1, 0), (1, 1, -4, 0), 3, -2, "on-line")  # on the ideal line
+@example((HUGE, 1, 1 - HUGE, 1), (1, HUGE, 1, -HUGE), (0, 0, 1, 0), 1, 1, "on-line")
+@example((HUGE, 1, 1 - HUGE, 1), (1, HUGE, 1, -HUGE), (HUGE + 1, HUGE + 1, 2, 1 - HUGE), 0, 0, "free")
+@example((1, 2, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8), 0, 0, "a=b")
+@example((1, 2, 3, 4), (5, 6, 7, 8), (0, 0, 0, 1), 0, 0, "c=a")
+def test_collinear3_matches_the_pluecker_route(a, b, c, lam, mu, where):
+    A, B, C = Point3(*a), Point3(*b), Point3(*c)
+    if where == "on-line":
+        combo = tuple(lam * x + mu * y for x, y in zip(A.coords, B.coords))
+        assume(any(combo))
+        C = Point3(*combo)
+    elif where == "a=b":
+        B = A
+    elif where == "c=a":
+        C = A
+    expected = pluecker_collinear(A, B, C)
+    minors = signed_minors(A, B, C)
+    assert collinear3(A, B, C) == expected == (not any(minors))
+    if where != "free":
+        assert expected
+    elif not expected:
+        assert plane_through(A, B, C) == Plane3(*minors)
+
+
+@given(vec3, vec3, st.booleans())
+@example((0, 0, 1), (1, 2, 0), False)  # the line at infinity and an ideal point
+@example((0, 0, 1), (1, 2, 3), True)
+@example((HUGE, 1, -HUGE), (HUGE + 1, 2, 1), True)
+@example((HUGE, 1, -HUGE), (HUGE + 1, 2, 1), False)
+def test_line2_contains_matches_the_dot_product(l, p, on):
+    line = Line2(*l)
+    if on:
+        meet = cross(line.coords, p)
+        assume(any(meet))
+        p = meet
+    point = Point2(*p)
+    assert line.contains(point) == (dot(line.coords, point.coords) == 0)
+    if on:
+        assert line.contains(point)
+
+
+@given(vec4, vec4, st.booleans())
+@example((0, 0, 1, 0), (1, -1, 2, 0), False)  # drawing plane, ideal point
+@example((0, 0, 0, 1), (1, -1, 2, 0), False)  # ideal plane
+@example((1, 2, -1, 3), (1, -4, -1, 3), True)
+@example((1, HUGE, 1, -HUGE), (HUGE + 1, -HUGE, 2, 1), True)
+@example((1, HUGE, 1, -HUGE), (HUGE + 1, -HUGE, 2, 1), False)
+def test_plane3_contains_matches_the_dot_product(a, x, on):
+    plane = Plane3(*a)
+    if on:
+        x = on_plane(plane.coords, x)
+        assume(any(x))
+    point = Point3(*x)
+    assert plane.contains(point) == (dot(plane.coords, point.coords) == 0)
+    if on:
+        assert plane.contains(point)
