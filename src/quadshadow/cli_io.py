@@ -449,8 +449,8 @@ def _cmd_check(args, out: TextIO, err: TextIO) -> int:
 
 def _cmd_lift(args, out: TextIO, err: TextIO) -> int:
     diagram = parse_diagram(_read_text(args.input))
+    c1, c2 = _argument(args.c1, "--c1"), _argument(args.c2, "--c2")
     if args.method == "centers":
-        c1, c2 = _argument(args.c1, "--c1"), _argument(args.c2, "--c2")
         witness = lift_collinear_centers(diagram, c1, c2)
     else:
         witness = lift_via_axis(diagram)

@@ -42,7 +42,9 @@ from .kernel import (
     plane_through,
 )
 from .quadrangle import Quadrangle, _check_vertices, validate_quadrangle
-from .perspectivity import Collineation, Triple, _triangle_sides, general_position
+from .perspectivity import (
+    Collineation, Triple, _homologous_meets, _triangle_sides, general_position
+)
 from .checker import DegeneracyKind, PlanarDiagram, classify_degeneracy, decide_depiction
 from .lift import SpatialQuadrangle, SpatialScene, _invariant, project_scene
 
@@ -319,14 +321,8 @@ def gen_point_perspective_triangles(
         t2 = tuple(_toward(center, v, _nonzero_fraction(rng, cfg)) for v in t1)
         if collinear2(*t2) or center in t2:
             return None
-        sides1 = _triangle_sides(t1)
-        sides2 = _triangle_sides(t2)
-        if any(a == b for a, b in zip(sides1, sides2)):
-            return None
-        meets = [meet2(a, b) for a, b in zip(sides1, sides2)]
-        if len(set(meets)) < 3:
-            return None
-        return center, t1, t2
+        meets = _homologous_meets(_triangle_sides(t1), _triangle_sides(t2))
+        return (center, t1, t2) if len(set(meets.values())) == 3 else None
 
     return _retry(SplitMix64(seed), cfg, draw, "perspective triangle pair")
 
@@ -346,7 +342,7 @@ def gen_axis_perspective_triangles(
         axis = join2(_point2(rng, cfg), _point2(rng, cfg))
         if any(axis.contains(v) for v in t1):
             return None
-        m_a, m_b, m_c = (meet2(side, axis) for side in _triangle_sides(t1))
+        m_a, m_b, m_c = (meet2(side, axis) for side in _triangle_sides(t1).values())
         x2 = _point2(rng, cfg)
         if axis.contains(x2) or x2 in t1:
             return None

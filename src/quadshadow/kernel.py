@@ -131,37 +131,29 @@ def normalize(coords) -> tuple[int, ...]:
     so the first nonzero entry is positive.  Raises ZeroVector if every
     coordinate is zero.  Floats are rejected: this kernel is exact.
 
-    All-int input, which every construction in the package produces, is
-    divided by its signed gcd directly; anything else (a Fraction, a bool)
-    goes through Fraction first.  Both give the same canonical tuple.
+    All-int input, which every construction in the package produces, goes
+    straight to the signed gcd; anything else (a Fraction, a bool) is first
+    read as Fractions and scaled to integers by the lcm of the denominators.
     """
     for c in coords:
         if type(c) is not int:
+            fracs = []
+            for x in coords:
+                if isinstance(x, float):
+                    raise TypeError("coordinates must be exact (int or Fraction), not float")
+                fracs.append(Fraction(x))
+            mult = lcm(*(f.denominator for f in fracs))
+            coords = [int(f * mult) for f in fracs]
             break
-    else:
-        g = gcd(*coords)
-        if not g:
-            raise ZeroVector("all homogeneous coordinates are zero")
-        for c in coords:
-            if c:
-                if c < 0:
-                    g = -g
-                break
-        return tuple([c // g for c in coords])
-    fracs = []
-    for c in coords:
-        if isinstance(c, float):
-            raise TypeError("coordinates must be exact (int or Fraction), not float")
-        fracs.append(Fraction(c))
-    if not any(fracs):
+    g = gcd(*coords)
+    if not g:
         raise ZeroVector("all homogeneous coordinates are zero")
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mult) for f in fracs]
-    g = gcd(*ints)
-    ints = [n // g for n in ints]
-    if next(n for n in ints if n) < 0:
-        ints = [-n for n in ints]
-    return tuple(ints)
+    for c in coords:
+        if c:
+            if c < 0:
+                g = -g
+            break
+    return tuple([c // g for c in coords])
 
 
 def _fmt(coords: tuple[int, ...]) -> str:

@@ -63,7 +63,7 @@ from .quadrangle import (
     _check_vertices,
     diagonal_triangle,
 )
-from .perspectivity import common_axis, general_position
+from .perspectivity import HomologousSidesEqual, NotPerspective, _common_axis, side_axes
 from .checker import PlanarDiagram, decide_depiction
 
 __all__ = [
@@ -149,7 +149,6 @@ class Witness:
     O1: Point3
     O2: Point3
     drawing_plane: Plane3
-    diagram: PlanarDiagram | None = None
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,7 @@ def lift_collinear_centers(
     plane = plane_through(cert.points["P"], cert.points["Q"], cert.points["R"])
     _invariant(plane != DRAWING_PLANE, "witness plane is the drawing plane")
     quad = SpatialQuadrangle(*(cert.points[lab] for lab in VERTEX_LABELS), plane=plane)
-    return Witness(quad=quad, O1=cert.O1, O2=cert.O2, drawing_plane=DRAWING_PLANE, diagram=d)
+    return Witness(quad=quad, O1=cert.O1, O2=cert.O2, drawing_plane=DRAWING_PLANE)
 
 
 #: Anchor points tried for the witness plane of the axis route.
@@ -311,11 +310,16 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
     verdict = decide_depiction(d)
     if not verdict.correct:
         raise NotCorrectDiagram(f"diagram is not correct ({verdict.reason.value})")
-    if not general_position(d.quad1, d.quad2):
+    # A correct diagram's side axes exist whenever it is in general position.
+    try:
+        axes = side_axes(d.quad1, d.quad2)
+    except (HomologousSidesEqual, NotPerspective):
+        axes = None
+    if axes is None or len(set(axes.meets.values())) < len(axes.meets):
         raise NotGeneralPosition(
             "need six distinct homologous side pairs with six distinct meets"
         )
-    axis = common_axis(d.quad1, d.quad2)
+    axis = _common_axis(axes)
     axis_points = [embed_drawing(p) for p in points_on_line2(axis)]
 
     for anchor in _AXIS_ANCHORS:
@@ -345,7 +349,7 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
         ray = line3_through(barred[lab], embed_drawing(d.quad2.vertex(lab)))
         _invariant(ray.contains(O2), "second center is not common to all four rays")
     _invariant(collinear3(O1, O2, embed_drawing(d.O)), "centers not collinear with O")
-    return Witness(quad=quad, O1=O1, O2=O2, drawing_plane=DRAWING_PLANE, diagram=d)
+    return Witness(quad=quad, O1=O1, O2=O2, drawing_plane=DRAWING_PLANE)
 
 
 def scene_from_witness(w: Witness) -> SpatialScene:

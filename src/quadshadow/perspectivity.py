@@ -36,7 +36,7 @@ from .kernel import (
     meet2,
     normalize,
 )
-from .quadrangle import SIDE_LABELS, VERTEX_LABELS, Quadrangle, sides
+from .quadrangle import VERTEX_LABELS, Quadrangle, sides
 
 __all__ = [
     "CenterIsVertex",
@@ -131,9 +131,23 @@ def perspective_center(t1: Triple, t2: Triple) -> Point2:
     return center
 
 
-def _triangle_sides(t: Triple) -> tuple[Line2, Line2, Line2]:
+def _triangle_sides(t: Triple) -> dict[str, Line2]:
+    """Sides a, b, c, facing the first, second and third vertex."""
     x, y, z = t
-    return (join2(y, z), join2(z, x), join2(x, y))
+    return {"a": join2(y, z), "b": join2(z, x), "c": join2(x, y)}
+
+
+def _homologous_meets(sides1: dict, sides2: dict) -> dict[str, Point2]:
+    """Meet each pair of homologous sides, keyed by label.
+
+    Raises HomologousSidesEqual on a coincident pair, which has no meet.
+    """
+    meets = {}
+    for lab, a in sides1.items():
+        if a == sides2[lab]:
+            raise HomologousSidesEqual(f"homologous sides {lab} coincide at {a!r}")
+        meets[lab] = meet2(a, sides2[lab])
+    return meets
 
 
 def _line_through_all(points: list[Point2]) -> Line2:
@@ -157,14 +171,8 @@ def desargues_axis(t1: Triple, t2: Triple) -> Line2:
     when the three intersections fail to be collinear, which by the
     converse of Desargues' theorem means no perspectivity center exists.
     """
-    sides1 = _triangle_sides(t1)
-    sides2 = _triangle_sides(t2)
-    meets = []
-    for a, b in zip(sides1, sides2):
-        if a == b:
-            raise HomologousSidesEqual(f"homologous sides both equal {a!r}")
-        meets.append(meet2(a, b))
-    return _line_through_all(meets)
+    meets = _homologous_meets(_triangle_sides(t1), _triangle_sides(t2))
+    return _line_through_all(list(meets.values()))
 
 
 #: Defining side labels for each of the four axes.
@@ -196,21 +204,9 @@ class SideAxes:
         return (self.meets[a], self.meets[b], self.meets[c])
 
 
-def _side_meets(q1: Quadrangle, q2: Quadrangle) -> dict[str, Point2]:
-    """The six homologous side intersections, keyed by side label."""
-    s1 = sides(q1)
-    s2 = sides(q2)
-    meets: dict[str, Point2] = {}
-    for lab in SIDE_LABELS:
-        if s1[lab] == s2[lab]:
-            raise HomologousSidesEqual(f"homologous sides {lab} coincide at {s1[lab]!r}")
-        meets[lab] = meet2(s1[lab], s2[lab])
-    return meets
-
-
 def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
     """Compute s, r, q, p from the six homologous side intersections."""
-    meets = _side_meets(q1, q2)
+    meets = _homologous_meets(sides(q1).labeled(), sides(q2).labeled())
     axes = {
         name: _line_through_all([meets[lab] for lab in labs])
         for name, labs in AXIS_SIDES.items()
@@ -218,14 +214,17 @@ def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
     return SideAxes(s=axes["s"], r=axes["r"], q=axes["q"], p=axes["p"], meets=meets)
 
 
-def common_axis(q1: Quadrangle, q2: Quadrangle) -> Line2:
-    """The single line carrying all four axes, when it exists."""
-    axes = side_axes(q1, q2)
+def _common_axis(axes: SideAxes) -> Line2:
     if not (axes.s == axes.r == axes.q == axes.p):
         raise NoCommonAxis(
             f"axes differ: s={axes.s!r} r={axes.r!r} q={axes.q!r} p={axes.p!r}"
         )
     return axes.s
+
+
+def common_axis(q1: Quadrangle, q2: Quadrangle) -> Line2:
+    """The single line carrying all four axes, when it exists."""
+    return _common_axis(side_axes(q1, q2))
 
 
 def general_position(q1: Quadrangle, q2: Quadrangle) -> bool:
@@ -234,7 +233,7 @@ def general_position(q1: Quadrangle, q2: Quadrangle) -> bool:
     Never raises; a coincident side pair simply yields False.
     """
     try:
-        meets = _side_meets(q1, q2)
+        meets = _homologous_meets(sides(q1).labeled(), sides(q2).labeled())
     except HomologousSidesEqual:
         return False
     return len(set(meets.values())) == len(meets)

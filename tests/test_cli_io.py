@@ -75,6 +75,12 @@ def test_witness_round_trip_is_byte_identical():
     assert emit_witness(parse_witness(text)) == text
 
 
+def test_lifted_witnesses_equal_their_round_trip():
+    d = gen_general_position_diagram(0, correct=True)
+    for w in (lift_collinear_centers(d), lift_via_axis(d)):
+        assert parse_witness(emit_witness(w)) == w
+
+
 def test_scene_round_trip_is_byte_identical():
     text = SCENE.read_text()
     assert emit_scene(parse_scene(text)) == text
@@ -587,8 +593,13 @@ def test_oversized_cli_rationals_exit_sixty_four_quickly(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("lift", "--c1", "nope"), ("lift", "--c2=1/0"), ("qset", "1,x,1")],
-    ids=["c1-word", "c2-zero-denominator", "qset-word"],
+    [
+        ("lift", "--c1", "nope"),
+        ("lift", "--c2=1/0"),
+        ("qset", "1,x,1"),
+        ("lift", "--method", "axis", "--c1", "nope"),
+    ],
+    ids=["c1-word", "c2-zero-denominator", "qset-word", "axis-c1-word"],
 )
 def test_non_rational_cli_arguments_exit_sixty_four(argv):
     command, *rest = argv

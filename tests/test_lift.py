@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import quadshadow.perspectivity
 from quadshadow.kernel import (
     DRAWING_PLANE,
     Line2,
@@ -17,10 +18,12 @@ from quadshadow.kernel import (
     Point3,
     collinear3,
     embed_drawing,
+    meet2,
 )
 from quadshadow.quadrangle import SIDE_LABELS, VERTEX_LABELS, Quadrangle
-from quadshadow.perspectivity import perspective_collineation
+from quadshadow.perspectivity import general_position, perspective_collineation
 from quadshadow.checker import PlanarDiagram, decide_depiction
+from quadshadow.generators import gen_correct_diagram
 from quadshadow.lift import (
     DegenerateParameters,
     DegenerateScene,
@@ -108,7 +111,6 @@ def test_lift_collinear_centers_frozen_values():
         assert w.quad.vertex(lab) == EXPECTED_BARRED[lab]
     assert w.quad.plane == Plane3(0, 0, 3, 1)
     assert w.drawing_plane == DRAWING_PLANE
-    assert w.diagram == DIAGRAM
 
 
 def test_lifted_vertices_match_two_ray_oracle():
@@ -373,6 +375,32 @@ def test_lift_via_axis_produces_verified_witness():
     # the witness plane meets the drawing plane exactly in the common axis
     for embedded in (embed_drawing(p) for p in _axis_points(axis)):
         assert w.quad.plane.contains(embedded)
+
+
+def test_lift_via_axis_meets_the_sides_once(monkeypatch):
+    diagram, _ = gp_diagram()
+    calls = []
+
+    def counting_meet2(l, m):
+        calls.append((l, m))
+        return meet2(l, m)
+
+    monkeypatch.setattr(quadshadow.perspectivity, "meet2", counting_meet2)
+    lift_via_axis(diagram)
+    assert len(calls) == 6
+
+
+def test_lift_via_axis_refuses_exactly_outside_general_position():
+    diagrams = [gen_correct_diagram(seed)[1] for seed in range(600)] + [DIAGRAM]
+    refused = 0
+    for d in diagrams:
+        if general_position(d.quad1, d.quad2):
+            assert verify_witness(d, lift_via_axis(d)).passed
+        else:
+            refused += 1
+            with pytest.raises(NotGeneralPosition):
+                lift_via_axis(d)
+    assert refused == 8
 
 
 def _axis_points(axis):
