@@ -388,6 +388,7 @@ def _build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="verdict for a diagram document")
     p_check.add_argument("input", help="diagram document path")
+    p_check.set_defaults(run=_cmd_check)
 
     p_lift = sub.add_parser("lift", help="spatial witness for a correct diagram")
     p_lift.add_argument("input", help="diagram document path")
@@ -401,16 +402,20 @@ def _build_parser() -> _Parser:
     p_lift.add_argument(
         "--c2", default="-1", help="second displacement (rational; use --c2=-1/2 form)"
     )
+    p_lift.set_defaults(run=_cmd_lift)
 
     p_project = sub.add_parser("project", help="diagram presented by a scene document")
     p_project.add_argument("input", help="scene document path")
+    p_project.set_defaults(run=_cmd_project)
 
     p_axis = sub.add_parser("axis", help="common axis and its six labeled traces")
     p_axis.add_argument("input", help="diagram document path")
+    p_axis.set_defaults(run=_cmd_axis)
 
     p_qset = sub.add_parser("qset", help="trace of a line on both quadrangles")
     p_qset.add_argument("input", help="diagram document path")
     p_qset.add_argument("line", help="line coordinates 'a,b,c' (rationals)")
+    p_qset.set_defaults(run=_cmd_qset)
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded property suite")
     p_fuzz.add_argument("--count", type=int, required=True)
@@ -418,10 +423,12 @@ def _build_parser() -> _Parser:
     p_fuzz.add_argument(
         "--mode", choices=("correct", "incorrect", "desargues"), default="correct"
     )
+    p_fuzz.set_defaults(run=_cmd_fuzz)
 
     p_render = sub.add_parser("render", help="SVG figure of a diagram")
     p_render.add_argument("input", help="diagram document path")
     p_render.add_argument("--out", required=True, help="output SVG path")
+    p_render.set_defaults(run=_cmd_render)
 
     return parser
 
@@ -439,7 +446,7 @@ def _argument(text: str, name: str) -> int | Fraction:
         raise _UsageError(str(e)) from None
 
 
-def _cmd_check(args, out: TextIO, err: TextIO) -> int:
+def _cmd_check(args, out: TextIO) -> int:
     verdict = decide_depiction(parse_diagram(_read_text(args.input)))
     out.write(emit_verdict(verdict))
     if verdict.correct:
@@ -447,7 +454,7 @@ def _cmd_check(args, out: TextIO, err: TextIO) -> int:
     return 1 if verdict.applicable else 2
 
 
-def _cmd_lift(args, out: TextIO, err: TextIO) -> int:
+def _cmd_lift(args, out: TextIO) -> int:
     diagram = parse_diagram(_read_text(args.input))
     c1, c2 = _argument(args.c1, "--c1"), _argument(args.c2, "--c2")
     if args.method == "centers":
@@ -458,7 +465,7 @@ def _cmd_lift(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_project(args, out: TextIO, err: TextIO) -> int:
+def _cmd_project(args, out: TextIO) -> int:
     out.write(emit_diagram(project_scene(parse_scene(_read_text(args.input)))))
     return 0
 
@@ -472,13 +479,13 @@ def _traces(key: str, line: Line2, d: PlanarDiagram) -> str:
     return _dumps(doc)
 
 
-def _cmd_axis(args, out: TextIO, err: TextIO) -> int:
+def _cmd_axis(args, out: TextIO) -> int:
     diagram = parse_diagram(_read_text(args.input))
     out.write(_traces("axis", common_axis(diagram.quad1, diagram.quad2), diagram))
     return 0
 
 
-def _cmd_qset(args, out: TextIO, err: TextIO) -> int:
+def _cmd_qset(args, out: TextIO) -> int:
     diagram = parse_diagram(_read_text(args.input))
     pieces = args.line.split(",")
     if len(pieces) != 3:
@@ -492,7 +499,7 @@ def _cmd_qset(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_fuzz(args, out: TextIO, err: TextIO) -> int:
+def _cmd_fuzz(args, out: TextIO) -> int:
     if args.count <= 0:
         raise _UsageError(f"--count must be positive, got {args.count}")
     failures: list[tuple[int, str]] = []
@@ -517,6 +524,7 @@ def _cmd_fuzz(args, out: TextIO, err: TextIO) -> int:
                 desargues_axis(t1, t2)
                 _, u1, u2 = gen_axis_perspective_triangles(seed)
                 perspective_center(u1, u2)
+                desargues_axis(u1, u2)
         except GeometryError as e:
             failures.append((seed, f"{type(e).__name__}: {e}"))
     good = args.count - len(failures)
@@ -533,22 +541,11 @@ def _cmd_fuzz(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_render(args, out: TextIO, err: TextIO) -> int:
+def _cmd_render(args, out: TextIO) -> int:
     svg = render_svg(parse_diagram(_read_text(args.input)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "lift": _cmd_lift,
-    "project": _cmd_project,
-    "axis": _cmd_axis,
-    "qset": _cmd_qset,
-    "fuzz": _cmd_fuzz,
-    "render": _cmd_render,
-}
 
 
 def run_cli(
@@ -559,7 +556,7 @@ def run_cli(
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        return _COMMANDS[args.command](args, out, err)
+        return args.run(args, out)
     except _UsageError as e:
         err.write(f"error: usage: {e}\n")
         return 64

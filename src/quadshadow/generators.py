@@ -334,7 +334,8 @@ def gen_axis_perspective_triangles(
 
     The second triangle is built outward from the axis marks, so the
     side correspondence holds by construction; homologous vertices stay
-    distinct with distinct joins, ready for recovering the center.
+    distinct with distinct joins and homologous sides distinct, ready for
+    recovering the center and the axis.
     """
 
     def draw(rng: SplitMix64, cfg: GenConfig) -> tuple[Line2, Triple, Triple] | None:
@@ -364,6 +365,7 @@ def gen_axis_perspective_triangles(
             return None
         if join2(t1[0], x2) == join2(t1[1], y2):
             return None
+        _homologous_meets(_triangle_sides(t1), _triangle_sides(t2))  # no shared side
         return axis, t1, t2
 
     return _retry(SplitMix64(seed), cfg, draw, "axis-perspective triangle pair")

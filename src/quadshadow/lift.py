@@ -16,13 +16,13 @@ constructs one in two independent ways:
   merely vertex-perspective diagrams the 4x4 coplanarity determinant is a
   nonzero integer certificate (``planarity_certificate``).
 
-* ``lift_via_axis`` starts from the common Desargues axis o of the two
-  quadrangles: the witness plane is spanned by the embedded axis and a
-  deterministically chosen anchor point off the drawing plane, O1 is a
-  deterministically chosen point off both planes, quad1 is projected from
-  O1 onto the witness plane, and O2 is recovered as the common point of
-  the rays through the lifted vertices and quad2.  Requires the six
-  homologous side pairs and their intersections to be in general position.
+* ``lift_via_axis`` starts from the common Desargues axis
+  o = (l0 : l1 : l2) of the two quadrangles: the witness plane is the
+  vertical plane (l0 : l1 : 0 : l2) over the embedded axis, O1 is a fixed
+  point off both planes, quad1 is projected from O1 onto the witness
+  plane, and O2 is recovered as the common point of the rays through the
+  lifted vertices and quad2.  Requires the six homologous side pairs and
+  their intersections to be in general position.
 
 ``project_scene`` goes the other way: from a spatial quadrangle, a light
 and a shadow plane (plus an optional viewpoint) it produces the planar
@@ -53,7 +53,6 @@ from .kernel import (
     meet_line_plane,
     meet_lines3,
     plane_through,
-    points_on_line2,
 )
 from .quadrangle import (
     OPPOSITE_SIDES,
@@ -288,21 +287,10 @@ def lift_collinear_centers(
     return Witness(quad=quad, O1=cert.O1, O2=cert.O2, drawing_plane=DRAWING_PLANE)
 
 
-#: Anchor points tried for the witness plane of the axis route.
-_AXIS_ANCHORS = (
-    Point3(0, 0, 1, 0),
-    Point3(0, 0, 1, 1),
-    Point3(1, 0, 1, 1),
-)
-
-#: Candidate first centers; no four are coplanar, so for any witness plane
-#: at least one candidate avoids it (they all avoid the drawing plane).
-_CENTER_CANDIDATES = (
-    Point3(0, 0, 1, 1),
-    Point3(1, 0, 1, 1),
-    Point3(0, 1, 1, 1),
-    Point3(1, 1, 2, 1),
-)
+#: Candidate first centers: against the witness plane (l0 : l1 : 0 : l2)
+#: they give l2, l0 + l2 and l1 + l2, not all zero for a line, and their
+#: x2 = 1 keeps them off the drawing plane.
+_CENTER_CANDIDATES = (Point3(0, 0, 1, 1), Point3(1, 0, 1, 1), Point3(0, 1, 1, 1))
 
 
 def lift_via_axis(d: PlanarDiagram) -> Witness:
@@ -319,35 +307,18 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
         raise NotGeneralPosition(
             "need six distinct homologous side pairs with six distinct meets"
         )
-    axis = _common_axis(axes)
-    axis_points = [embed_drawing(p) for p in points_on_line2(axis)]
+    l0, l1, l2 = _common_axis(axes).coords
+    plane = Plane3(l0, l1, 0, l2)  # meets x2 = 0 in the embedded axis, and is never x2 = 0
+    O1 = next(c for c in _CENTER_CANDIDATES if not plane.contains(c))
+    barred = [central_project(O1, plane, embed_drawing(v)) for v in d.quad1.vertices]
+    quad = SpatialQuadrangle(*barred, plane=plane)
 
-    for anchor in _AXIS_ANCHORS:
-        plane = plane_through(axis_points[0], axis_points[1], anchor)
-        if plane != DRAWING_PLANE:
-            break
-    else:
-        _invariant(False, "no anchor produced a witness plane")
-
-    O1 = next(
-        c
-        for c in _CENTER_CANDIDATES
-        if not plane.contains(c) and not DRAWING_PLANE.contains(c)
-    )
-
-    barred = {
-        lab: central_project(O1, plane, embed_drawing(d.quad1.vertex(lab)))
-        for lab in VERTEX_LABELS
-    }
-    quad = SpatialQuadrangle(*(barred[lab] for lab in VERTEX_LABELS), plane=plane)
-
-    ray_p = line3_through(barred["P"], embed_drawing(d.quad2.P))
-    ray_q = line3_through(barred["Q"], embed_drawing(d.quad2.Q))
-    O2 = meet_lines3(ray_p, ray_q)
+    rays = [line3_through(b, embed_drawing(v)) for b, v in zip(barred, d.quad2.vertices)]
+    O2 = meet_lines3(rays[0], rays[1])
     _invariant(O2 is not None, "lifted rays to quad2 do not meet")
-    for lab in ("R", "S"):
-        ray = line3_through(barred[lab], embed_drawing(d.quad2.vertex(lab)))
-        _invariant(ray.contains(O2), "second center is not common to all four rays")
+    _invariant(
+        all(ray.contains(O2) for ray in rays), "second center is not common to all four rays"
+    )
     _invariant(collinear3(O1, O2, embed_drawing(d.O)), "centers not collinear with O")
     return Witness(quad=quad, O1=O1, O2=O2, drawing_plane=DRAWING_PLANE)
 
@@ -422,7 +393,8 @@ def _spatial_sides(quad: SpatialQuadrangle) -> dict[str, Line3]:
 
 
 def witness_side_traces(w: Witness) -> dict[str, Point2]:
-    """Where the six sides of the witness quadrangle pierce the drawing plane.
+    """Where the six sides of the witness quadrangle pierce the drawing plane
+    x2 = 0, whatever drawing plane the witness declares.
 
     For a valid witness of a general-position diagram these are the six
     homologous side intersections, labeled compatibly with the planar
@@ -430,7 +402,7 @@ def witness_side_traces(w: Witness) -> dict[str, Point2]:
     """
     traces = {}
     for lab, line in _spatial_sides(w.quad).items():
-        traces[lab] = chart_drawing(meet_line_plane(line, w.drawing_plane))
+        traces[lab] = chart_drawing(meet_line_plane(line, DRAWING_PLANE))
     return traces
 
 
@@ -447,7 +419,8 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
 
     1. the spatial quadrangle is valid (distinct vertices, no collinear
        triple) and lies in its declared plane, which differs from the
-       drawing plane;
+       drawing plane x2 = 0; the witness must declare that drawing plane,
+       which every projection below targets;
     2. projecting it from O1 reproduces quad1 label by label;
     3. projecting it from O2 reproduces quad2 label by label;
     4. O1, O2 and the embedded O are collinear;
@@ -463,7 +436,9 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
         for la, a in quad.labeled().items():
             if not quad.plane.contains(a):
                 return False, f"vertex {la} is off the declared plane"
-        if quad.plane == w.drawing_plane:
+        if w.drawing_plane != DRAWING_PLANE:
+            return False, f"declared drawing plane {w.drawing_plane!r} is not x2 = 0"
+        if quad.plane == DRAWING_PLANE:
             return False, "declared plane equals the drawing plane"
         return True, ""
 

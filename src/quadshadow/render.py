@@ -4,7 +4,9 @@ The padded bounding box is one rectangle over a common denominator and
 each line is clipped to it as homogeneous integer points.  A coordinate
 becomes a float only when written, as one correctly rounded integer
 quotient times the canvas scale, so it is the float of the exact rational.
-A figure too large or too small for floats is first rescaled by a power of 2.
+Every figure is first rescaled exactly by a power of 2 to span between 1/2
+and 2: that keeps the floats in range, and as a power of 2 commutes with
+correct rounding, it changes no written coordinate.
 """
 
 from __future__ import annotations
@@ -126,15 +128,11 @@ def render_svg(d: PlanarDiagram) -> str:
     affine = [p.coords if p.coords[2] > 0 else tuple(-c for c in p.coords) for p in affine_groups]
     left, bottom, right, top, den = rect = _rectangle(affine)
     world_w, world_h, num = right - left, top - bottom, den
-    try:
-        scale = _CANVAS / (max(world_w, world_h) / den)
-    except (OverflowError, ZeroDivisionError):
-        scale = float("inf")
-    if not isfinite(scale):  # rescaled by 2**k, the world spans between 1/2 and 2
-        k = den.bit_length() - max(world_w, world_h).bit_length()
-        up, den = 1 << max(k, 0), den << max(-k, 0)
-        world_w, world_h, num, left, top = (v * up for v in (world_w, world_h, num, left, top))
-        scale = _CANVAS / (max(world_w, world_h) / den)
+    # rescaled exactly by 2**k, the world spans between 1/2 and 2
+    k = den.bit_length() - max(world_w, world_h).bit_length()
+    up, den = 1 << max(k, 0), den << max(-k, 0)
+    world_w, world_h, num, left, top = (v * up for v in (world_w, world_h, num, left, top))
+    scale = _CANVAS / (max(world_w, world_h) / den)
     width, height = world_w / den * scale, world_h / den * scale
 
     def pixel(p: tuple[int, int, int]) -> tuple[float, float]:

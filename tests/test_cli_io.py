@@ -53,6 +53,7 @@ DILATION = DATA / "dilation.json"
 PERTURBED = DATA / "perturbed.json"
 WITNESS = DATA / "witness.json"
 SCENE = DATA / "scene.json"
+GENERAL = DATA / "general-axis.json"
 
 A = Point2.affine
 
@@ -279,6 +280,13 @@ def test_lift_matches_stored_witness():
     assert out == WITNESS.read_text()
 
 
+def test_axis_lift_matches_stored_witness():
+    assert GENERAL.read_text() == emit_diagram(gen_general_position_diagram(0, correct=True))
+    code, out, _ = run("lift", "--method", "axis", str(GENERAL))
+    assert code == 0
+    assert out == (DATA / "general-axis-witness.json").read_text()
+
+
 def test_lift_rejects_equal_displacements():
     code, _, err = run("lift", str(DILATION), "--c1", "2", "--c2", "2")
     assert code == 1
@@ -334,6 +342,9 @@ def test_fuzz_summary_lines():
     code, out, _ = run("fuzz", "--count", "4", "--seed", "1", "--mode", "desargues")
     assert code == 0
     assert out == "4/4 configurations consistent\n"
+    # seed 217 once drew an axis-perspective pair with no Desargues axis
+    code, out, _ = run("fuzz", "--count", "1", "--seed", "217", "--mode", "desargues")
+    assert (code, out) == (0, "1/1 configurations consistent\n")
     code, _, _ = run("fuzz", "--count", "0", "--seed", "1")
     assert code == 64
 
@@ -478,6 +489,18 @@ def test_render_tiny_figure_is_rescaled_exactly(tmp_path):
     _assert_inside_viewbox(svg, "x x1 x2 cx", "y y1 y2 cy")
     # a power-of-two scaling is exact, so the picture is the dilation's
     assert svg == (DATA / "dilation.svg").read_text()
+
+
+@pytest.mark.parametrize("k", [-1000, -7, 3, 900])
+def test_render_is_invariant_under_power_of_two_scaling(tmp_path, k):
+    # scaling by 2**k commutes with correctly rounded division, so the bytes hold
+    doc = json.loads(PERTURBED.read_text())
+    for point in [doc["O"], *doc["quad1"].values(), *doc["quad2"].values()]:
+        if k > 0:
+            point[0], point[1] = (str(int(c) * 2**k) for c in point[:2])
+        else:
+            point[2] = str(int(point[2]) * 2**-k)
+    assert _render_document(tmp_path, doc) == (DATA / "perturbed.svg").read_text()
 
 
 def test_render_huge_ideal_direction_exits_zero(tmp_path):

@@ -21,8 +21,13 @@ from quadshadow.kernel import (
     meet2,
 )
 from quadshadow.quadrangle import SIDE_LABELS, VERTEX_LABELS, Quadrangle
-from quadshadow.perspectivity import general_position, perspective_collineation
-from quadshadow.checker import PlanarDiagram, decide_depiction
+from quadshadow.perspectivity import (
+    HomologousSidesEqual,
+    general_position,
+    perspective_collineation,
+    side_axes,
+)
+from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
 from quadshadow.generators import gen_correct_diagram
 from quadshadow.lift import (
     DegenerateParameters,
@@ -222,6 +227,22 @@ def test_verify_witness_detects_plane_equal_to_drawing_plane():
     assert not report.clauses[0].ok
 
 
+def test_verify_witness_judges_against_the_drawing_plane_x2_zero():
+    # a flat square declaring x0 = 0 as its drawing plane: every projection
+    # lands on x2 = 0, where the quadrangle itself lies
+    identical = PlanarDiagram(O=O, quad1=SQUARE, quad2=SQUARE)
+    assert decide_depiction(identical).degeneracy.kind is DegeneracyKind.IDENTICAL
+    flat = Witness(
+        quad=SpatialQuadrangle(*(embed_drawing(v) for v in SQUARE.vertices), plane=DRAWING_PLANE),
+        O1=Point3(3, 0, 1, 1),
+        O2=Point3(3, 0, -1, 1),
+        drawing_plane=Plane3(1, 0, 0, 0),
+    )
+    report = verify_witness(identical, flat)
+    assert not report.passed
+    assert report.clauses[0].detail == "declared drawing plane Plane3(1:0:0:0) is not x2 = 0"
+
+
 def test_verify_witness_reports_instead_of_raising_on_garbage():
     degenerate = Witness(
         quad=SpatialQuadrangle(
@@ -372,7 +393,8 @@ def test_lift_via_axis_produces_verified_witness():
     assert report.passed, [c for c in report.clauses if not c.ok]
     assert collinear3(w.O1, w.O2, embed_drawing(O))
     assert w.quad.plane != DRAWING_PLANE
-    # the witness plane meets the drawing plane exactly in the common axis
+    # the vertical plane over the axis (1 : 1 : 1) meets the drawing plane exactly there
+    assert w.quad.plane == Plane3(1, 1, 0, 1)
     for embedded in (embed_drawing(p) for p in _axis_points(axis)):
         assert w.quad.plane.contains(embedded)
 
@@ -401,6 +423,19 @@ def test_lift_via_axis_refuses_exactly_outside_general_position():
             with pytest.raises(NotGeneralPosition):
                 lift_via_axis(d)
     assert refused == 8
+
+
+def test_lift_via_axis_refuses_a_center_on_a_side():
+    # a dilation about O, which lies on side PQ, so PQ is its own image
+    quad1 = Quadrangle(A(-1, -1), A(1, 1), A(2, -1), A(-1, 3))
+    quad2 = Quadrangle(A(-2, -2), A(2, 2), A(4, -2), A(-2, 6))
+    d = PlanarDiagram(O=A(0, 0), quad1=quad1, quad2=quad2)
+    assert decide_depiction(d).correct
+    with pytest.raises(HomologousSidesEqual):
+        side_axes(d.quad1, d.quad2)
+    with pytest.raises(NotGeneralPosition) as refused:
+        lift_via_axis(d)
+    assert str(refused.value) == "need six distinct homologous side pairs with six distinct meets"
 
 
 def _axis_points(axis):
