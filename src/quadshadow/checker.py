@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .kernel import Point2, collinear2
 from .quadrangle import VERTEX_LABELS, Quadrangle, diagonal_triangle, sides
-from .perspectivity import CenterIsVertex, pair_perspective_from
+from .perspectivity import CenterIsVertex, SideAxes, pair_perspective_from, side_axes
 
 __all__ = [
     "DegeneracyKind",
@@ -92,7 +93,11 @@ _DIAGONAL_REASONS = (Reason.DIAGONAL_A, Reason.DIAGONAL_B, Reason.DIAGONAL_C)
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """Center plus two labeled quadrangles; O must not be a vertex."""
+    """Center plus two labeled quadrangles; O must not be a vertex.
+
+    Its verdict and side axes are worked out once, on first use; they are
+    not fields, so equality, hashing and repr ignore them.
+    """
 
     O: Point2
     quad1: Quadrangle
@@ -103,6 +108,38 @@ class PlanarDiagram:
             for lab, v in q.labeled().items():
                 if v == self.O:
                     raise CenterIsVertex(f"center O equals vertex {lab} of {which}")
+
+    @cached_property
+    def _verdict(self) -> Verdict:
+        degeneracy = classify_degeneracy(self.quad1, self.quad2)
+        notes = tuple(
+            f"center O lies on side {lab} of {which}"
+            for which, q in (("quadrangle 1", self.quad1), ("quadrangle 2", self.quad2))
+            for lab, side in sides(q).labeled().items()
+            if side.contains(self.O)
+        )
+        # O is not a vertex (checked above), so quad_perspective's scan is not repeated
+        applicable = all(
+            pair_perspective_from(self.O, x1, x2)
+            for x1, x2 in zip(self.quad1.vertices, self.quad2.vertices)
+        )
+        if not applicable:
+            return Verdict(False, None, degeneracy, False, Reason.NOT_PERSPECTIVE, notes)
+
+        dt1 = diagonal_triangle(self.quad1)
+        dt2 = diagonal_triangle(self.quad2)
+        pairs = tuple(
+            pair_perspective_from(self.O, x1, x2) for x1, x2 in zip(dt1.points, dt2.points)
+        )
+        correct = all(pairs) and degeneracy.kind is not DegeneracyKind.IDENTICAL
+        reason = _DEGENERACY_REASONS.get(degeneracy.kind) or next(
+            (r for r, ok in zip(_DIAGONAL_REASONS, pairs) if not ok), Reason.CORRECT
+        )
+        return Verdict(True, pairs, degeneracy, correct, reason, notes)
+
+    @cached_property
+    def _side_axes(self) -> SideAxes:
+        return side_axes(self.quad1, self.quad2)
 
 
 @dataclass(frozen=True)
@@ -124,15 +161,6 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
 
-def _notes(d: PlanarDiagram) -> tuple[str, ...]:
-    notes = []
-    for which, q in (("quadrangle 1", d.quad1), ("quadrangle 2", d.quad2)):
-        for lab, side in sides(q).labeled().items():
-            if side.contains(d.O):
-                notes.append(f"center O lies on side {lab} of {which}")
-    return tuple(notes)
-
-
 def decide_depiction(d: PlanarDiagram) -> Verdict:
     """Evaluate the diagonal-triangle criterion for a diagram.
 
@@ -141,22 +169,4 @@ def decide_depiction(d: PlanarDiagram) -> Verdict:
     diagonal pairs are tested one by one, and the reason pinpoints the
     degeneracy or the first failing pair.
     """
-    degeneracy = classify_degeneracy(d.quad1, d.quad2)
-    notes = _notes(d)
-    # PlanarDiagram has ruled out O as a vertex, so quad_perspective's scan is not repeated
-    applicable = all(
-        pair_perspective_from(d.O, x1, x2) for x1, x2 in zip(d.quad1.vertices, d.quad2.vertices)
-    )
-    if not applicable:
-        return Verdict(False, None, degeneracy, False, Reason.NOT_PERSPECTIVE, notes)
-
-    dt1 = diagonal_triangle(d.quad1)
-    dt2 = diagonal_triangle(d.quad2)
-    pairs = tuple(
-        pair_perspective_from(d.O, x1, x2) for x1, x2 in zip(dt1.points, dt2.points)
-    )
-    correct = all(pairs) and degeneracy.kind is not DegeneracyKind.IDENTICAL
-    reason = _DEGENERACY_REASONS.get(degeneracy.kind) or next(
-        (r for r, ok in zip(_DIAGONAL_REASONS, pairs) if not ok), Reason.CORRECT
-    )
-    return Verdict(True, pairs, degeneracy, correct, reason, notes)
+    return d._verdict

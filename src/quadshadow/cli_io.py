@@ -171,11 +171,14 @@ def _load(text: str) -> Any:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except ValueError:  # an integer past the interpreter's int-to-str digit limit
         raise ParseError(f"an integer exceeds the {_MAX_COORD_BITS}-bit bound") from None
+    except RecursionError:
+        raise ParseError("arrays or objects are nested too deeply") from None
 
 
 def _check_version(doc: dict, path: str = "version") -> None:
-    if doc.get("version") != DOCUMENT_VERSION:
-        raise ParseError(f"{path}: expected {DOCUMENT_VERSION}, got {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != DOCUMENT_VERSION:
+        raise ParseError(f"{path}: expected {DOCUMENT_VERSION}, got {version!r}")
 
 
 def _dumps(doc: dict) -> str:
@@ -435,7 +438,10 @@ def _build_parser() -> _Parser:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text: {e.reason}") from None
 
 
 def _argument(text: str, name: str) -> int | Fraction:

@@ -62,7 +62,7 @@ from .quadrangle import (
     _check_vertices,
     diagonal_triangle,
 )
-from .perspectivity import HomologousSidesEqual, NotPerspective, _common_axis, side_axes
+from .perspectivity import HomologousSidesEqual, NotPerspective, _common_axis
 from .checker import PlanarDiagram, decide_depiction
 
 __all__ = [
@@ -300,7 +300,7 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
         raise NotCorrectDiagram(f"diagram is not correct ({verdict.reason.value})")
     # A correct diagram's side axes exist whenever it is in general position.
     try:
-        axes = side_axes(d.quad1, d.quad2)
+        axes = d._side_axes
     except (HomologousSidesEqual, NotPerspective):
         axes = None
     if axes is None or len(set(axes.meets.values())) < len(axes.meets):

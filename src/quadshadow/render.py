@@ -16,7 +16,7 @@ from math import isfinite
 
 from .kernel import GeometryError, Line2, Point2, join2
 from .quadrangle import VERTEX_LABELS, diagonal_triangle, sides
-from .perspectivity import common_axis
+from .perspectivity import _common_axis
 from .checker import PlanarDiagram
 
 __all__ = ["render_svg"]
@@ -188,7 +188,7 @@ def render_svg(d: PlanarDiagram) -> str:
     parts.append("</g>")
 
     try:
-        axis = common_axis(d.quad1, d.quad2)
+        axis = _common_axis(d._side_axes)
     except GeometryError:
         axis = None
     if axis is not None and not axis.is_ideal:

@@ -1,5 +1,6 @@
 """Verdict machinery: applicability, diagonal criterion, degeneracies."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -151,6 +152,19 @@ def test_note_when_center_on_a_side():
 def test_no_notes_for_center_off_all_sides():
     verdict = decide_depiction(PlanarDiagram(O=O, quad1=SQUARE, quad2=DILATED))
     assert verdict.notes == ()
+
+
+def test_the_verdict_is_decided_once_and_kept_off_the_fields():
+    d = PlanarDiagram(O=O, quad1=SQUARE, quad2=PERTURBED)
+    twin = PlanarDiagram(O=O, quad1=SQUARE, quad2=PERTURBED)
+    before = (repr(d), hash(d))
+    verdict = decide_depiction(d)
+    assert decide_depiction(d) is verdict
+    assert verdict.reason is Reason.DIAGONAL_A
+    # deciding adds nothing to equality, hashing or repr
+    assert [f.name for f in fields(d)] == ["O", "quad1", "quad2"]
+    assert d == twin and (repr(d), hash(d)) == before == (repr(twin), hash(twin))
+    assert decide_depiction(twin) == verdict
 
 
 def test_reason_values_are_stable_strings():

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import quadshadow.lift
-from quadshadow.kernel import Point2
+import quadshadow.perspectivity
+from quadshadow.kernel import Point2, meet2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
 from quadshadow.generators import (
@@ -134,6 +135,28 @@ def test_parse_rejects_wrong_version():
         parse_diagram(json.dumps(doc))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+@pytest.mark.parametrize(
+    "parse, path",
+    [
+        (parse_diagram, DILATION),
+        (parse_witness, WITNESS),
+        (parse_scene, SCENE),
+        (parse_verdict, None),
+    ],
+)
+def test_parse_rejects_a_version_that_is_not_the_integer_one(parse, path, version):
+    if path is None:
+        text = emit_verdict(decide_depiction(parse_diagram(DILATION.read_text())))
+    else:
+        text = path.read_text()
+    doc = json.loads(text)
+    doc["version"] = version
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == f"version: expected 1, got {version!r}"
+
+
 def test_parse_rejects_missing_and_unknown_fields():
     doc = json.loads(DILATION.read_text())
     del doc["O"]
@@ -225,6 +248,26 @@ def test_invalid_document_exits_two(tmp_path):
     code, _, err = run("check", str(p))
     assert code == 2
     assert "error:" in err
+
+
+_UTF16 = ("\ufeff" + DILATION.read_text()).encode("utf-16-le")  # starts with bytes FF FE
+_VERSION_TRUE = json.dumps({**json.loads(DILATION.read_text()), "version": True})
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (_UTF16, "not UTF-8 text: invalid start byte"),
+        (b"[" * 2_000 + b"]" * 2_000, "arrays or objects are nested too deeply"),
+        (b"[" * 100_000 + b"]" * 100_000, "arrays or objects are nested too deeply"),
+        (_VERSION_TRUE.encode(), "version: expected 1, got True"),
+    ],
+    ids=["utf-16", "2000-deep", "100000-deep", "version-true"],
+)
+def test_malformed_file_exits_two(tmp_path, content, message):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    assert run("check", str(p)) == (2, "", f"error: ParseError: {message}\n")
 
 
 def test_usage_errors_exit_sixty_four():
@@ -350,6 +393,23 @@ def test_fuzz_summary_lines():
 
 
 # --- rendering --------------------------------------------------------------------------
+
+def test_axis_lift_and_render_build_the_side_axes_once(monkeypatch):
+    doc = emit_diagram(gen_general_position_diagram(0, correct=True))
+    g = parse_diagram(doc)
+    calls = []
+
+    def counting_meet2(l, m):
+        calls.append((l, m))
+        return meet2(l, m)
+
+    monkeypatch.setattr(quadshadow.perspectivity, "meet2", counting_meet2)
+    lift_via_axis(g)
+    svg = render_svg(g)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    assert svg == render_svg(parse_diagram(doc))
+
 
 def test_render_writes_well_formed_svg(tmp_path):
     target = tmp_path / "figure.svg"

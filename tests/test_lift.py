@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import quadshadow.checker
 import quadshadow.perspectivity
 from quadshadow.kernel import (
     DRAWING_PLANE,
@@ -23,11 +24,17 @@ from quadshadow.kernel import (
 from quadshadow.quadrangle import SIDE_LABELS, VERTEX_LABELS, Quadrangle
 from quadshadow.perspectivity import (
     HomologousSidesEqual,
+    NotPerspective,
     general_position,
     perspective_collineation,
     side_axes,
 )
-from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
+from quadshadow.checker import (
+    DegeneracyKind,
+    PlanarDiagram,
+    classify_degeneracy,
+    decide_depiction,
+)
 from quadshadow.generators import gen_correct_diagram
 from quadshadow.lift import (
     DegenerateParameters,
@@ -156,6 +163,21 @@ def test_certificate_nonzero_for_incorrect_diagram():
     cert = planarity_certificate(PERTURBED)
     assert cert.determinant != 0
     assert isinstance(cert.determinant, int)
+
+
+def test_lift_and_certificate_read_the_diagram_verdict(monkeypatch):
+    d = gen_correct_diagram(0)[1]
+    decide_depiction(d)
+    calls = []
+
+    def counting_classify(q1, q2):
+        calls.append((q1, q2))
+        return classify_degeneracy(q1, q2)
+
+    monkeypatch.setattr(quadshadow.checker, "classify_degeneracy", counting_classify)
+    lift_collinear_centers(d)
+    planarity_certificate(d)
+    assert calls == []
 
 
 def test_certificate_requires_vertex_perspective():
@@ -436,6 +458,25 @@ def test_lift_via_axis_refuses_a_center_on_a_side():
     with pytest.raises(NotGeneralPosition) as refused:
         lift_via_axis(d)
     assert str(refused.value) == "need six distinct homologous side pairs with six distinct meets"
+
+
+def test_side_axes_that_fail_are_not_kept():
+    # O on side PQ, so PQ is its own image; then a diagram not even vertex-perspective
+    centered = PlanarDiagram(
+        O=A(0, 0),
+        quad1=Quadrangle(A(-1, -1), A(1, 1), A(2, -1), A(-1, 3)),
+        quad2=Quadrangle(A(-2, -2), A(2, 2), A(4, -2), A(-2, 6)),
+    )
+    off_ray = PlanarDiagram(
+        O=O, quad1=SQUARE, quad2=Quadrangle(A(-1, 2), A(-9, 4), A(-5, -2), A(-1, -2))
+    )
+    for d, error in ((centered, HomologousSidesEqual), (off_ray, NotPerspective)):
+        with pytest.raises(error) as first:
+            side_axes(d.quad1, d.quad2)
+        for _ in range(2):
+            with pytest.raises(error) as again:
+                d._side_axes
+            assert str(again.value) == str(first.value)
 
 
 def _axis_points(axis):
