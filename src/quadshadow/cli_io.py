@@ -3,9 +3,10 @@
 Documents are versioned JSON with fixed field names and fixed key order;
 every coordinate travels as a rational string ("-7/3", "4") or a JSON
 integer, never as a float, so exactness survives the trip through text.
-Emitters write canonical form (indent 2, trailing newline, canonical
-integer coordinates), and everything emitted re-parses to an equal value;
-for already-canonical input, parse followed by emit is byte-identical.
+Emitters write canonical form (canonical integer coordinates, laid out
+byte for byte as json.dumps with an indent of 2 plus a trailing newline,
+ASCII only), and everything emitted re-parses to an equal value; for
+already-canonical input, parse followed by emit is byte-identical.
 
 Exit codes: 0 the diagram is correct (or the requested object was
 produced), 1 incorrect verdict or a domain failure (no witness, no axis,
@@ -21,6 +22,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Sequence, TextIO
 
 from .kernel import (
@@ -148,10 +150,6 @@ def _fraction(node: Any, path: str) -> Fraction:
         raise ParseError(f"{path}: not a rational: {node!r}") from None
 
 
-def _strings(value) -> list[str]:
-    return [str(c) for c in value.coords]
-
-
 def _object(node: Any, path: str, keys: tuple[str, ...]) -> dict:
     if not isinstance(node, dict):
         raise ParseError(f"{path}: expected an object")
@@ -175,14 +173,10 @@ def _load(text: str) -> Any:
         raise ParseError("arrays or objects are nested too deeply") from None
 
 
-def _check_version(doc: dict, path: str = "version") -> None:
+def _check_version(doc: dict) -> None:
     version = doc.get("version")
     if type(version) is not int or version != DOCUMENT_VERSION:
-        raise ParseError(f"{path}: expected {DOCUMENT_VERSION}, got {version!r}")
-
-
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+        raise ParseError(f"version: expected {DOCUMENT_VERSION}, got {version!r}")
 
 
 def _element(cls, node: Any, path: str):
@@ -190,11 +184,47 @@ def _element(cls, node: Any, path: str):
     arity = cls._ARITY
     if not isinstance(node, list) or len(node) != arity:
         raise ParseError(f"{path}: expected an array of {arity} rationals")
-    coords = [_rational(c, f"{path}[{i}]") for i, c in enumerate(node)]
+    try:
+        coords = [_rational(c, path) for c in node]
+    except ParseError:
+        for i, c in enumerate(node):  # only now name the failing coordinate
+            _rational(c, f"{path}[{i}]")
+        raise
     try:
         return cls(*coords)
     except GeometryError as e:
         raise InvariantViolation(f"{path}: {e}") from None
+
+
+# The writer lays documents out byte for byte as json.dumps with an indent of
+# 2 does: fixed ASCII keys, literals, integers through "%d" (a sign and digits,
+# never escaped) and free strings through _string, which json.dumps calls too.
+
+
+def _array(items: list[str], pad: str) -> str:
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _members(pairs, pad: str) -> str:
+    return f'{{\n{pad}  "' + f',\n{pad}  "'.join(f'{k}": {v}' for k, v in pairs) + f"\n{pad}}}"
+
+
+#: The %-template of an element's array, by indentation and coordinate count.
+_ELEMENT = {(pad, n): _array(['"%d"'] * n, pad) for pad in ("  ", "    ") for n in (3, 4)}
+
+
+def _coords(element, pad: str = "  ") -> str:
+    return _ELEMENT[pad, len(element.coords)] % element.coords
+
+
+def _labeled(labels, elements) -> str:
+    return _members([(lab, _coords(e, "    ")) for lab, e in zip(labels, elements)], "  ")
+
+
+def _document(pairs) -> str:
+    return _members([("version", str(DOCUMENT_VERSION)), *pairs], "") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +282,16 @@ def _parse(text: str, cls, fields: dict):
 
 
 def _emit(obj, fields: dict) -> str:
-    doc: dict[str, Any] = {"version": DOCUMENT_VERSION}
+    pairs = []
     for name, kind in fields.items():
         value = getattr(obj, name)
         if kind in _QUADS:
-            labels = _QUADS[kind][0]
-            doc[name] = {lab: _strings(v) for lab, v in zip(labels, value.vertices)}
+            pairs.append((name, _labeled(_QUADS[kind][0], value.vertices)))
             if kind is SpatialQuadrangle:
-                doc["plane"] = _strings(value.plane)
+                pairs.append(("plane", _coords(value.plane)))
         else:
-            doc[name] = None if value is None else _strings(value)
-    return _dumps(doc)
+            pairs.append((name, "null" if value is None else _coords(value)))
+    return _document(pairs)
 
 
 def parse_diagram(text: str) -> PlanarDiagram:
@@ -292,43 +321,28 @@ def emit_scene(s: SpatialScene) -> str:
 # ---------------------------------------------------------------------------
 # verdict documents
 
+#: The verdict document's fields after "version", in document order.
+_VERDICT = ("applicable", "correct", "degeneracy", "diagonal_pairs", "reason", "witness", "notes")
+_BOOL = {True: "true", False: "false"}
+
 
 def emit_verdict(v: Verdict, witness_ref: str | None = None) -> str:
-    pairs = None
-    if v.diagonal_pairs is not None:
-        pairs = dict(zip(("A", "B", "C"), v.diagonal_pairs))
-    return _dumps(
-        {
-            "version": DOCUMENT_VERSION,
-            "applicable": v.applicable,
-            "correct": v.correct,
-            "degeneracy": {
-                "kind": v.degeneracy.kind.value,
-                "coincident": list(v.degeneracy.coincident),
-            },
-            "diagonal_pairs": pairs,
-            "reason": v.reason.value,
-            "witness": witness_ref,
-            "notes": list(v.notes),
-        }
+    deg, pairs = v.degeneracy, v.diagonal_pairs
+    coincident = _array([_string(lab) for lab in deg.coincident], "    ")
+    values = (
+        _BOOL[v.applicable],
+        _BOOL[v.correct],
+        _members([("kind", _string(deg.kind.value)), ("coincident", coincident)], "  "),
+        "null" if pairs is None else _members(zip("ABC", [_BOOL[p] for p in pairs]), "  "),
+        _string(v.reason.value),
+        "null" if witness_ref is None else _string(witness_ref),
+        _array([_string(n) for n in v.notes], "  "),
     )
+    return _document(zip(_VERDICT, values))
 
 
 def parse_verdict(text: str) -> Verdict:
-    doc = _object(
-        _load(text),
-        "document",
-        (
-            "version",
-            "applicable",
-            "correct",
-            "degeneracy",
-            "diagonal_pairs",
-            "reason",
-            "witness",
-            "notes",
-        ),
-    )
+    doc = _object(_load(text), "document", ("version", *_VERDICT))
     _check_version(doc)
     for key in ("applicable", "correct"):
         if not isinstance(doc[key], bool):
@@ -338,9 +352,8 @@ def parse_verdict(text: str) -> Verdict:
         kind = DegeneracyKind(deg["kind"])
     except ValueError:
         raise ParseError(f"degeneracy.kind: unknown kind {deg['kind']!r}") from None
-    if not isinstance(deg["coincident"], list) or not all(
-        isinstance(c, str) for c in deg["coincident"]
-    ):
+    coincident = deg["coincident"]
+    if not isinstance(coincident, list) or not all(isinstance(c, str) for c in coincident):
         raise ParseError("degeneracy.coincident: expected an array of labels")
     pairs = None
     if doc["diagonal_pairs"] is not None:
@@ -354,17 +367,16 @@ def parse_verdict(text: str) -> Verdict:
         raise ParseError(f"reason: unknown reason {doc['reason']!r}") from None
     if doc["witness"] is not None and not isinstance(doc["witness"], str):
         raise ParseError("witness: expected a string or null")
-    if not isinstance(doc["notes"], list) or not all(
-        isinstance(n, str) for n in doc["notes"]
-    ):
+    notes = doc["notes"]
+    if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
         raise ParseError("notes: expected an array of strings")
     return Verdict(
         applicable=doc["applicable"],
         diagonal_pairs=pairs,
-        degeneracy=DegeneracyClass(kind=kind, coincident=tuple(deg["coincident"])),
+        degeneracy=DegeneracyClass(kind=kind, coincident=tuple(coincident)),
         correct=doc["correct"],
         reason=reason,
-        notes=tuple(doc["notes"]),
+        notes=tuple(notes),
     )
 
 
@@ -423,9 +435,7 @@ def _build_parser() -> _Parser:
     p_fuzz = sub.add_parser("fuzz", help="run a seeded property suite")
     p_fuzz.add_argument("--count", type=int, required=True)
     p_fuzz.add_argument("--seed", type=int, required=True)
-    p_fuzz.add_argument(
-        "--mode", choices=("correct", "incorrect", "desargues"), default="correct"
-    )
+    p_fuzz.add_argument("--mode", choices=("correct", "incorrect", "desargues"), default="correct")
     p_fuzz.set_defaults(run=_cmd_fuzz)
 
     p_render = sub.add_parser("render", help="SVG figure of a diagram")
@@ -455,18 +465,14 @@ def _argument(text: str, name: str) -> int | Fraction:
 def _cmd_check(args, out: TextIO) -> int:
     verdict = decide_depiction(parse_diagram(_read_text(args.input)))
     out.write(emit_verdict(verdict))
-    if verdict.correct:
-        return 0
-    return 1 if verdict.applicable else 2
+    return 0 if verdict.correct else 1 if verdict.applicable else 2
 
 
 def _cmd_lift(args, out: TextIO) -> int:
     diagram = parse_diagram(_read_text(args.input))
     c1, c2 = _argument(args.c1, "--c1"), _argument(args.c2, "--c2")
-    if args.method == "centers":
-        witness = lift_collinear_centers(diagram, c1, c2)
-    else:
-        witness = lift_via_axis(diagram)
+    axis = args.method == "axis"
+    witness = lift_via_axis(diagram) if axis else lift_collinear_centers(diagram, c1, c2)
     out.write(emit_witness(witness))
     return 0
 
@@ -478,11 +484,11 @@ def _cmd_project(args, out: TextIO) -> int:
 
 def _traces(key: str, line: Line2, d: PlanarDiagram) -> str:
     """The line under key, then its labeled traces on quad1 and quad2."""
-    doc = {"version": DOCUMENT_VERSION, key: _strings(line)}
+    pairs = [(key, _coords(line))]
     for name, quad in (("quad1", d.quad1), ("quad2", d.quad2)):
-        trace = quadrangular_trace(quad, line)
-        doc[name] = {lab: _strings(p) for lab, p in trace.labeled().items()}
-    return _dumps(doc)
+        trace = quadrangular_trace(quad, line).labeled()
+        pairs.append((name, _labeled(trace, trace.values())))
+    return _document(pairs)
 
 
 def _cmd_axis(args, out: TextIO) -> int:
@@ -509,16 +515,15 @@ def _cmd_fuzz(args, out: TextIO) -> int:
     if args.count <= 0:
         raise _UsageError(f"--count must be positive, got {args.count}")
     failures: list[tuple[int, str]] = []
-    mode = args.mode
     for i in range(args.count):
         seed = args.seed + i
         try:
-            if mode == "correct":
+            if args.mode == "correct":
                 _, diagram = gen_correct_diagram(seed)
                 verdict = decide_depiction(diagram)
                 if not verdict.correct:
                     failures.append((seed, f"verdict {verdict.reason.value}"))
-            elif mode == "incorrect":
+            elif args.mode == "incorrect":
                 diagram = gen_incorrect_diagram(seed)
                 verdict = decide_depiction(diagram)
                 if not verdict.applicable or verdict.correct:
@@ -526,7 +531,7 @@ def _cmd_fuzz(args, out: TextIO) -> int:
                 elif planarity_certificate(diagram).determinant == 0:
                     failures.append((seed, "coplanarity determinant vanished"))
             else:
-                center, t1, t2 = gen_point_perspective_triangles(seed)
+                _, t1, t2 = gen_point_perspective_triangles(seed)
                 desargues_axis(t1, t2)
                 _, u1, u2 = gen_axis_perspective_triangles(seed)
                 perspective_center(u1, u2)
@@ -538,7 +543,7 @@ def _cmd_fuzz(args, out: TextIO) -> int:
         "correct": "verdicts correct",
         "incorrect": "verdicts incorrect",
         "desargues": "configurations consistent",
-    }[mode]
+    }[args.mode]
     out.write(f"{good}/{args.count} {noun}\n")
     if failures:
         seed, detail = failures[0]
@@ -554,9 +559,7 @@ def _cmd_render(args, out: TextIO) -> int:
     return 0
 
 
-def run_cli(
-    argv: Sequence[str], out: TextIO | None = None, err: TextIO | None = None
-) -> int:
+def run_cli(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None = None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -571,12 +574,9 @@ def run_cli(
     except OSError as e:
         err.write(f"error: file: {e}\n")
         return 66
-    except (ParseError, InvariantViolation) as e:
+    except (ParseError, InvariantViolation, GeometryError) as e:
         err.write(f"error: {type(e).__name__}: {e}\n")
-        return 2
-    except GeometryError as e:
-        err.write(f"error: {type(e).__name__}: {e}\n")
-        return 1
+        return 1 if isinstance(e, GeometryError) else 2
     except Exception as e:  # a defect, not a verdict: never exit 1
         err.write(f"error: internal: {type(e).__name__}: {e}\n")
         return 70

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +20,7 @@ import quadshadow.lift
 import quadshadow.perspectivity
 from quadshadow.kernel import Point2, meet2
 from quadshadow.quadrangle import Quadrangle
-from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
+from quadshadow.checker import DegeneracyKind, PlanarDiagram, Reason, decide_depiction
 from quadshadow.generators import (
     gen_correct_diagram,
     gen_degenerate_diagram,
@@ -211,6 +213,104 @@ def test_parse_verdict_rejects_bad_fields(field, value, message):
         parse_verdict(json.dumps(doc))
 
 
+@pytest.mark.parametrize("i", [0, 1, 2])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("x", "not a rational: 'x'"),
+        (1.5, "coordinates must be rational strings, got 1.5"),
+        ("1e99999", "exponent 99999 exceeds the 1024-bit bound"),
+        (str(2**1024), "a 1025-bit rational exceeds the 1024-bit bound"),
+    ],
+)
+def test_parse_error_names_the_failing_coordinate(i, bad, message):
+    doc = json.loads(DILATION.read_text())
+    doc["quad2"]["R"][i] = bad
+    with pytest.raises(ParseError) as info:
+        parse_diagram(json.dumps(doc))
+    assert str(info.value) == f"quad2.R[{i}]: {message}"
+
+
+# --- emitted text is what json.dumps with an indent of 2 writes -------------------
+
+def _assert_as_json_dumps(text):
+    """The old encoder is the reference: re-encoding the parsed text with
+    json.dumps(indent=2) must give back every byte."""
+    assert text == json.dumps(json.loads(text), indent=2) + "\n", text
+    assert text.isascii()
+
+
+#: Strings a witness reference may hold: quotes, backslashes, every control
+#: character, DEL and non-ASCII text (inside and beyond the BMP, a lone surrogate).
+_FREE_CHARS = '"\\/ aZ09' + "".join(map(chr, range(32))) + "\x7f\xe9\u20ac\U0001f600\ud800"
+
+
+def test_emitted_documents_match_json_dumps():
+    # diagrams from every diagram generator, verdicts of every reason,
+    # witnesses of both lift routes and scenes with and without a viewpoint
+    rng = random.Random(20141)
+    verdicts = []
+    for seed in range(30):
+        scene, d = gen_correct_diagram(seed)
+        _assert_as_json_dumps(emit_scene(scene))
+        _assert_as_json_dumps(emit_scene(replace(scene, viewpoint=None)))
+        general = [gen_general_position_diagram(seed, correct=c) for c in (True, False)]
+        other = gen_incorrect_diagram(seed)
+        degenerate = [
+            gen_degenerate_diagram(seed, kind=k)
+            for k in (DegeneracyKind.TRIANGLE, DegeneracyKind.VERTEX)
+        ]
+        for diagram in (d, other, *general, *degenerate):
+            _assert_as_json_dumps(emit_diagram(diagram))
+            verdicts.append(decide_depiction(diagram))
+        verdicts.append(decide_depiction(PlanarDiagram(d.O, d.quad1, d.quad1)))
+        verdicts.append(decide_depiction(PlanarDiagram(d.O, d.quad1, other.quad2)))
+        lifts = (
+            lift_collinear_centers(d),
+            lift_collinear_centers(general[0], 2, F(-1, 3)),
+            lift_via_axis(general[0]),
+        )
+        for w in lifts:
+            _assert_as_json_dumps(emit_witness(w))
+            _assert_as_json_dumps(emit_scene(scene_from_witness(w)))
+    for v in verdicts:
+        _assert_as_json_dumps(emit_verdict(v))
+        ref = "".join(rng.choices(_FREE_CHARS, k=rng.randrange(12)))
+        text = emit_verdict(v, witness_ref=ref)
+        _assert_as_json_dumps(text)
+        assert parse_verdict(text) == v and json.loads(text)["witness"] == ref
+    # every shape of verdict was written: no diagonal pairs, coincident
+    # labels and notes, and every reason (a generated incorrect diagram
+    # fails its A pair, so the B and C reasons never come first)
+    assert any(v.diagonal_pairs is None for v in verdicts)
+    assert any(v.degeneracy.coincident and v.notes for v in verdicts)
+    assert {v.reason for v in verdicts} == set(Reason) - {Reason.DIAGONAL_B, Reason.DIAGONAL_C}
+
+
+def test_coordinates_at_the_bound_and_zero_match_json_dumps(tmp_path):
+    big = 2**1024 - 1
+    d = parse_diagram(DILATION.read_text())
+    for O in (Point2(big, 0, 1), Point2(-big, 1, 0), Point2(0, -big, big - 2)):
+        _assert_as_json_dumps(emit_diagram(replace(d, O=O)))
+    p = _shrunk_square(tmp_path, f"1/{big}")
+    code, out, _ = run("lift", str(p))
+    assert code == 0 and max(len(c) for c in re.findall(r'"(-?[0-9]+)"', out)) > 300
+    _assert_as_json_dumps(out)
+
+
+def test_axis_and_qset_documents_match_json_dumps(tmp_path):
+    written = 0
+    for seed in range(20):
+        path = tmp_path / f"d{seed}.json"
+        path.write_text(emit_diagram(gen_general_position_diagram(seed, correct=True)))
+        for argv in (("axis", str(path)), ("qset", str(path), "7,-3,1000003")):
+            code, out, _ = run(*argv)
+            if code == 0:
+                _assert_as_json_dumps(out)
+                written += 1
+    assert written > 30
+
+
 # --- exit codes -------------------------------------------------------------------
 
 def test_check_correct_diagram_exits_zero():
@@ -228,6 +328,21 @@ def test_check_incorrect_diagram_exits_one():
     doc = json.loads(out)
     assert doc["correct"] is False
     assert doc["applicable"] is True
+
+
+@pytest.mark.parametrize(
+    "name, status", [("dilation", 0), ("perturbed", 1), ("vertex-degenerate", 1)]
+)
+def test_check_matches_golden_verdict(name, status):
+    expected = (DATA / f"{name}-verdict.json").read_text()
+    assert run("check", str(DATA / f"{name}.json")) == (status, expected, "")
+
+
+def test_vertex_degenerate_golden_is_generated():
+    d = gen_degenerate_diagram(0, kind=DegeneracyKind.VERTEX)
+    assert emit_diagram(d) == (DATA / "vertex-degenerate.json").read_text()
+    v = decide_depiction(d)
+    assert v.degeneracy.coincident and len(v.notes) == 2
 
 
 def test_check_inapplicable_diagram_exits_two(tmp_path):
