@@ -34,6 +34,7 @@ from .kernel import (
 )
 from .quadrangle import (
     VERTEX_LABELS,
+    DiagonalTriangle,
     Quadrangle,
     quadrangular_trace,
 )
@@ -333,7 +334,8 @@ def emit_verdict(v: Verdict, witness_ref: str | None = None) -> str:
         _BOOL[v.applicable],
         _BOOL[v.correct],
         _members([("kind", _string(deg.kind.value)), ("coincident", coincident)], "  "),
-        "null" if pairs is None else _members(zip("ABC", [_BOOL[p] for p in pairs]), "  "),
+        "null" if pairs is None
+        else _members(zip(DiagonalTriangle._LABELS, [_BOOL[p] for p in pairs]), "  "),
         _string(v.reason.value),
         "null" if witness_ref is None else _string(witness_ref),
         _array([_string(n) for n in v.notes], "  "),
@@ -357,10 +359,10 @@ def parse_verdict(text: str) -> Verdict:
         raise ParseError("degeneracy.coincident: expected an array of labels")
     pairs = None
     if doc["diagonal_pairs"] is not None:
-        pobj = _object(doc["diagonal_pairs"], "diagonal_pairs", ("A", "B", "C"))
-        if not all(isinstance(pobj[k], bool) for k in ("A", "B", "C")):
+        pobj = _object(doc["diagonal_pairs"], "diagonal_pairs", DiagonalTriangle._LABELS)
+        pairs = tuple(pobj[k] for k in DiagonalTriangle._LABELS)
+        if not all(isinstance(p, bool) for p in pairs):
             raise ParseError("diagonal_pairs: expected booleans")
-        pairs = (pobj["A"], pobj["B"], pobj["C"])
     try:
         reason = Reason(doc["reason"])
     except ValueError:

@@ -290,8 +290,6 @@ def gen_degenerate_diagram(
             if a == 1:
                 return None
             center = _toward(r, s, a)
-            if center in quad1.vertices:
-                return None
             b = _nonzero_fraction(rng, cfg)
             if b == 1:
                 return None
@@ -319,7 +317,7 @@ def gen_point_perspective_triangles(
         if center in t1:
             return None
         t2 = tuple(_toward(center, v, _nonzero_fraction(rng, cfg)) for v in t1)
-        if collinear2(*t2) or center in t2:
+        if collinear2(*t2):
             return None
         meets = _homologous_meets(_triangle_sides(t1), _triangle_sides(t2))
         return (center, t1, t2) if len(set(meets.values())) == 3 else None
@@ -349,18 +347,12 @@ def gen_axis_perspective_triangles(
             return None
         # an ideal m_c has no affine coordinates: _toward raises ZeroVector
         y2 = _toward(x2, m_c, _nonzero_fraction(rng, cfg))
-        if y2 == x2 or y2 == m_c:
+        if y2 == m_c:
             return None
         line_b = join2(x2, m_b)
         line_a = join2(y2, m_a)
-        if line_b == line_a:
-            return None
-        z2 = meet2(line_b, line_a)
-        if z2 in (x2, y2) or axis.contains(z2):
-            return None
-        t2 = (x2, y2, z2)
-        if collinear2(*t2):
-            return None
+        # z2 is off the axis and off line x2 y2: else two marks meet at a vertex of t1
+        t2 = (x2, y2, meet2(line_b, line_a))
         if any(v1 == v2 for v1, v2 in zip(t1, t2)):
             return None
         if join2(t1[0], x2) == join2(t1[1], y2):

@@ -58,6 +58,7 @@ from .quadrangle import (
     OPPOSITE_SIDES,
     SIDE_LABELS,
     VERTEX_LABELS,
+    DiagonalTriangle,
     Quadrangle,
     _check_vertices,
     diagonal_triangle,
@@ -212,15 +213,6 @@ def displaced_centers(O: Point2, c1: Scalar, c2: Scalar) -> tuple[Point3, Point3
     return Point3(e0, e1, c1, e3), Point3(e0, e1, c2, e3)
 
 
-def _planar_multiple(O: Point2, center: Point3) -> int:
-    """The integer k with (x0, x1, x3) of a displaced center equal to k times O."""
-    x0, x1, _, x3 = center.coords
-    o0, o1, o2 = O.coords
-    k = x0 // o0 if o0 else x1 // o1 if o1 else x3 // o2
-    _invariant((x0, x1, x3) == (k * o0, k * o1, k * o2), "center is not O displaced along x2")
-    return k
-
-
 def _ray_meet(O: Point2, O1: Point3, O2: Point3, X1: Point2, X2: Point2) -> Point3 | None:
     """Common point of the rays O1-X1 and O2-X2, or None when they are skew.
 
@@ -232,6 +224,8 @@ def _ray_meet(O: Point2, O1: Point3, O2: Point3, X1: Point2, X2: Point2) -> Poin
         a m2 O1 + b (k1 m2 - k2 m1) X1  =  a m1 O2 - c (k1 m2 - k2 m1) X2
 
     (planar points read embedded) lies on both rays; a = 0 when X1 = X2.
+    The k_i are never formed: where the embedded O has o_j != 0, the minor
+    O1[j] m2 - m1 O2[j] is o_j (k1 m2 - k2 m1), and the point comes o_j times over.
     """
     o, u, v = O.coords, X1.coords, X2.coords
     for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
@@ -244,11 +238,12 @@ def _ray_meet(O: Point2, O1: Point3, O2: Point3, X1: Point2, X2: Point2) -> Poin
         _invariant(False, "center O is a vertex")
     if a * o[r] + b * u[r] + c * v[r]:
         return None
-    p0, p1, m1, p3 = O1.coords
-    m2 = O2.coords[2]
-    s = a * m2
-    t = b * (_planar_multiple(O, O1) * m2 - _planar_multiple(O, O2) * m1)
-    return Point3(s * p0 + t * u[0], s * p1 + t * u[1], s * m1, s * p3 + t * u[2])
+    p, q = O1.coords, O2.coords
+    m1, m2 = p[2], q[2]
+    j, oj = (0, o[0]) if o[0] else (1, o[1]) if o[1] else (3, o[2])
+    s = a * m2 * oj
+    t = b * (p[j] * m2 - m1 * q[j])
+    return Point3(s * p[0] + t * u[0], s * p[1] + t * u[1], s * m1, s * p[3] + t * u[2])
 
 
 def planarity_certificate(
@@ -464,11 +459,11 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
             if x is None:
                 return False, f"opposite sides {s1}, {s2} are skew"
             spatial.append(x)
-        for center, planar_quad in ((w.O1, d.quad1), (w.O2, d.quad2)):
-            for name, x, planar in zip("ABC", spatial, diagonal_triangle(planar_quad).points):
+        for center, q in ((w.O1, d.quad1), (w.O2, d.quad2)):
+            for lab, x, p in zip(DiagonalTriangle._LABELS, spatial, diagonal_triangle(q).points):
                 image = central_project(center, DRAWING_PLANE, x)
-                if image != embed_drawing(planar):
-                    return False, f"diagonal point {name} projects to {image!r}"
+                if image != embed_drawing(p):
+                    return False, f"diagonal point {lab} projects to {image!r}"
         return True, ""
 
     clauses = (

@@ -36,7 +36,7 @@ from .kernel import (
     meet2,
     normalize,
 )
-from .quadrangle import VERTEX_LABELS, Quadrangle, sides
+from .quadrangle import VERTEX_LABELS, Quadrangle, _Labeled, sides
 
 __all__ = [
     "CenterIsVertex",
@@ -185,7 +185,7 @@ AXIS_SIDES = {
 
 
 @dataclass(frozen=True)
-class SideAxes:
+class SideAxes(_Labeled):
     """The four Desargues axes of a quadrangle pair plus the six meets."""
 
     s: Line2
@@ -194,10 +194,8 @@ class SideAxes:
     p: Line2
     meets: dict[str, Point2]
 
-    def axis(self, name: str) -> Line2:
-        if name not in AXIS_SIDES:
-            raise KeyError(name)
-        return getattr(self, name)
+    _LABELS = tuple(AXIS_SIDES)
+    axis = _Labeled.__getitem__
 
     def defining_meets(self, name: str) -> tuple[Point2, Point2, Point2]:
         a, b, c = AXIS_SIDES[name]
@@ -211,7 +209,7 @@ def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
         name: _line_through_all([meets[lab] for lab in labs])
         for name, labs in AXIS_SIDES.items()
     }
-    return SideAxes(s=axes["s"], r=axes["r"], q=axes["q"], p=axes["p"], meets=meets)
+    return SideAxes(**axes, meets=meets)
 
 
 def _common_axis(axes: SideAxes) -> Line2:
@@ -318,8 +316,8 @@ def perspective_collineation(
     v0 = x0.coords
     v1 = x1.coords
 
-    # Solve v1 ~ alpha*v0 + beta*c on two independent coordinates by
-    # Cramer's rule; alpha = d_alpha / d and beta = d_beta / d.
+    # Solve v1 ~ alpha*v0 + beta*c on two independent coordinates by Cramer's
+    # rule: alpha = d_alpha / d, nonzero as x1 != center, and beta = d_beta / d.
     i, j = next(
         (i, j)
         for i in range(3)
@@ -328,8 +326,6 @@ def perspective_collineation(
     )
     d_alpha = v1[i] * c[j] - v1[j] * c[i]
     d_beta = v0[i] * v1[j] - v0[j] * v1[i]
-    if d_alpha == 0:
-        raise InvalidPair("image point lies on the center ray degenerately")
 
     # (I + k c a^T) * d_alpha * dot, with k = d_beta / (d_alpha * dot).
     scale = d_alpha * sum(ai * vi for ai, vi in zip(a, v0))

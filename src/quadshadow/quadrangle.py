@@ -67,8 +67,22 @@ def _check_vertices(vertices, collinear) -> None:
             raise CollinearTriple(f"vertices {la}, {lb}, {lc} are collinear")
 
 
+class _Labeled:
+    """Lookup by label for a record with one field per label in _LABELS."""
+
+    _LABELS: tuple[str, ...]
+
+    def __getitem__(self, label: str):
+        if label not in self._LABELS:
+            raise KeyError(label)
+        return getattr(self, label)
+
+    def labeled(self) -> dict:
+        return {lab: getattr(self, lab) for lab in self._LABELS}
+
+
 @dataclass(frozen=True)
-class Quadrangle:
+class Quadrangle(_Labeled):
     """Four labeled points, no three collinear.  Checked on construction.
 
     Its sides and diagonal triangle are built once, on first use; they are
@@ -79,6 +93,9 @@ class Quadrangle:
     Q: Point2
     R: Point2
     S: Point2
+
+    _LABELS = VERTEX_LABELS
+    vertex = _Labeled.__getitem__
 
     def __post_init__(self) -> None:
         _check_vertices(self.vertices, collinear2)
@@ -97,14 +114,6 @@ class Quadrangle:
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
         return (self.P, self.Q, self.R, self.S)
 
-    def vertex(self, label: str) -> Point2:
-        if label not in VERTEX_LABELS:
-            raise KeyError(label)
-        return getattr(self, label)
-
-    def labeled(self) -> dict[str, Point2]:
-        return {lab: getattr(self, lab) for lab in VERTEX_LABELS}
-
 
 def validate_quadrangle(p: Point2, q: Point2, r: Point2, s: Point2) -> Quadrangle:
     """Checked constructor; raises RepeatedVertex or CollinearTriple."""
@@ -116,20 +125,8 @@ def same_vertex_set(q1: Quadrangle, q2: Quadrangle) -> bool:
     return set(q1.vertices) == set(q2.vertices)
 
 
-class _BySide:
-    """Lookup by side label for a record with one field per side."""
-
-    def __getitem__(self, label: str):
-        if label not in SIDE_LABELS:
-            raise KeyError(label)
-        return getattr(self, label)
-
-    def labeled(self) -> dict:
-        return {lab: getattr(self, lab) for lab in SIDE_LABELS}
-
-
 @dataclass(frozen=True)
-class SideSet(_BySide):
+class SideSet(_Labeled):
     """The six sides of a quadrangle, keyed by vertex-pair label."""
 
     QR: Line2
@@ -139,6 +136,8 @@ class SideSet(_BySide):
     SQ: Line2
     SR: Line2
 
+    _LABELS = SIDE_LABELS
+
 
 def sides(q: Quadrangle) -> SideSet:
     """All six sides; always defined for a valid quadrangle, built once."""
@@ -146,12 +145,14 @@ def sides(q: Quadrangle) -> SideSet:
 
 
 @dataclass(frozen=True)
-class DiagonalTriangle:
+class DiagonalTriangle(_Labeled):
     """Diagonal points A = SP.QR, B = SQ.RP, C = SR.PQ."""
 
     A: Point2
     B: Point2
     C: Point2
+
+    _LABELS = ("A", "B", "C")
 
     @property
     def points(self) -> tuple[Point2, Point2, Point2]:
@@ -169,7 +170,7 @@ def diagonal_triangle(q: Quadrangle) -> DiagonalTriangle:
 
 
 @dataclass(frozen=True)
-class QuadrangularTrace(_BySide):
+class QuadrangularTrace(_Labeled):
     """The six labeled points cut out of a line by the sides of a quadrangle."""
 
     line: Line2
@@ -179,6 +180,8 @@ class QuadrangularTrace(_BySide):
     SP: Point2
     SQ: Point2
     SR: Point2
+
+    _LABELS = SIDE_LABELS
 
 
 def quadrangular_trace(q: Quadrangle, line: Line2) -> QuadrangularTrace:

@@ -15,7 +15,7 @@ from functools import cmp_to_key
 from math import isfinite
 
 from .kernel import GeometryError, Line2, Point2, join2
-from .quadrangle import VERTEX_LABELS, diagonal_triangle, sides
+from .quadrangle import diagonal_triangle, sides
 from .perspectivity import _common_axis
 from .checker import PlanarDiagram
 
@@ -111,12 +111,12 @@ def render_svg(d: PlanarDiagram) -> str:
     """
     labeled: list[tuple[str, str, Point2]] = []
     for suffix, quad in (("1", d.quad1), ("2", d.quad2)):
-        for lab in VERTEX_LABELS:
-            labeled.append((f"{lab}{suffix}", "vertex", quad.vertex(lab)))
+        for lab, v in quad.labeled().items():
+            labeled.append((f"{lab}{suffix}", "vertex", v))
     labeled.append(("O", "center", d.O))
     triangles = (diagonal_triangle(d.quad1), diagonal_triangle(d.quad2))
     for suffix, dt in zip("12", triangles):
-        for name, point in zip("ABC", dt.points):
+        for name, point in dt.labeled().items():
             labeled.append((f"{name}{suffix}", "diagonal", point))
 
     affine_groups: dict[Point2, list[tuple[str, str]]] = {}

@@ -16,12 +16,14 @@ from pathlib import Path
 
 import pytest
 
+import quadshadow.cli_io
 import quadshadow.lift
 import quadshadow.perspectivity
 from quadshadow.kernel import Point2, meet2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, Reason, decide_depiction
 from quadshadow.generators import (
+    GenConfig,
     gen_correct_diagram,
     gen_degenerate_diagram,
     gen_general_position_diagram,
@@ -204,6 +206,12 @@ def test_parse_rejects_geometric_invariant_violations():
         ("notes", ["ok", 7], "notes: expected an array of strings"),
         ("witness", 5, "witness: expected a string or null"),
         ("witness", {}, "witness: expected a string or null"),
+        ("applicable", 1, "applicable: expected a boolean"),
+        (
+            "degeneracy",
+            {"kind": "none", "coincident": ["P", 7]},
+            "degeneracy.coincident: expected an array of labels",
+        ),
     ],
 )
 def test_parse_verdict_rejects_bad_fields(field, value, message):
@@ -367,6 +375,8 @@ def test_invalid_document_exits_two(tmp_path):
 
 _UTF16 = ("\ufeff" + DILATION.read_text()).encode("utf-16-le")  # starts with bytes FF FE
 _VERSION_TRUE = json.dumps({**json.loads(DILATION.read_text()), "version": True})
+_QUAD1_ARRAY = json.dumps({**json.loads(DILATION.read_text()), "quad1": [["0", "0", "1"]]})
+_O_STRING = json.dumps({**json.loads(DILATION.read_text()), "O": "0"})
 
 
 @pytest.mark.parametrize(
@@ -376,8 +386,10 @@ _VERSION_TRUE = json.dumps({**json.loads(DILATION.read_text()), "version": True}
         (b"[" * 2_000 + b"]" * 2_000, "arrays or objects are nested too deeply"),
         (b"[" * 100_000 + b"]" * 100_000, "arrays or objects are nested too deeply"),
         (_VERSION_TRUE.encode(), "version: expected 1, got True"),
+        (_QUAD1_ARRAY.encode(), "quad1: expected an object"),
+        (_O_STRING.encode(), "O: expected an array of 3 rationals"),
     ],
-    ids=["utf-16", "2000-deep", "100000-deep", "version-true"],
+    ids=["utf-16", "2000-deep", "100000-deep", "version-true", "quad1-array", "O-string"],
 )
 def test_malformed_file_exits_two(tmp_path, content, message):
     p = tmp_path / "bad.json"
@@ -505,6 +517,29 @@ def test_fuzz_summary_lines():
     assert (code, out) == (0, "1/1 configurations consistent\n")
     code, _, _ = run("fuzz", "--count", "0", "--seed", "1")
     assert code == 64
+
+
+def test_fuzz_reports_the_first_wrong_verdict(monkeypatch):
+    def correct_but_seed_four(seed):
+        return (None, gen_incorrect_diagram(seed)) if seed == 4 else gen_correct_diagram(seed)
+
+    monkeypatch.setattr(quadshadow.cli_io, "gen_correct_diagram", correct_but_seed_four)
+    code, out, _ = run("fuzz", "--count", "6", "--seed", "0")
+    assert code == 1
+    assert out == "5/6 verdicts correct\nfirst failure: seed 4: verdict diagonal_pair_a\n"
+
+
+def test_fuzz_reports_a_raised_geometry_error(monkeypatch):
+    def no_retries(seed):
+        return gen_correct_diagram(seed, GenConfig(max_retries=0))
+
+    monkeypatch.setattr(quadshadow.cli_io, "gen_correct_diagram", no_retries)
+    code, out, _ = run("fuzz", "--count", "1", "--seed", "0")
+    assert (code, out) == (
+        1,
+        "0/1 verdicts correct\n"
+        "first failure: seed 0: RetriesExhausted: no valid scene within the retry budget\n",
+    )
 
 
 # --- rendering --------------------------------------------------------------------------
@@ -645,6 +680,30 @@ def _assert_inside_viewbox(svg: str, xs: str, ys: str) -> None:
                 if element.hasAttribute(name):
                     value = float(element.getAttribute(name))
                     assert 0 <= value <= bound, (element.toxml(), bound)
+
+
+def test_every_command_runs_near_the_coordinate_bound(tmp_path):
+    # a dilation about the origin keeps the diagram correct and in general position;
+    # before normalize cancels common powers of two, the largest coordinate has 1017 bits
+    def dilated(p):
+        x0, x1, x2 = p.coords
+        return Point2(x0 << 1000, x1 << 1000, x2)
+
+    d = gen_general_position_diagram(0, correct=True)
+    quads = (Quadrangle(*map(dilated, q.vertices)) for q in (d.quad1, d.quad2))
+    huge = PlanarDiagram(dilated(d.O), *quads)
+    points = (huge.O, *huge.quad1.vertices, *huge.quad2.vertices)
+    assert max(abs(c).bit_length() for p in points for c in p.coords) == 1016
+    source, svg = tmp_path / "huge.json", tmp_path / "huge.svg"
+    source.write_text(emit_diagram(huge))
+    g = parse_diagram(source.read_text())
+    for argv in (
+        ["check"], ["lift"], ["lift", "--method", "axis"], ["axis"], ["render", "--out", str(svg)]
+    ):
+        code, out, err = run(*argv, str(source))
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "lift":
+            assert verify_witness(g, parse_witness(out)).passed, argv
 
 
 def test_render_huge_figure_exits_zero(tmp_path):

@@ -192,27 +192,38 @@ def test_gen_degenerate_vertex_case():
 
 # --- perspective triangle pairs -----------------------------------------------------
 
+#: The default bounds, and bounds so tight that coincidences are common.
+CONTRACT_CONFIGS = (GenConfig(), GenConfig(numerator_bound=2, denominator_bound=1))
+
+
 def test_gen_point_perspective_triangles_contract():
-    for seed in range(25):
-        center, t1, t2 = gen_point_perspective_triangles(seed)
-        assert triangles_perspective_point(center, t1, t2)
-        assert perspective_center(t1, t2) is not None
-        axis = desargues_axis(t1, t2)
-        for l1, l2 in zip(_side_lines(t1), _side_lines(t2)):
-            assert axis.contains(meet2(l1, l2))
+    for cfg in CONTRACT_CONFIGS:
+        for seed in range(500):
+            center, t1, t2 = gen_point_perspective_triangles(seed, cfg)
+            assert center not in t2
+            assert triangles_perspective_point(center, t1, t2)
+            assert perspective_center(t1, t2) is not None
+            axis = desargues_axis(t1, t2)
+            for l1, l2 in zip(_side_lines(t1), _side_lines(t2)):
+                assert axis.contains(meet2(l1, l2))
 
 
 def test_gen_axis_perspective_triangles_contract():
-    # the four further seeds once drew a pair sharing a side, with no Desargues axis
-    for seed in [*range(25), 217, 1278, 1535, 1622]:
-        axis, t1, t2 = gen_axis_perspective_triangles(seed)
-        assert desargues_axis(t1, t2) == axis
-        for l1, l2 in zip(_side_lines(t1), _side_lines(t2)):
-            assert axis.contains(meet2(l1, l2))
-        center = perspective_center(t1, t2)
-        assert center is not None
-        for v1, v2 in zip(t1, t2):
-            assert collinear2(center, v1, v2)
+    # 217 and the three further seeds once drew a pair sharing a side, with no
+    # Desargues axis
+    for cfg in CONTRACT_CONFIGS:
+        for seed in [*range(500), 1278, 1535, 1622]:
+            axis, t1, t2 = gen_axis_perspective_triangles(seed, cfg)
+            assert len(set(t2)) == 3
+            assert not collinear2(*t2)
+            assert not axis.contains(t2[2])
+            assert desargues_axis(t1, t2) == axis
+            for l1, l2 in zip(_side_lines(t1), _side_lines(t2)):
+                assert axis.contains(meet2(l1, l2))
+            center = perspective_center(t1, t2)
+            assert center is not None
+            for v1, v2 in zip(t1, t2):
+                assert collinear2(center, v1, v2)
 
 
 def _side_lines(t):

@@ -37,6 +37,7 @@ from quadshadow.checker import (
 )
 from quadshadow.generators import gen_correct_diagram
 from quadshadow.lift import (
+    ClauseCheck,
     DegenerateParameters,
     DegenerateScene,
     NotCorrectDiagram,
@@ -229,6 +230,13 @@ def test_verify_witness_detects_wrong_center():
     assert not report.passed
     failed = {c.name for c in report.clauses if not c.ok}
     assert "second projection reproduces quad2" in failed
+
+
+def test_verify_witness_detects_coincident_centers():
+    w = lift_collinear_centers(DIAGRAM)
+    report = verify_witness(DIAGRAM, Witness(w.quad, w.O1, w.O1, w.drawing_plane))
+    expected = ClauseCheck("centers collinear with embedded O", False, "centers coincide")
+    assert report.clauses[3] == expected
 
 
 def test_verify_witness_detects_plane_equal_to_drawing_plane():
