@@ -104,9 +104,10 @@ class PlanarDiagram:
     quad2: Quadrangle
 
     def __post_init__(self) -> None:
+        o, o_cls = self.O.coords, type(self.O)
         for which, q in (("quadrangle 1", self.quad1), ("quadrangle 2", self.quad2)):
             for lab, v in q.labeled().items():
-                if v == self.O:
+                if v.coords == o and type(v) is o_cls:  # v == self.O, without the generated __eq__
                     raise CenterIsVertex(f"center O equals vertex {lab} of {which}")
 
     @cached_property

@@ -60,7 +60,7 @@ def _check_vertices(vertices, collinear) -> None:
     """Raise unless the labeled vertices are distinct, no three collinear."""
     labeled = tuple(zip(VERTEX_LABELS, vertices))
     for (la, a), (lb, b) in combinations(labeled, 2):
-        if a == b:
+        if a.coords == b.coords and type(a) is type(b):  # a == b, without the generated __eq__
             raise RepeatedVertex(f"vertices {la} and {lb} coincide at {a!r}")
     for (la, a), (lb, b), (lc, c) in combinations(labeled, 3):
         if collinear(a, b, c):

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from quadshadow.kernel import Point2, join2
-from quadshadow.quadrangle import Quadrangle, diagonal_triangle
+from quadshadow.kernel import Point2, _Element, join2
+from quadshadow.quadrangle import Quadrangle, RepeatedVertex, diagonal_triangle
 from quadshadow.perspectivity import CenterIsVertex
 from quadshadow.checker import (
     DegeneracyKind,
@@ -28,6 +28,18 @@ def test_center_must_not_be_a_vertex():
     with pytest.raises(CenterIsVertex) as err:
         PlanarDiagram(O=SQUARE.Q, quad1=SQUARE, quad2=DILATED)
     assert "Q" in str(err.value)
+
+
+def test_vertex_checks_compare_coordinates_with_the_same_messages(monkeypatch):
+    # the checks compare coordinate tuples, never through the generated __eq__
+    monkeypatch.setattr(_Element, "__eq__", lambda self, other: pytest.fail("__eq__ called"))
+    PlanarDiagram(O=O, quad1=SQUARE, quad2=DILATED)
+    with pytest.raises(RepeatedVertex) as err:
+        Quadrangle(A(0, 0), Point2(0, 0, 5), A(1, 0), A(1, 0))
+    assert str(err.value) == "vertices P and Q coincide at Point2(0:0:1)"
+    with pytest.raises(CenterIsVertex) as err:
+        PlanarDiagram(O=DILATED.R, quad1=SQUARE, quad2=DILATED)
+    assert str(err.value) == "center O equals vertex R of quadrangle 2"
 
 
 def test_dilation_is_correct():

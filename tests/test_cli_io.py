@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import quadshadow.cli_io
+import quadshadow.generators
 import quadshadow.lift
 import quadshadow.perspectivity
 from quadshadow.kernel import Point2, meet2
@@ -42,16 +43,14 @@ from quadshadow.cli_io import (
     ParseError,
     _rational,
     emit_diagram,
-    emit_scene,
     emit_verdict,
     emit_witness,
     parse_diagram,
     parse_scene,
-    parse_verdict,
-    parse_witness,
     render_svg,
     run_cli,
 )
+from quadshadow.documents import emit_scene, parse_verdict, parse_witness
 
 DATA = Path(__file__).parent / "data"
 DILATION = DATA / "dilation.json"
@@ -415,23 +414,38 @@ def test_missing_file_exits_sixty_six():
     assert "error:" in err
 
 
-def test_help_exits_zero():
-    code, _, _ = run("--help")
-    assert code == 0
+def test_help_exits_zero(capsys):
+    # the help goes to the stream given to run_cli, not to sys.stdout
+    code, out, _ = run("--help")
+    assert code == 0 and out.startswith("usage: quadshadow [-h]")
+    code, out, _ = run("lift", "--help")
+    assert code == 0 and out.startswith("usage: quadshadow lift") and "--method" in out
+    assert capsys.readouterr() == ("", "")
 
 
-def test_python_dash_m_runs_the_command_line():
-    # through the package's __main__; -m quadshadow.cli_io makes runpy warn,
-    # since the package has already imported cli_io
+def _python_m(module, *argv):
+    """Run python -W error -m module with the package's source on the path."""
     src = str(Path(quadshadow.lift.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "quadshadow", "check", str(DILATION)],
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", module, *argv],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_python_dash_m_runs_the_command_line():
+    # through the package's __main__
+    proc = _python_m("quadshadow", "check", str(DILATION))
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == run("check", str(DILATION))[1].encode()
+
+
+def test_python_dash_m_runs_cli_io_without_a_warning():
+    # the package does not import cli_io, so runpy runs it once, as __main__
+    proc = _python_m("quadshadow.cli_io", "check", str(DILATION))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (DATA / "dilation-verdict.json").read_bytes()
 
 
 def test_domain_failure_exits_one():
@@ -523,7 +537,7 @@ def test_fuzz_reports_the_first_wrong_verdict(monkeypatch):
     def correct_but_seed_four(seed):
         return (None, gen_incorrect_diagram(seed)) if seed == 4 else gen_correct_diagram(seed)
 
-    monkeypatch.setattr(quadshadow.cli_io, "gen_correct_diagram", correct_but_seed_four)
+    monkeypatch.setattr(quadshadow.generators, "gen_correct_diagram", correct_but_seed_four)
     code, out, _ = run("fuzz", "--count", "6", "--seed", "0")
     assert code == 1
     assert out == "5/6 verdicts correct\nfirst failure: seed 4: verdict diagonal_pair_a\n"
@@ -533,7 +547,7 @@ def test_fuzz_reports_a_raised_geometry_error(monkeypatch):
     def no_retries(seed):
         return gen_correct_diagram(seed, GenConfig(max_retries=0))
 
-    monkeypatch.setattr(quadshadow.cli_io, "gen_correct_diagram", no_retries)
+    monkeypatch.setattr(quadshadow.generators, "gen_correct_diagram", no_retries)
     code, out, _ = run("fuzz", "--count", "1", "--seed", "0")
     assert (code, out) == (
         1,

@@ -1,6 +1,15 @@
-"""The package's public names."""
+"""The package's public names, and what importing it loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import quadshadow
+
+DILATION = Path(__file__).parent / "data" / "dilation.json"
 
 PUBLIC_NAMES = [
     "AXIS_SIDES",
@@ -120,3 +129,67 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_frozen():
     assert sorted(quadshadow.__all__) == PUBLIC_NAMES
+
+
+def test_lazy_names_are_the_lazy_modules_public_names():
+    by_module = {}
+    for name, module in quadshadow._LAZY.items():
+        by_module.setdefault(module, []).append(name)
+    assert set(by_module) == {"quadshadow.generators", "quadshadow.cli_io"}
+    for module, names in by_module.items():
+        assert sorted(names) == sorted(importlib.import_module(module).__all__)
+
+
+def test_every_public_name_resolves_and_star_import_binds_them_all(monkeypatch):
+    for module in ("generators", "cli_io"):  # as after a plain import quadshadow
+        monkeypatch.delattr(quadshadow, module, raising=False)
+        assert getattr(quadshadow, module) is importlib.import_module(f"quadshadow.{module}")
+    for name in quadshadow.__all__:
+        getattr(quadshadow, name)
+    for name, module in quadshadow._LAZY.items():
+        assert getattr(quadshadow, name) is getattr(sys.modules[module], name)
+        # never kept in the package, so a later rebinding in the module is seen
+        assert name not in vars(quadshadow)
+    namespace = {}
+    exec("from quadshadow import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 112
+
+
+#: Exit code and lazy modules loaded after each step (after the import, the modules only), as JSON.
+STARTUP = """
+import io, json, runpy, sys
+from contextlib import redirect_stdout
+
+def loaded():
+    return [m for m in ("quadshadow.generators", "quadshadow.cli_io") if m in sys.modules]
+
+import quadshadow
+path = sys.argv[1]
+steps = {"import": loaded()}
+for command in ("check", "lift"):
+    sys.argv = ["quadshadow", command, path]
+    with redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("quadshadow.cli_io", run_name="__main__")
+        except SystemExit as e:
+            steps[command] = [e.code, loaded()]
+code = quadshadow.run_cli(["fuzz", "--count", "3", "--seed", "0"], out=io.StringIO())
+steps["fuzz"] = [code, loaded()]
+print(json.dumps(steps))
+"""
+
+
+def test_check_and_lift_never_load_the_generators():
+    src = str(Path(quadshadow.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", STARTUP, str(DILATION)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "import": [],
+        "check": [0, []],
+        "lift": [0, []],
+        "fuzz": [0, ["quadshadow.generators", "quadshadow.cli_io"]],
+    }
