@@ -53,12 +53,15 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="verdict for a diagram document")
-    p_check.add_argument("input", help="diagram document path")
-    p_check.set_defaults(run=_cmd_check)
+    def command(name: str, run, help: str, document: str | None = "diagram") -> _Parser:
+        p = sub.add_parser(name, help=help)
+        if document:
+            p.add_argument("input", help=f"{document} document path")
+        p.set_defaults(run=run)
+        return p
 
-    p_lift = sub.add_parser("lift", help="spatial witness for a correct diagram")
-    p_lift.add_argument("input", help="diagram document path")
+    command("check", _cmd_check, "verdict for a diagram document")
+    p_lift = command("lift", _cmd_lift, "spatial witness for a correct diagram")
     p_lift.add_argument(
         "--method", choices=("centers", "axis"), default="centers",
         help="collinear displaced centers (default) or the common-axis route",
@@ -69,32 +72,16 @@ def _build_parser() -> _Parser:
     p_lift.add_argument(
         "--c2", default="-1", help="second displacement (rational; use --c2=-1/2 form)"
     )
-    p_lift.set_defaults(run=_cmd_lift)
-
-    p_project = sub.add_parser("project", help="diagram presented by a scene document")
-    p_project.add_argument("input", help="scene document path")
-    p_project.set_defaults(run=_cmd_project)
-
-    p_axis = sub.add_parser("axis", help="common axis and its six labeled traces")
-    p_axis.add_argument("input", help="diagram document path")
-    p_axis.set_defaults(run=_cmd_axis)
-
-    p_qset = sub.add_parser("qset", help="trace of a line on both quadrangles")
-    p_qset.add_argument("input", help="diagram document path")
+    command("project", _cmd_project, "diagram presented by a scene document", "scene")
+    command("axis", _cmd_axis, "common axis and its six labeled traces")
+    p_qset = command("qset", _cmd_qset, "trace of a line on both quadrangles")
     p_qset.add_argument("line", help="line coordinates 'a,b,c' (rationals)")
-    p_qset.set_defaults(run=_cmd_qset)
-
-    p_fuzz = sub.add_parser("fuzz", help="run a seeded property suite")
+    p_fuzz = command("fuzz", _cmd_fuzz, "run a seeded property suite", None)
     p_fuzz.add_argument("--count", type=int, required=True)
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--mode", choices=("correct", "incorrect", "desargues"), default="correct")
-    p_fuzz.set_defaults(run=_cmd_fuzz)
-
-    p_render = sub.add_parser("render", help="SVG figure of a diagram")
-    p_render.add_argument("input", help="diagram document path")
+    p_render = command("render", _cmd_render, "SVG figure of a diagram")
     p_render.add_argument("--out", required=True, help="output SVG path")
-    p_render.set_defaults(run=_cmd_render)
-
     return parser
 
 
@@ -209,13 +196,16 @@ def _cmd_render(args, out: TextIO) -> int:
     return 0
 
 
+#: Built once per process: every run_cli call parses with this same tree.
+_PARSER = _build_parser()
+
+
 def run_cli(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None = None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
         with redirect_stdout(out):  # argparse prints --help to sys.stdout
-            args = parser.parse_args(list(argv))
+            args = _PARSER.parse_args(list(argv))
         return args.run(args, out)
     except _UsageError as e:
         err.write(f"error: usage: {e}\n")

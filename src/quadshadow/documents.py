@@ -43,6 +43,9 @@ _MAX_COORD_BITS = 1024
 _MAX_COORD_DIGITS = len(str(1 << _MAX_COORD_BITS))
 #: A sign and decimal digits, ASCII only, as int() reads them.
 _PLAIN_INT = re.compile(r"-?[0-9]+")
+#: The ASCII characters of every other spelling Fraction reads alike on
+#: every supported Python: no spaces, underscores or non-ASCII digits.
+_SPELLING = re.compile(r"[-+./0-9eE]+")
 #: Longest string the int fast path takes: past any bounded integer, and far
 #: below the least int-to-str digit limit an interpreter may set (640).
 _MAX_INT_CHARS = _MAX_COORD_DIGITS + 1
@@ -102,6 +105,8 @@ def _fraction(node: Any, path: str) -> Fraction:
             raise ParseError(
                 f"{path}: exponent {exponent} exceeds the {_MAX_COORD_BITS}-bit bound"
             )
+        if not _SPELLING.fullmatch(node):
+            raise ParseError(f"{path}: not a rational: {node!r}")
     try:
         return Fraction(node)
     except (ValueError, ZeroDivisionError):
@@ -131,10 +136,13 @@ def _load(text: str) -> Any:
         raise ParseError("arrays or objects are nested too deeply") from None
 
 
-def _check_version(doc: dict) -> None:
-    version = doc.get("version")
+def _fields(text: str, keys: tuple[str, ...]) -> dict:
+    """The document's object, once its keys and its version are checked."""
+    doc = _object(_load(text), "document", ("version", *keys))
+    version = doc["version"]
     if type(version) is not int or version != DOCUMENT_VERSION:
         raise ParseError(f"version: expected {DOCUMENT_VERSION}, got {version!r}")
+    return doc
 
 
 def _element(cls, node: Any, path: str):
@@ -189,91 +197,71 @@ def _document(pairs) -> str:
 # diagram, witness and scene documents
 
 _BARRED = ("Pbar", "Qbar", "Rbar", "Sbar")
-_OPTIONAL_POINT3 = "Point3 or null"
-
-#: Vertex keys and vertex class of the planar and the barred quadrangle.
-_QUADS = {Quadrangle: (VERTEX_LABELS, Point2), SpatialQuadrangle: (_BARRED, Point3)}
-
-#: Each document's fields in document order, with the kind of their value:
-#: an element class, a quadrangle kind, or _OPTIONAL_POINT3.  A barred
-#: quadrangle puts its vertices under its field and its plane under "plane".
-_DIAGRAM = {"O": Point2, "quad1": Quadrangle, "quad2": Quadrangle}
-_WITNESS = {"O1": Point3, "O2": Point3, "quad": SpatialQuadrangle, "drawing_plane": Plane3}
-_SCENE = {
-    "quad": SpatialQuadrangle,
-    "light": Point3,
-    "shadow_plane": Plane3,
-    "viewpoint": _OPTIONAL_POINT3,
-}
 
 
-def _build(cls, values: dict, where: str):
+def _vertices(doc: dict, name: str, labels: tuple[str, ...], cls) -> list:
+    obj = _object(doc[name], name, labels)
+    return [_element(cls, obj[lab], f"{name}.{lab}") for lab in labels]
+
+
+def _quadrangle(doc: dict, name: str) -> Quadrangle:
+    vertices = _vertices(doc, name, VERTEX_LABELS, Point2)
     try:
-        return cls(**values)
+        return Quadrangle(*vertices)
     except GeometryError as e:
-        raise InvariantViolation(f"{where}{e}") from None
+        raise InvariantViolation(f"{name}: {e}") from None
 
 
-def _parse_value(kind, doc: dict, name: str):
-    node = doc[name]
-    if kind is _OPTIONAL_POINT3:
-        return None if node is None else _element(Point3, node, name)
-    if kind not in _QUADS:
-        return _element(kind, node, name)
-    labels, vertex_cls = _QUADS[kind]
-    obj = _object(node, name, labels)
-    values = {lab: _element(vertex_cls, obj[lab], f"{name}.{lab}") for lab in labels}
-    if kind is SpatialQuadrangle:
-        values["plane"] = _element(Plane3, doc["plane"], "plane")
-    return _build(kind, values, f"{name}: ")
+def _barred(doc: dict) -> SpatialQuadrangle:
+    """The barred quadrangle: its vertices under "quad", its plane under "plane"."""
+    vertices = _vertices(doc, "quad", _BARRED, Point3)
+    return SpatialQuadrangle(*vertices, plane=_element(Plane3, doc["plane"], "plane"))
 
 
-def _parse(text: str, cls, fields: dict):
-    """Parse a document with the given fields and build cls from their values."""
-    keys = ["version"]
-    for name, kind in fields.items():
-        keys += [name, "plane"] if kind is SpatialQuadrangle else [name]
-    doc = _object(_load(text), "document", tuple(keys))
-    _check_version(doc)
-    values = {name: _parse_value(kind, doc, name) for name, kind in fields.items()}
-    return _build(cls, values, "")
-
-
-def _emit(obj, fields: dict) -> str:
-    pairs = []
-    for name, kind in fields.items():
-        value = getattr(obj, name)
-        if kind in _QUADS:
-            pairs.append((name, _labeled(_QUADS[kind][0], value.vertices)))
-            if kind is SpatialQuadrangle:
-                pairs.append(("plane", _coords(value.plane)))
-        else:
-            pairs.append((name, "null" if value is None else _coords(value)))
-    return _document(pairs)
+def _barred_fields(quad: SpatialQuadrangle) -> list[tuple[str, str]]:
+    return [("quad", _labeled(_BARRED, quad.vertices)), ("plane", _coords(quad.plane))]
 
 
 def parse_diagram(text: str) -> PlanarDiagram:
-    return _parse(text, PlanarDiagram, _DIAGRAM)
+    doc = _fields(text, ("O", "quad1", "quad2"))
+    O = _element(Point2, doc["O"], "O")
+    quad1, quad2 = _quadrangle(doc, "quad1"), _quadrangle(doc, "quad2")
+    try:
+        return PlanarDiagram(O, quad1, quad2)
+    except GeometryError as e:
+        raise InvariantViolation(str(e)) from None
 
 
 def emit_diagram(d: PlanarDiagram) -> str:
-    return _emit(d, _DIAGRAM)
+    quad1, quad2 = (_labeled(VERTEX_LABELS, q.vertices) for q in (d.quad1, d.quad2))
+    return _document([("O", _coords(d.O)), ("quad1", quad1), ("quad2", quad2)])
 
 
 def parse_witness(text: str) -> Witness:
-    return _parse(text, Witness, _WITNESS)
+    doc = _fields(text, ("O1", "O2", "quad", "plane", "drawing_plane"))
+    O1, O2 = _element(Point3, doc["O1"], "O1"), _element(Point3, doc["O2"], "O2")
+    quad = _barred(doc)
+    return Witness(quad, O1, O2, _element(Plane3, doc["drawing_plane"], "drawing_plane"))
 
 
 def emit_witness(w: Witness) -> str:
-    return _emit(w, _WITNESS)
+    head = [("O1", _coords(w.O1)), ("O2", _coords(w.O2)), *_barred_fields(w.quad)]
+    return _document([*head, ("drawing_plane", _coords(w.drawing_plane))])
 
 
 def parse_scene(text: str) -> SpatialScene:
-    return _parse(text, SpatialScene, _SCENE)
+    doc = _fields(text, ("quad", "plane", "light", "shadow_plane", "viewpoint"))
+    quad, light = _barred(doc), _element(Point3, doc["light"], "light")
+    shadow_plane = _element(Plane3, doc["shadow_plane"], "shadow_plane")
+    node = doc["viewpoint"]
+    viewpoint = None if node is None else _element(Point3, node, "viewpoint")
+    return SpatialScene(quad, light, shadow_plane, viewpoint)
 
 
 def emit_scene(s: SpatialScene) -> str:
-    return _emit(s, _SCENE)
+    viewpoint = "null" if s.viewpoint is None else _coords(s.viewpoint)
+    tail = [("light", _coords(s.light)), ("shadow_plane", _coords(s.shadow_plane))]
+    return _document([*_barred_fields(s.quad), *tail, ("viewpoint", viewpoint)])
 
 
 def _traces(key: str, line: Line2, d: PlanarDiagram) -> str:
@@ -310,8 +298,7 @@ def emit_verdict(v: Verdict, witness_ref: str | None = None) -> str:
 
 
 def parse_verdict(text: str) -> Verdict:
-    doc = _object(_load(text), "document", ("version", *_VERDICT))
-    _check_version(doc)
+    doc = _fields(text, _VERDICT)
     for key in ("applicable", "correct"):
         if not isinstance(doc[key], bool):
             raise ParseError(f"{key}: expected a boolean")

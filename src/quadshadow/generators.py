@@ -203,14 +203,12 @@ def gen_correct_diagram(
         light = _point3(rng, cfg)
         if plane.contains(light) or DRAWING_PLANE.contains(light):
             return None
-        viewpoint = _point3(rng, cfg)
-        if DRAWING_PLANE.contains(viewpoint) or viewpoint == light:
-            return None
+        # project_scene rejects a viewpoint on the drawing plane or at the light
         scene = SpatialScene(
             quad=SpatialQuadrangle(*verts, plane=plane),
             light=light,
             shadow_plane=DRAWING_PLANE,
-            viewpoint=viewpoint,
+            viewpoint=_point3(rng, cfg),
         )
         return scene, project_scene(scene)
 

@@ -236,8 +236,7 @@ class Plane3(_Element):
         return a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3 == 0
 
 
-@dataclass(frozen=True)
-class Line3:
+class Line3(_Element):
     """Spatial line in Pluecker coordinates (p01, p02, p03, p23, p31, p12).
 
     The constructor enforces the Grassmann-Pluecker relation
@@ -245,25 +244,21 @@ class Line3:
     that actually describe lines.
     """
 
-    pluecker: tuple[int, int, int, int, int, int]
+    _ARITY = 6
 
     def __init__(self, *pluecker: Scalar):
-        if len(pluecker) != 6:
-            raise TypeError("Line3 takes exactly six Pluecker coordinates")
-        coords = normalize(pluecker)
-        p01, p02, p03, p23, p31, p12 = coords
+        super().__init__(*pluecker)
+        p01, p02, p03, p23, p31, p12 = self.coords
         if p01 * p23 + p02 * p31 + p03 * p12 != 0:
             raise PlueckerViolation(
-                f"({_fmt(coords)}) violates the Grassmann-Pluecker relation"
+                f"({_fmt(self.coords)}) violates the Grassmann-Pluecker relation"
             )
-        object.__setattr__(self, "pluecker", coords)
+
+    pluecker = property(lambda self: self.coords, doc="The canonical Pluecker coordinates.")
 
     def contains(self, x: Point3) -> bool:
         """Incidence test: all 3x3 minors of the stacked matrix vanish."""
-        return not any(_span(self.pluecker, x.coords))
-
-    def __repr__(self) -> str:
-        return f"Line3({_fmt(self.pluecker)})"
+        return not any(_span(self.coords, x.coords))
 
 
 def _span(p: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -394,7 +389,7 @@ def _pierce(p: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, int, int, int]
 
 def meet_line_plane(line: Line3, plane: Plane3) -> Point3:
     """Unique intersection point of a line with a plane not containing it."""
-    x = _pierce(line.pluecker, plane.coords)
+    x = _pierce(line.coords, plane.coords)
     if not any(x):
         raise LineInPlane(f"{line!r} lies inside {plane!r}")
     return Point3(*x)
@@ -406,7 +401,7 @@ def points_on_line3(line: Line3) -> tuple[Point3, Point3]:
     The nonzero columns of the antisymmetric Pluecker matrix are points of
     the line; columns j and k are independent exactly when p_jk is nonzero.
     """
-    p01, p02, p03, p23, p31, p12 = line.pluecker
+    p01, p02, p03, p23, p31, p12 = line.coords
     cols = (
         (0, -p01, -p02, -p03),
         (p01, 0, -p12, p31),
@@ -430,8 +425,8 @@ def meet_lines3(l1: Line3, l2: Line3) -> Point3 | None:
     """
     if l1 == l2:
         raise CoincidentLines(f"cannot intersect {l1!r} with itself")
-    p = l1.pluecker
-    q = l2.pluecker
+    p = l1.coords
+    q = l2.coords
     form = p[0] * q[3] + p[1] * q[4] + p[2] * q[5] + p[3] * q[0] + p[4] * q[1] + p[5] * q[2]
     if form != 0:
         return None

@@ -29,10 +29,6 @@ Homogeneous = tuple[int, int, int]
 _MARKERS = {"center": ("#000000", 4.5), "vertex": ("#1f77b4", 3.5), "diagonal": ("#2ca02c", 3.0)}
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 #: A canvas side shorter than this prints as 0.0000: the figure is flat at float precision.
 _COLLAPSED = 0.5e-4
 
@@ -59,18 +55,14 @@ _BY_Y = cmp_to_key(lambda p, q: p[1] * q[2] - q[1] * p[2])
 
 
 def _padded(lo: Homogeneous, hi: Homogeneous, i: int) -> tuple[int, int, int]:
-    """Coordinate i's range [lo, hi] padded by a tenth of its length, or by
-    1/2 when it has none, as (low, high, denominator)."""
+    """Coordinate i's range [lo, hi] padded by a tenth of its length: (low, high, denominator)."""
     a, p, b, q = lo[i], lo[2], hi[i], hi[2]
-    if a * q == b * p:
-        return 2 * a - p, 2 * a + p, 2 * p
     return 11 * a * q - b * p, 11 * b * p - a * q, 10 * p * q
 
 
 def _rectangle(points: list[Homogeneous]) -> tuple[int, int, int, int, int]:
-    """Padded bounding box of the points, or of (-1, -1) and (1, 1) if none,
-    as (X0, Y0, X1, Y1, D): the rectangle [X0/D, X1/D] x [Y0/D, Y1/D], D > 0."""
-    points = points or [(-1, -1, 1), (1, 1, 1)]
+    """Padded bounding box of points spanning both axes, as (X0, Y0, X1, Y1, D):
+    the rectangle [X0/D, X1/D] x [Y0/D, Y1/D], D > 0."""
     x0, x1, dx = _padded(min(points, key=_BY_X), max(points, key=_BY_X), 0)
     y0, y1, dy = _padded(min(points, key=_BY_Y), max(points, key=_BY_Y), 1)
     return x0 * dy, y0 * dx, x1 * dy, y1 * dx, dx * dy
@@ -125,6 +117,7 @@ def render_svg(d: PlanarDiagram) -> str:
         target = ideal_groups if point.is_ideal else affine_groups
         target.setdefault(point, []).append((label, role))
 
+    # three of each quadrangle's affine vertices, or two and a diagonal point, span both axes
     affine = [p.coords if p.coords[2] > 0 else tuple(-c for c in p.coords) for p in affine_groups]
     left, bottom, right, top, den = rect = _rectangle(affine)
     world_w, world_h, num = right - left, top - bottom, den
@@ -214,7 +207,7 @@ def render_svg(d: PlanarDiagram) -> str:
         )
         parts.append(
             f'<text x="{_beside(cx, 6, width):.4f}" y="{_beside(cy, -6, height):.4f}" '
-            f'fill="{color}">{_escape(label)}</text>'
+            f'fill="{color}">{label}</text>'
         )
     parts.append("</g>")
 
@@ -252,7 +245,7 @@ def render_svg(d: PlanarDiagram) -> str:
         ly = _clamp(min(max(tail[1] - 10.0 * uy, 14.0), height - 14.0), height)
         parts.append(
             f'<text x="{lx:.4f}" y="{ly:.4f}" stroke="none" fill="#555555">'
-            f"{_escape(label)}</text>"
+            f"{label}</text>"
         )
         parts.append("</g>")
     parts.append("</g>")

@@ -1,5 +1,6 @@
 """Document serialization, the command line, and SVG rendering."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -448,6 +449,21 @@ def test_python_dash_m_runs_cli_io_without_a_warning():
     assert proc.stdout == (DATA / "dilation-verdict.json").read_bytes()
 
 
+def test_one_parser_serves_every_call_as_a_fresh_process_would(monkeypatch):
+    # the argparse tree is built once per process, so later calls build no
+    # parser, and a call after another answers as a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the children
+    calls = [("check", str(DILATION)), ("lift", "--help")]
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: pytest.fail("rebuilt"))
+        in_process = [run(*argv) for argv in calls]
+    fresh = [_python_m("quadshadow", *argv) for argv in calls]
+    assert [(c, o.encode(), e.encode()) for c, o, e in in_process] == [
+        (proc.returncode, proc.stdout, proc.stderr) for proc in fresh
+    ]
+    assert in_process[1][1].startswith("usage: quadshadow lift")
+
+
 def test_domain_failure_exits_one():
     # the dilation is correct but not in general position, so the axis
     # route has no witness to offer
@@ -890,9 +906,29 @@ def test_non_integral_coordinate_stays_a_fraction():
     assert type(value) is F and value == F(1, 3)
 
 
+@pytest.mark.parametrize(
+    "spelling", ["1_0", " 3", "3\n", "\u0663", "\uff13"],
+    ids=["underscore", "space", "newline", "arabic-indic", "fullwidth"],
+)
+def test_coordinates_spelled_outside_ascii_digits_are_rejected(tmp_path, spelling):
+    # Fraction reads "1_0" as 10 only from Python 3.11 on, and takes spaces and
+    # non-ASCII digits; a document must be valid on every supported Python or none
+    doc = json.loads(DILATION.read_text())
+    doc["O"][0] = spelling
+    p = tmp_path / "spelled.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"^O\[0\]: not a rational: "):
+        parse_diagram(p.read_text())
+    code, out, err = run("check", str(p))
+    assert (code, out) == (2, "")
+    code, out, err = run("lift", str(DILATION), f"--c1={spelling}")
+    assert (code, out) == (64, "")
+    assert err == f"error: usage: --c1: not a rational: {spelling!r}\n"
+
+
 def reference_rational(node, path):
-    """Every spelling through Fraction, as the parser read all of them
-    before plain integers took a shortcut to int."""
+    """Every spelling of the allowed ASCII characters through Fraction, as
+    the parser read all of them before plain integers took a shortcut to int."""
     if isinstance(node, bool) or isinstance(node, float):
         raise ParseError(f"{path}: coordinates must be rational strings, got {node!r}")
     if not isinstance(node, (int, str)):
@@ -907,6 +943,8 @@ def reference_rational(node, path):
             exponent = 0
         if abs(exponent) > 309 + len(node):
             raise ParseError(f"{path}: exponent {exponent} exceeds the 1024-bit bound")
+        if not re.fullmatch(r"[-+./0-9eE]+", node):  # spellings every Python reads alike
+            raise ParseError(f"{path}: not a rational: {node!r}")
     try:
         value = F(node)
     except (ValueError, ZeroDivisionError):

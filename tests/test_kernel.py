@@ -168,6 +168,30 @@ def test_points_on_line2():
     assert line.contains(u) and line.contains(v)
 
 
+def test_points_on_line2_skips_a_vanishing_cross_and_a_repeated_point():
+    # x = 0 is parallel to the first basis vector: its cross vanishes
+    assert points_on_line2(Line2(1, 0, 0)) == (Point2(0, 0, 1), Point2(0, 1, 0))
+    # x + y = 0: the first two crosses give the same point, the third a new one
+    assert points_on_line2(Line2(1, 1, 0)) == (Point2(0, 0, 1), Point2(1, -1, 0))
+
+
+def test_ideal_point_has_no_affine_coordinates():
+    with pytest.raises(ZeroVector, match=r"^ideal point Point2\(1:0:0\) has no affine "):
+        Point2(1, 0, 0).affine_coords
+
+
+@pytest.mark.parametrize(
+    "cls, coords, text",
+    [
+        (Point2, (1, 2), "Point2 takes exactly 3 homogeneous coordinates"),
+        (Line3, (1, 0, 0, 0, 0), "Line3 takes exactly 6 homogeneous coordinates"),
+    ],
+)
+def test_elements_reject_a_wrong_number_of_coordinates(cls, coords, text):
+    with pytest.raises(TypeError, match=f"^{text}$"):
+        cls(*coords)
+
+
 # --- spatial lines and planes ------------------------------------------
 
 def test_line3_frozen_values():
@@ -189,6 +213,15 @@ def test_line3_contains_both_generators():
 def test_line3_rejects_invalid_pluecker():
     with pytest.raises(PlueckerViolation):
         Line3(1, 1, 1, 1, 1, 1)
+
+
+def test_line3_is_a_canonical_element():
+    line = Line3(0, 0, 0, -2, 0, F(0))
+    assert line.coords == line.pluecker == (0, 0, 0, 1, 0, 0)
+    assert line == Line3(0, 0, 0, 1, 0, 0) and hash(line) == hash(((0, 0, 0, 1, 0, 0),))
+    assert repr(line) == "Line3(0:0:0:1:0:0)"
+    with pytest.raises(AttributeError):
+        line.pluecker = (1, 0, 0, 0, 0, 0)
 
 
 def test_plane_through_frozen_values():

@@ -126,6 +126,12 @@ def test_lift_collinear_centers_frozen_values():
     assert w.drawing_plane == DRAWING_PLANE
 
 
+def test_barred_quadrangle_has_no_vertex_t():
+    w = lift_collinear_centers(DIAGRAM)
+    with pytest.raises(KeyError):
+        w.quad.vertex("T")
+
+
 def test_lifted_vertices_match_two_ray_oracle():
     c1, c2 = (F(3), F(0), F(1)), (F(3), F(0), F(-1))
     for lab in VERTEX_LABELS:

@@ -105,9 +105,24 @@ def test_perspective_center_not_perspective():
         perspective_center(T1, bent)
 
 
+def test_triangles_perspective_point_rejects_a_center_at_a_vertex():
+    for t1, t2 in ((T1, T2), (T2, T1)):
+        with pytest.raises(CenterIsVertex, match="is a triangle vertex"):
+            triangles_perspective_point(T1[0], t1, t2)
+
+
 def test_perspective_center_identical_triangles_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too few distinct pairs"):
         perspective_center(T1, T1)
+
+
+def test_perspective_center_rejects_coinciding_joins():
+    # two distinct pairs, both on the x-axis, and an equal third pair
+    apex = Point2.affine(0, 1)
+    t1 = (Point2.affine(0, 0), Point2.affine(2, 0), apex)
+    t2 = (Point2.affine(1, 0), Point2.affine(3, 0), apex)
+    with pytest.raises(ValueError, match="homologous joins coincide"):
+        perspective_center(t1, t2)
 
 
 # --- Desargues ----------------------------------------------------------
@@ -140,6 +155,14 @@ def test_desargues_axis_non_perspective_triangles():
     bent = (T2[0], T2[1], Point2.affine(-4, -5))
     with pytest.raises(NotPerspective):
         desargues_axis(T1, bent)
+
+
+def test_desargues_axis_rejects_collinear_triangles_with_one_meet():
+    # every side of each triple is its own line, so all three meets are one point
+    on_x = tuple(Point2.affine(x, 0) for x in (1, 2, 3))
+    on_y = tuple(Point2.affine(0, y) for y in (1, 2, 3))
+    with pytest.raises(NotPerspective, match="^side intersections all coincide"):
+        desargues_axis(on_x, on_y)
 
 
 # --- the four-axis table -------------------------------------------------
@@ -209,6 +232,11 @@ def test_collineation_canonical_matrix():
     c = Collineation(((2, 0, -6), (0, 2, 0), (0, 0, 2)))
     assert c.matrix == ((1, 0, -3), (0, 1, 0), (0, 0, 1))
     assert Collineation(((-1, 0, 0), (0, -1, 0), (0, 0, -1))) == Collineation.identity()
+
+
+def test_collineation_rejects_a_matrix_that_is_not_3x3():
+    with pytest.raises(TypeError, match="^Collineation takes a 3x3 matrix$"):
+        Collineation(((1, 0), (0, 1)))
 
 
 def test_collineation_singular_rejected():

@@ -11,18 +11,25 @@ random multiplier, so a few of them may be correct after all.
 """
 
 import random
+import re
 
 import pytest
 
 from quadshadow.kernel import GeometryError, Line2, Point2
-from quadshadow.quadrangle import Quadrangle
+from quadshadow.quadrangle import Quadrangle, diagonal_triangle
 from quadshadow.perspectivity import (
     NoCommonAxis,
     common_axis,
     general_position,
     perspective_collineation,
 )
-from quadshadow.checker import PlanarDiagram, decide_depiction
+from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
+from quadshadow.generators import (
+    gen_correct_diagram,
+    gen_degenerate_diagram,
+    gen_general_position_diagram,
+    gen_incorrect_diagram,
+)
 from quadshadow.lift import (
     NotCorrectDiagram,
     lift_collinear_centers,
@@ -30,6 +37,7 @@ from quadshadow.lift import (
     planarity_certificate,
     verify_witness,
 )
+from quadshadow.render import render_svg
 
 CASES = 100
 
@@ -108,3 +116,42 @@ def test_characterisations_agree_in_special_position(ideal_center):
     # both verdicts occur, and most cases reach the axis route
     assert CASES <= tally["correct"] < 2 * CASES
     assert tally["general"] > CASES
+
+
+def _spans_both_axes(quad):
+    """The affine vertices and diagonal points of quad take two x and two y values."""
+    points = (*quad.vertices, *diagonal_triangle(quad).labeled().values())
+    xs, ys = zip(*(p.affine_coords for p in points if not p.is_ideal))
+    return len(set(xs)) > 1 and len(set(ys)) > 1
+
+
+def test_every_quadrangle_spans_both_axes_of_its_render():
+    # render_svg's bounding box has no fallback for an empty side: a valid
+    # quadrangle has two affine vertices X, Y at least, three affine vertices
+    # are never collinear, and with ideal U, V the diagonal point XU.YV is
+    # affine and off XY
+    diagrams = []
+    for ideal_center in (True, False):  # the cases of the test above
+        rng = random.Random(20260 + ideal_center)
+        diagrams += [_diagram(rng, ideal_center, c) for c in (True, False) for _ in range(CASES)]
+    for seed in range(100):  # the generated diagrams test_render_outputs_are_frozen draws
+        diagrams += [gen_general_position_diagram(seed, correct=c) for c in (True, False)]
+    for seed in range(50):
+        diagrams += [
+            gen_correct_diagram(seed)[1],
+            gen_incorrect_diagram(seed),
+            gen_degenerate_diagram(seed, kind=DegeneracyKind.TRIANGLE),
+            gen_degenerate_diagram(seed, kind=DegeneracyKind.VERTEX),
+        ]
+    for d in diagrams:
+        assert _spans_both_axes(d.quad1) and _spans_both_axes(d.quad2), d
+
+
+def test_a_quadrangle_with_two_ideal_vertices_renders_with_area():
+    quad1 = Quadrangle(Point2(0, 0, 1), Point2(0, 1, 1), Point2(1, 0, 0), Point2(1, 1, 0))
+    assert _spans_both_axes(quad1)
+    # dilated by 2 from O = (2, 3), which fixes the ideal vertices
+    quad2 = Quadrangle(Point2(-2, -3, 1), Point2(-2, -1, 1), quad1.R, quad1.S)
+    svg = render_svg(PlanarDiagram(Point2(2, 3, 1), quad1, quad2))
+    width, height = re.search(r'viewBox="0 0 ([0-9.]+) ([0-9.]+)"', svg).groups()
+    assert float(width) > 0 and float(height) > 0
