@@ -5,7 +5,9 @@ homologous vertices are (supposed to be) aligned with O, the way a light
 source aligns an object with its shadow.  The diagram is *correct*, i.e.
 realizable by an actual spatial quadrangle with its shadow, exactly when
 the two diagonal triangles are also perspective from O.  decide_depiction
-evaluates that criterion and reports every ingredient of the decision.
+evaluates that criterion as seven integer determinants det(O, X1, X2) on raw
+side and diagonal crosses (a zero test ignores scale, so nothing is
+normalised); only verify_witness and render build diagonal triangles.
 
 Degenerate pairs in which three of the four vertex pairs coincide come in
 two shapes, distinguished by which three homologous sides coincide: either
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .kernel import Point2, collinear2
-from .quadrangle import VERTEX_LABELS, Quadrangle, diagonal_triangle, sides
-from .perspectivity import CenterIsVertex, SideAxes, pair_perspective_from, side_axes
+from .kernel import Point2, _det3, collinear2
+from .quadrangle import VERTEX_LABELS, Quadrangle
+from .perspectivity import CenterIsVertex, SideAxes, side_axes
 
 __all__ = [
     "DegeneracyKind",
@@ -60,16 +62,13 @@ class DegeneracyClass:
 
 def classify_degeneracy(q1: Quadrangle, q2: Quadrangle) -> DegeneracyClass:
     shared = tuple(lab for lab in VERTEX_LABELS if q1.vertex(lab) == q2.vertex(lab))
-    if len(shared) == 4:
-        return DegeneracyClass(DegeneracyKind.IDENTICAL, shared)
+    kind = DegeneracyKind.IDENTICAL if len(shared) == 4 else DegeneracyKind.NONE
     if len(shared) == 3:
-        moved = next(lab for lab in VERTEX_LABELS if lab not in shared)
-        w1 = q1.vertex(moved)
-        w2 = q2.vertex(moved)
-        if any(collinear2(q1.vertex(lab), w1, w2) for lab in shared):
-            return DegeneracyClass(DegeneracyKind.VERTEX, shared)
-        return DegeneracyClass(DegeneracyKind.TRIANGLE, shared)
-    return DegeneracyClass(DegeneracyKind.NONE, shared)
+        (moved,) = set(VERTEX_LABELS).difference(shared)
+        w1, w2 = q1.vertex(moved), q2.vertex(moved)
+        through = any(collinear2(q1.vertex(lab), w1, w2) for lab in shared)
+        kind = DegeneracyKind.VERTEX if through else DegeneracyKind.TRIANGLE
+    return DegeneracyClass(kind, shared)
 
 
 class Reason(Enum):
@@ -113,25 +112,19 @@ class PlanarDiagram:
     @cached_property
     def _verdict(self) -> Verdict:
         degeneracy = classify_degeneracy(self.quad1, self.quad2)
+        o, (s1, d1), (s2, d2) = self.O.coords, self.quad1._crosses, self.quad2._crosses
         notes = tuple(
-            f"center O lies on side {lab} of {which}"
-            for which, q in (("quadrangle 1", self.quad1), ("quadrangle 2", self.quad2))
-            for lab, side in sides(q).labeled().items()
-            if side.contains(self.O)
+            f"center O lies on side {lab} of quadrangle {n}"
+            for n, sides in enumerate((s1, s2), 1)
+            for lab, (l0, l1, l2) in sides.items()
+            if l0 * o[0] + l1 * o[1] + l2 * o[2] == 0
         )
-        # O is not a vertex (checked above), so quad_perspective's scan is not repeated
-        applicable = all(
-            pair_perspective_from(self.O, x1, x2)
-            for x1, x2 in zip(self.quad1.vertices, self.quad2.vertices)
-        )
+        vertex_pairs = zip(self.quad1.vertices, self.quad2.vertices)
+        applicable = all(_det3(o, x1.coords, x2.coords) == 0 for x1, x2 in vertex_pairs)
         if not applicable:
             return Verdict(False, None, degeneracy, False, Reason.NOT_PERSPECTIVE, notes)
 
-        dt1 = diagonal_triangle(self.quad1)
-        dt2 = diagonal_triangle(self.quad2)
-        pairs = tuple(
-            pair_perspective_from(self.O, x1, x2) for x1, x2 in zip(dt1.points, dt2.points)
-        )
+        pairs = tuple(_det3(o, x1, x2) == 0 for x1, x2 in zip(d1, d2))
         correct = all(pairs) and degeneracy.kind is not DegeneracyKind.IDENTICAL
         reason = _DEGENERACY_REASONS.get(degeneracy.kind) or next(
             (r for r, ok in zip(_DIAGONAL_REASONS, pairs) if not ok), Reason.CORRECT

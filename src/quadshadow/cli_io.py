@@ -77,8 +77,8 @@ def _build_parser() -> _Parser:
     p_qset = command("qset", _cmd_qset, "trace of a line on both quadrangles")
     p_qset.add_argument("line", help="line coordinates 'a,b,c' (rationals)")
     p_fuzz = command("fuzz", _cmd_fuzz, "run a seeded property suite", None)
-    p_fuzz.add_argument("--count", type=int, required=True)
-    p_fuzz.add_argument("--seed", type=int, required=True)
+    p_fuzz.add_argument("--count", required=True, type=lambda t: _argument(t, "--count", int))
+    p_fuzz.add_argument("--seed", required=True, type=lambda t: _argument(t, "--seed", int))
     p_fuzz.add_argument("--mode", choices=("correct", "incorrect", "desargues"), default="correct")
     p_render = command("render", _cmd_render, "SVG figure of a diagram")
     p_render.add_argument("--out", required=True, help="output SVG path")
@@ -93,8 +93,10 @@ def _read_text(path: str) -> str:
             raise ParseError(f"not UTF-8 text: {e.reason}") from None
 
 
-def _argument(text: str, name: str) -> int | Fraction:
-    """A rational command-line argument, bounded like a document coordinate."""
+def _argument(text: str, name: str, kind: type = Fraction) -> int | Fraction:
+    """A rational (or, as kind=int, integer) argument, bounded like a coordinate."""
+    if kind is int and not (text.isascii() and text.lstrip("+-").isdigit()):  # int() takes "٣"
+        raise _UsageError(f"{name}: not an integer: {text!r}")
     try:
         return _rational(text, name)
     except ParseError as e:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .kernel import GeometryError, Line2, Point2, join2, meet2, collinear2
+from .kernel import GeometryError, Line2, Point2, _cross, meet2, collinear2
 
 __all__ = [
     "VERTEX_LABELS",
@@ -85,8 +85,8 @@ class _Labeled:
 class Quadrangle(_Labeled):
     """Four labeled points, no three collinear.  Checked on construction.
 
-    Its sides and diagonal triangle are built once, on first use; they are
-    not fields, so equality, hashing and repr ignore them.
+    Its raw crosses, sides and diagonal triangle are built once, on first
+    use; they are not fields, so equality, hashing and repr ignore them.
     """
 
     P: Point2
@@ -101,14 +101,19 @@ class Quadrangle(_Labeled):
         _check_vertices(self.vertices, collinear2)
 
     @cached_property
+    def _crosses(self) -> tuple[dict[str, tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+        """Sides by label, then A, B, C: crosses of vertex pairs, then of sides."""
+        v = {lab: x.coords for lab, x in self.labeled().items()}
+        s = {lab: _cross(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS}
+        return s, tuple(_cross(s[b], s[a]) for a, b in OPPOSITE_SIDES)
+
+    @cached_property
     def _sides(self) -> SideSet:
-        v = self.labeled()
-        return SideSet(**{lab: join2(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS})
+        return SideSet(**{lab: Line2(*c) for lab, c in self._crosses[0].items()})
 
     @cached_property
     def _diagonal_triangle(self) -> DiagonalTriangle:
-        s = self._sides
-        return DiagonalTriangle(*(meet2(s[b], s[a]) for a, b in OPPOSITE_SIDES))
+        return DiagonalTriangle(*(Point2(*c) for c in self._crosses[1]))
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:

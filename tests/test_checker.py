@@ -2,6 +2,7 @@
 
 from dataclasses import fields
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from quadshadow.checker import (
     classify_degeneracy,
     decide_depiction,
 )
+from quadshadow.documents import parse_diagram
+from quadshadow.lift import lift_collinear_centers, verify_witness
+from quadshadow.render import render_svg
 
 A = Point2.affine
 
@@ -177,6 +181,25 @@ def test_the_verdict_is_decided_once_and_kept_off_the_fields():
     assert [f.name for f in fields(d)] == ["O", "quad1", "quad2"]
     assert d == twin and (repr(d), hash(d)) == before == (repr(twin), hash(twin))
     assert decide_depiction(twin) == verdict
+
+
+def test_the_verdict_builds_no_sides_or_diagonal_triangles():
+    data = Path(__file__).parent / "data"
+    for name in ("perturbed", "vertex-degenerate", "dilation"):
+        d = parse_diagram((data / f"{name}.json").read_text())
+        decide_depiction(d)
+        for q in (d.quad1, d.quad2):
+            assert "_crosses" in vars(q), name
+            assert not {"_sides", "_diagonal_triangle"} & set(vars(q)), name
+    # the dilation is correct: its witness check builds the diagonal triangles
+    # from the kept crosses and reads them, and its figure builds the sides
+    witness = lift_collinear_centers(d)
+    assert verify_witness(d, witness).passed
+    assert all("_diagonal_triangle" in vars(q) for q in (d.quad1, d.quad2))
+    render_svg(d)
+    assert all("_sides" in vars(q) for q in (d.quad1, d.quad2))
+    vars(d.quad1)["_diagonal_triangle"] = diagonal_triangle(d.quad2)
+    assert not verify_witness(d, witness).clauses[-1].ok
 
 
 def test_reason_values_are_stable_strings():

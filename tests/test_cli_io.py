@@ -549,6 +549,28 @@ def test_fuzz_summary_lines():
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "spelling", [" 2", "1_0", "\u0663", "\uff13"],
+    ids=["space", "underscore", "arabic-indic", "fullwidth"],
+)
+@pytest.mark.parametrize("option", ["--count", "--seed"])
+def test_fuzz_integers_spelled_outside_ascii_digits_are_rejected(option, spelling):
+    # int() reads these as 2, 10, 3 and 3; the options take a sign and ASCII digits only
+    given = {"--count": "2", "--seed": "0", option: spelling}
+    code, out, err = run("fuzz", *(word for pair in given.items() for word in pair))
+    assert (code, out) == (64, "")
+    assert err == f"error: usage: {option}: not an integer: {spelling!r}\n"
+
+
+def test_fuzz_integers_keep_their_ascii_spellings():
+    assert run("fuzz", "--count", "+2", "--seed", "-1")[:2] == (0, "2/2 verdicts correct\n")
+    assert run("fuzz", "--count", "2", "--seed", "+007")[:2] == run(
+        "fuzz", "--count", "2", "--seed", "7"
+    )[:2]
+    code, out, err = run("fuzz", "--count", "1.0", "--seed", "0")
+    assert (code, out, err) == (64, "", "error: usage: --count: not an integer: '1.0'\n")
+
+
 def test_fuzz_reports_the_first_wrong_verdict(monkeypatch):
     def correct_but_seed_four(seed):
         return (None, gen_incorrect_diagram(seed)) if seed == 4 else gen_correct_diagram(seed)
