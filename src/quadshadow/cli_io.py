@@ -11,6 +11,7 @@ defect of this program, reported as one line, never as a traceback).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -79,7 +80,7 @@ def _build_parser() -> _Parser:
     p_fuzz = command("fuzz", _cmd_fuzz, "run a seeded property suite", None)
     p_fuzz.add_argument("--count", required=True, type=lambda t: _argument(t, "--count", int))
     p_fuzz.add_argument("--seed", required=True, type=lambda t: _argument(t, "--seed", int))
-    p_fuzz.add_argument("--mode", choices=("correct", "incorrect", "desargues"), default="correct")
+    p_fuzz.add_argument("--mode", choices=tuple(_FUZZ), default="correct")
     p_render = command("render", _cmd_render, "SVG figure of a diagram")
     p_render.add_argument("--out", required=True, help="output SVG path")
     return parser
@@ -95,7 +96,7 @@ def _read_text(path: str) -> str:
 
 def _argument(text: str, name: str, kind: type = Fraction) -> int | Fraction:
     """A rational (or, as kind=int, integer) argument, bounded like a coordinate."""
-    if kind is int and not (text.isascii() and text.lstrip("+-").isdigit()):  # int() takes "٣"
+    if kind is int and not re.fullmatch(r"[-+]?[0-9]+", text):  # int() takes "٣" and "1_0"
         raise _UsageError(f"{name}: not an integer: {text!r}")
     try:
         return _rational(text, name)
@@ -143,52 +144,52 @@ def _cmd_qset(args, out: TextIO) -> int:
     return 0
 
 
+def _fuzz_correct(generators, seed: int) -> str:
+    verdict = decide_depiction(generators.gen_correct_diagram(seed)[1])
+    return "" if verdict.correct else f"verdict {verdict.reason.value}"
+
+
+def _fuzz_incorrect(generators, seed: int) -> str:
+    diagram = generators.gen_incorrect_diagram(seed)
+    verdict = decide_depiction(diagram)
+    if not verdict.applicable or verdict.correct:
+        return f"verdict {verdict.reason.value}"
+    return "" if planarity_certificate(diagram).determinant else "coplanarity determinant vanished"
+
+
+def _fuzz_desargues(generators, seed: int) -> str:
+    desargues_axis(*generators.gen_point_perspective_triangles(seed)[1:])
+    _, u1, u2 = generators.gen_axis_perspective_triangles(seed)
+    perspective_center(u1, u2)
+    desargues_axis(u1, u2)
+    return ""
+
+
+#: Each fuzz mode's check, which returns its failure text ("" when it holds), and its noun.
+_FUZZ = {
+    "correct": (_fuzz_correct, "verdicts correct"),
+    "incorrect": (_fuzz_incorrect, "verdicts incorrect"),
+    "desargues": (_fuzz_desargues, "configurations consistent"),
+}
+
+
 def _cmd_fuzz(args, out: TextIO) -> int:
     if args.count <= 0:
         raise _UsageError(f"--count must be positive, got {args.count}")
-    from .generators import (  # only fuzz draws diagrams; other commands never load them
-        gen_axis_perspective_triangles,
-        gen_correct_diagram,
-        gen_incorrect_diagram,
-        gen_point_perspective_triangles,
-    )
+    from . import generators  # only fuzz draws diagrams; other commands never load them
 
-    failures: list[tuple[int, str]] = []
-    for i in range(args.count):
-        seed = args.seed + i
+    check, noun = _FUZZ[args.mode]
+    failures = []
+    for seed in range(args.seed, args.seed + args.count):
         try:
-            if args.mode == "correct":
-                _, diagram = gen_correct_diagram(seed)
-                verdict = decide_depiction(diagram)
-                if not verdict.correct:
-                    failures.append((seed, f"verdict {verdict.reason.value}"))
-            elif args.mode == "incorrect":
-                diagram = gen_incorrect_diagram(seed)
-                verdict = decide_depiction(diagram)
-                if not verdict.applicable or verdict.correct:
-                    failures.append((seed, f"verdict {verdict.reason.value}"))
-                elif planarity_certificate(diagram).determinant == 0:
-                    failures.append((seed, "coplanarity determinant vanished"))
-            else:
-                _, t1, t2 = gen_point_perspective_triangles(seed)
-                desargues_axis(t1, t2)
-                _, u1, u2 = gen_axis_perspective_triangles(seed)
-                perspective_center(u1, u2)
-                desargues_axis(u1, u2)
+            detail = check(generators, seed)
         except GeometryError as e:
-            failures.append((seed, f"{type(e).__name__}: {e}"))
-    good = args.count - len(failures)
-    noun = {
-        "correct": "verdicts correct",
-        "incorrect": "verdicts incorrect",
-        "desargues": "configurations consistent",
-    }[args.mode]
-    out.write(f"{good}/{args.count} {noun}\n")
-    if failures:
-        seed, detail = failures[0]
-        out.write(f"first failure: seed {seed}: {detail}\n")
-        return 1
-    return 0
+            detail = f"{type(e).__name__}: {e}"
+        if detail:
+            failures.append(f"first failure: seed {seed}: {detail}\n")
+    out.write(f"{args.count - len(failures)}/{args.count} {noun}\n")
+    out.writelines(failures[:1])
+    return 1 if failures else 0
 
 
 def _cmd_render(args, out: TextIO) -> int:

@@ -324,16 +324,10 @@ def collinear2(p: Point2, q: Point2, r: Point2) -> bool:
 
 def points_on_line2(l: Line2) -> tuple[Point2, Point2]:
     """Two distinct points on a planar line, deterministically chosen."""
-    found: list[Point2] = []
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        c = _cross(l.coords, e)
-        if any(c):
-            p = Point2(*c)
-            if p not in found:
-                found.append(p)
-        if len(found) == 2:
-            return found[0], found[1]
-    raise ZeroVector(f"no two distinct points found on {l!r}")  # pragma: no cover
+    # The crosses of l with the three basis points span the points of l, so two are distinct.
+    crosses = (_cross(l.coords, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    p, q, *_ = dict.fromkeys(Point2(*c) for c in crosses if any(c))
+    return p, q
 
 
 def _pluecker(a: Point3, b: Point3) -> tuple[int, int, int, int, int, int]:
@@ -409,10 +403,9 @@ def points_on_line3(line: Line3) -> tuple[Point3, Point3]:
         (p03, -p31, p23, 0),
     )
     pairs = ((0, 1, p01), (0, 2, p02), (0, 3, p03), (1, 2, p12), (1, 3, -p31), (2, 3, p23))
-    for j, k, pjk in pairs:
-        if pjk != 0:
-            return Point3(*cols[j]), Point3(*cols[k])
-    raise ZeroVector("degenerate Pluecker coordinates")  # pragma: no cover
+    # The canonical coordinates of a Line3 are never all zero, so some p_jk is nonzero.
+    j, k = next((j, k) for j, k, pjk in pairs if pjk != 0)
+    return Point3(*cols[j]), Point3(*cols[k])
 
 
 def meet_lines3(l1: Line3, l2: Line3) -> Point3 | None:
@@ -430,14 +423,10 @@ def meet_lines3(l1: Line3, l2: Line3) -> Point3 | None:
     form = p[0] * q[3] + p[1] * q[4] + p[2] * q[5] + p[3] * q[0] + p[4] * q[1] + p[5] * q[2]
     if form != 0:
         return None
-    for z in _BASIS3:
-        plane = _span(p, z)
-        if not any(plane):
-            continue
-        x = _pierce(q, plane)
-        if any(x):
-            return Point3(*x)
-    raise ZeroVector("no cutting plane found")  # pragma: no cover
+    # Basis points on l1 span no plane; the others cannot all span the one plane holding l2.
+    planes = (_span(p, z) for z in _BASIS3)
+    points = (_pierce(q, plane) for plane in planes if any(plane))
+    return Point3(*next(x for x in points if any(x)))
 
 
 def collinear3(a: Point3, b: Point3, c: Point3) -> bool:

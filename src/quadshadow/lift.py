@@ -395,18 +395,16 @@ def witness_side_traces(w: Witness) -> dict[str, Point2]:
     homologous side intersections, labeled compatibly with the planar
     traces.
     """
-    traces = {}
-    for lab, line in _spatial_sides(w.quad).items():
-        traces[lab] = chart_drawing(meet_line_plane(line, DRAWING_PLANE))
-    return traces
+    sides = _spatial_sides(w.quad).items()
+    return {lab: chart_drawing(meet_line_plane(line, DRAWING_PLANE)) for lab, line in sides}
 
 
 def _clause(name: str, fn) -> ClauseCheck:
     try:
-        ok, detail = fn()
+        detail = fn()
     except GeometryError as e:
-        return ClauseCheck(name, False, f"{type(e).__name__}: {e}")
-    return ClauseCheck(name, ok, detail if not ok else "")
+        detail = f"{type(e).__name__}: {e}"
+    return ClauseCheck(name, not detail, detail)
 
 
 def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
@@ -425,51 +423,47 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
     Failures are reported, never raised.
     """
     quad = w.quad
+    vertices = quad.labeled()
 
-    def clause_quad() -> tuple[bool, str]:
+    def projects(center: Point3, spatial: dict, planar, what: str = "vertex") -> str:
+        """Failure text for the first spatial point whose image misses its labelled planar one."""
+        for lab, x in spatial.items():
+            image = central_project(center, DRAWING_PLANE, x)
+            if image != embed_drawing(planar[lab]):
+                return f"{what} {lab} projects to {image!r}"
+        return ""
+
+    def clause_quad() -> str:
         _check_vertices(quad.vertices, collinear3)
-        for la, a in quad.labeled().items():
+        for la, a in vertices.items():
             if not quad.plane.contains(a):
-                return False, f"vertex {la} is off the declared plane"
+                return f"vertex {la} is off the declared plane"
         if w.drawing_plane != DRAWING_PLANE:
-            return False, f"declared drawing plane {w.drawing_plane!r} is not x2 = 0"
+            return f"declared drawing plane {w.drawing_plane!r} is not x2 = 0"
         if quad.plane == DRAWING_PLANE:
-            return False, "declared plane equals the drawing plane"
-        return True, ""
+            return "declared plane equals the drawing plane"
+        return ""
 
-    def projection_clause(center: Point3, planar: Quadrangle) -> tuple[bool, str]:
-        for lab in VERTEX_LABELS:
-            image = central_project(center, DRAWING_PLANE, quad.vertex(lab))
-            if image != embed_drawing(planar.vertex(lab)):
-                return False, f"vertex {lab} projects to {image!r}"
-        return True, ""
-
-    def clause_centers() -> tuple[bool, str]:
+    def clause_centers() -> str:
         if w.O1 == w.O2:
-            return False, "centers coincide"
-        if collinear3(w.O1, w.O2, embed_drawing(d.O)):
-            return True, ""
-        return False, "centers are not collinear with the embedded O"
+            return "centers coincide"
+        ok = collinear3(w.O1, w.O2, embed_drawing(d.O))
+        return "" if ok else "centers are not collinear with the embedded O"
 
-    def clause_diagonals() -> tuple[bool, str]:
+    def clause_diagonals() -> str:
         sides3 = _spatial_sides(quad)
-        spatial = []
-        for s2, s1 in OPPOSITE_SIDES:
-            x = meet_lines3(sides3[s1], sides3[s2])
-            if x is None:
-                return False, f"opposite sides {s1}, {s2} are skew"
-            spatial.append(x)
-        for center, q in ((w.O1, d.quad1), (w.O2, d.quad2)):
-            for lab, x, p in zip(DiagonalTriangle._LABELS, spatial, diagonal_triangle(q).points):
-                image = central_project(center, DRAWING_PLANE, x)
-                if image != embed_drawing(p):
-                    return False, f"diagonal point {lab} projects to {image!r}"
-        return True, ""
+        spatial = {}
+        for lab, (s2, s1) in zip(DiagonalTriangle._LABELS, OPPOSITE_SIDES):
+            spatial[lab] = meet_lines3(sides3[s1], sides3[s2])
+            if spatial[lab] is None:
+                return f"opposite sides {s1}, {s2} are skew"
+        first = projects(w.O1, spatial, diagonal_triangle(d.quad1), "diagonal point")
+        return first or projects(w.O2, spatial, diagonal_triangle(d.quad2), "diagonal point")
 
     clauses = (
         _clause("spatial quadrangle valid and planar", clause_quad),
-        _clause("first projection reproduces quad1", lambda: projection_clause(w.O1, d.quad1)),
-        _clause("second projection reproduces quad2", lambda: projection_clause(w.O2, d.quad2)),
+        _clause("first projection reproduces quad1", lambda: projects(w.O1, vertices, d.quad1)),
+        _clause("second projection reproduces quad2", lambda: projects(w.O2, vertices, d.quad2)),
         _clause("centers collinear with embedded O", clause_centers),
         _clause("diagonal points correspond", clause_diagonals),
     )

@@ -313,24 +313,16 @@ def perspective_collineation(
 
     c = center.coords
     a = axis.coords
-    v0 = x0.coords
-    v1 = x1.coords
+    # x1 ~ alpha*x0 + beta*c.  Dotting the crosses with n = x0 x c, nonzero as
+    # x0 != center, gives alpha and beta times n.n; alpha != 0 as x1 != center.
+    n = _cross(x0.coords, c)
+    alpha = _det3(x1.coords, c, n)  # (x1 x c).n
+    beta = _det3(x0.coords, x1.coords, n)  # (x0 x x1).n
 
-    # Solve v1 ~ alpha*v0 + beta*c on two independent coordinates by Cramer's
-    # rule: alpha = d_alpha / d, nonzero as x1 != center, and beta = d_beta / d.
-    i, j = next(
-        (i, j)
-        for i in range(3)
-        for j in range(i + 1, 3)
-        if v0[i] * c[j] - v0[j] * c[i] != 0
-    )
-    d_alpha = v1[i] * c[j] - v1[j] * c[i]
-    d_beta = v0[i] * v1[j] - v0[j] * v1[i]
-
-    # (I + k c a^T) * d_alpha * dot, with k = d_beta / (d_alpha * dot).
-    scale = d_alpha * sum(ai * vi for ai, vi in zip(a, v0))
+    # (I + k c a^T) * alpha * (a.x0), with k = beta / (alpha * (a.x0)).
+    scale = alpha * sum(ai * vi for ai, vi in zip(a, x0.coords))
     rows = tuple(
-        tuple((scale if r == s else 0) + d_beta * c[r] * a[s] for s in range(3))
+        tuple((scale if r == s else 0) + beta * c[r] * a[s] for s in range(3))
         for r in range(3)
     )
     return Collineation(rows)

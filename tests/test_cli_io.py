@@ -550,14 +550,17 @@ def test_fuzz_summary_lines():
 
 
 @pytest.mark.parametrize(
-    "spelling", [" 2", "1_0", "\u0663", "\uff13"],
-    ids=["space", "underscore", "arabic-indic", "fullwidth"],
+    "spelling", [" 2", "1_0", "\u0663", "\uff13", "+-2", "-+2", "++2"],
+    ids=[
+        "space", "underscore", "arabic-indic", "fullwidth", "plus-minus", "minus-plus", "plus-plus"
+    ],
 )
 @pytest.mark.parametrize("option", ["--count", "--seed"])
 def test_fuzz_integers_spelled_outside_ascii_digits_are_rejected(option, spelling):
-    # int() reads these as 2, 10, 3 and 3; the options take a sign and ASCII digits only
+    # int() reads the first four as 2, 10, 3 and 3, and Fraction none of the stacked signs;
+    # the options take one optional sign and ASCII digits only
     given = {"--count": "2", "--seed": "0", option: spelling}
-    code, out, err = run("fuzz", *(word for pair in given.items() for word in pair))
+    code, out, err = run("fuzz", *(f"{name}={value}" for name, value in given.items()))
     assert (code, out) == (64, "")
     assert err == f"error: usage: {option}: not an integer: {spelling!r}\n"
 

@@ -8,7 +8,7 @@ import pytest
 
 from quadshadow.cli_io import parse_diagram
 from quadshadow.generators import gen_general_position_diagram
-from quadshadow.kernel import Line2, Point2, collinear2, join2, meet2
+from quadshadow.kernel import Line2, Point2, collinear2, join2, meet2, points_on_line2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.perspectivity import (
     AXIS_SIDES,
@@ -338,6 +338,31 @@ def test_elation_when_center_on_axis():
     assert h.apply(center) == center
     for x in (Point2.affine(5, 0), Point2(1, 0, 0)):
         assert h.apply(x) == x
+
+
+@pytest.mark.parametrize(
+    "center, axis, target, matrix",
+    [
+        # an elation: the affine center (1, 2) lies on the axis 2x - y = 0
+        (Point2.affine(1, 2), Line2(2, -1, 0), (3, 4), ((8, -3, 0), (12, -4, 0), (6, -3, 2))),
+        # a homology with the ideal center (1 : 0 : 0), off the axis x = 2
+        (Point2(1, 0, 0), Line2(1, 0, -2), (5, 1), ((3, 0, -10), (0, -2, 0), (0, 0, -2))),
+        # the translation by (5, 0): the ideal center lies on the line at infinity
+        (Point2(1, 0, 0), Line2(0, 0, 1), (5, 1), ((1, 0, 5), (0, 1, 0), (0, 0, 1))),
+    ],
+    ids=["elation", "ideal-center", "translation"],
+)
+def test_perspective_collineation_elations_and_ideal_centers_frozen(center, axis, target, matrix):
+    pair = (Point2.affine(0, 1), Point2.affine(*target))
+    h = perspective_collineation(center, axis, pair)
+    assert h.matrix == matrix  # recorded before the pair was solved with cross products
+    assert h.apply(pair[0]) == pair[1]
+    p, q = points_on_line2(axis)
+    for x in (p, q, Point2(*(a + b for a, b in zip(p.coords, q.coords)))):
+        assert axis.contains(x)
+        assert h.apply(x) == x
+    through = join2(center, Point2.affine(7, -3))
+    assert h.apply_line(through) == through
 
 
 def test_collineation_compose_and_inverse():
