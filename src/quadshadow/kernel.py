@@ -451,14 +451,8 @@ def coplanarity_det(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     return -(p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3)
 
 
-def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:
-    """Image of x on the target plane as seen from the center.
-
-    Points already on the target are fixed.  The center must be off the
-    target plane and x must differ from the center.  For a target with
-    coefficients a the image is (a.c) x - (a.x) c: it lies on the line
-    through c and x, and a annihilates it.
-    """
+def _project(center: Point3, target: Plane3, x: Point3) -> tuple[int, int, int, int]:
+    """central_project's image, not normalised; never zero, as x is not the center."""
     a0, a1, a2, a3 = target.coords
     c0, c1, c2, c3 = center.coords
     pc = a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3
@@ -468,7 +462,18 @@ def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:
         raise ProjectingCenter(f"cannot project the center {center!r} itself")
     x0, x1, x2, x3 = x.coords
     px = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
-    return Point3(pc * x0 - px * c0, pc * x1 - px * c1, pc * x2 - px * c2, pc * x3 - px * c3)
+    return (pc * x0 - px * c0, pc * x1 - px * c1, pc * x2 - px * c2, pc * x3 - px * c3)
+
+
+def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:
+    """Image of x on the target plane as seen from the center.
+
+    Points already on the target are fixed.  The center must be off the
+    target plane and x must differ from the center.  For a target with
+    coefficients a the image is (a.c) x - (a.x) c: it lies on the line
+    through c and x, and a annihilates it.
+    """
+    return Point3(*_project(center, target, x))
 
 
 def embed_drawing(p: Point2) -> Point3:

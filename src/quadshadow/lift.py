@@ -44,6 +44,8 @@ from .kernel import (
     Point2,
     Point3,
     Scalar,
+    _cross,
+    _project,
     central_project,
     chart_drawing,
     collinear3,
@@ -325,15 +327,6 @@ def scene_from_witness(w: Witness) -> SpatialScene:
     )
 
 
-def _chart_index(plane: Plane3) -> int:
-    return next(i for i, c in enumerate(plane.coords) if c != 0)
-
-
-def _chart_on(k: int, x: Point3) -> Point2:
-    coords = [c for i, c in enumerate(x.coords) if i != k]
-    return Point2(*coords)
-
-
 def project_scene(s: SpatialScene) -> PlanarDiagram:
     """Flatten a scene into the diagram it presents.
 
@@ -357,26 +350,18 @@ def project_scene(s: SpatialScene) -> PlanarDiagram:
     if s.viewpoint is not None and s.shadow_plane.contains(s.viewpoint):
         raise DegenerateScene("viewpoint lies in the shadow plane")
 
-    k = _chart_index(s.shadow_plane)
-    viewpoint = s.viewpoint
-    if viewpoint is None:
-        basis = [0, 0, 0, 0]
-        basis[k] = 1
-        viewpoint = Point3(*basis)
+    k = next(i for i, c in enumerate(s.shadow_plane.coords) if c)
+    viewpoint = s.viewpoint or Point3(*(int(i == k) for i in range(4)))
+
+    def chart(center: Point3, x: Point3) -> Point2:
+        """The image of x from center, charted without coordinate k and normalised once."""
+        return Point2(*(c for i, c in enumerate(_project(center, s.shadow_plane, x)) if i != k))
 
     try:
-        shadow = {
-            lab: central_project(s.light, s.shadow_plane, x)
-            for lab, x in quad.labeled().items()
-        }
-        seen_quad = {
-            lab: _chart_on(k, central_project(viewpoint, s.shadow_plane, x))
-            for lab, x in quad.labeled().items()
-        }
-        seen_shadow = {lab: _chart_on(k, x) for lab, x in shadow.items()}
-        seen_light = _chart_on(k, central_project(viewpoint, s.shadow_plane, s.light))
-        quad1 = Quadrangle(**seen_shadow)
-        quad2 = Quadrangle(**seen_quad)
+        shadow = {lab: chart(s.light, x) for lab, x in quad.labeled().items()}
+        seen_quad = {lab: chart(viewpoint, x) for lab, x in quad.labeled().items()}
+        seen_light = chart(viewpoint, s.light)
+        quad1, quad2 = Quadrangle(**shadow), Quadrangle(**seen_quad)
         return PlanarDiagram(O=seen_light, quad1=quad1, quad2=quad2)
     except GeometryError as e:
         raise DegenerateScene(f"scene is not depictable from this viewpoint: {e}") from e
@@ -428,9 +413,9 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
     def projects(center: Point3, spatial: dict, planar, what: str = "vertex") -> str:
         """Failure text for the first spatial point whose image misses its labelled planar one."""
         for lab, x in spatial.items():
-            image = central_project(center, DRAWING_PLANE, x)
-            if image != embed_drawing(planar[lab]):
-                return f"{what} {lab} projects to {image!r}"
+            r0, r1, _, r3 = _project(center, DRAWING_PLANE, x)  # r2 = c2 x2 - x2 c2 = 0
+            if any(_cross((r0, r1, r3), planar[lab].coords)):
+                return f"{what} {lab} projects to {Point3(r0, r1, 0, r3)!r}"
         return ""
 
     def clause_quad() -> str:

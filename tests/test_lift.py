@@ -5,7 +5,10 @@ The worked example lifts the square-dilation diagram with displacements
 two-ray solver independent of the library's meet machinery.
 """
 
+import hashlib
+from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -17,6 +20,7 @@ from quadshadow.kernel import (
     Plane3,
     Point2,
     Point3,
+    central_project,
     collinear3,
     embed_drawing,
     meet2,
@@ -35,7 +39,7 @@ from quadshadow.checker import (
     classify_degeneracy,
     decide_depiction,
 )
-from quadshadow.generators import gen_correct_diagram
+from quadshadow.generators import SplitMix64, gen_correct_diagram
 from quadshadow.lift import (
     ClauseCheck,
     DegenerateParameters,
@@ -234,8 +238,9 @@ def test_verify_witness_detects_wrong_center():
     )
     report = verify_witness(DIAGRAM, tampered)
     assert not report.passed
-    failed = {c.name for c in report.clauses if not c.ok}
-    assert "second projection reproduces quad2" in failed
+    assert report.clauses[2] == ClauseCheck(
+        "second projection reproduces quad2", False, "vertex P projects to Point3(3:-4:0:-2)"
+    )
 
 
 def test_verify_witness_detects_coincident_centers():
@@ -314,6 +319,67 @@ def test_verify_witness_names_a_collinear_spatial_triple():
     assert detail == "CollinearTriple: vertices P, Q, R are collinear"
 
 
+def _aimed(d, w, lab, j):
+    """w with vertex lab moved onto the O1 ray through quad1's lab vertex
+    plus the j-th planar basis point: its O1 image differs from that vertex
+    by one step in coordinate j only."""
+    q = list(d.quad1.vertex(lab).coords)
+    q[j] += 1
+    x = Point3(*(c + e for c, e in zip(w.O1.coords, embed_drawing(Point2(*q)).coords)))
+    return replace(w, quad=replace(w.quad, **{lab + "bar": x}))
+
+
+def _broken(seed, d, w):
+    """Six seeded breakages of the witness w of d."""
+    rng = SplitMix64(seed)
+
+    def point():
+        return Point3(*(rng.below(19) - 9 for _ in range(3)), rng.below(9) + 1)
+
+    lab = VERTEX_LABELS[rng.below(4)]
+    k = rng.below(9) + 1
+    # still on its O1 ray, so only the second projection moves
+    slid = Point3(*(a + k * c for a, c in zip(w.quad.vertex(lab).coords, w.O1.coords)))
+    return (
+        replace(w, quad=replace(w.quad, **{lab + "bar": point()})),
+        replace(w, O1=point()),
+        replace(w, O2=point()),
+        replace(w, O1=w.O2, O2=w.O1),
+        replace(w, quad=replace(w.quad, **{lab + "bar": slid})),
+        _aimed(d, w, lab, rng.below(3)),
+    )
+
+
+def test_verify_witness_reports_are_frozen():
+    # sha256 of the reports on six breakages of the lifted and of the
+    # scene's own witness of correct seeds 0-99, recorded before the judge
+    # compared projections by cross-multiplication.  In the last scene quad1
+    # has a zero in each coordinate (P at infinity), so moving each image
+    # one step in each coordinate is in places seen by one cross component only.
+    digest = hashlib.sha256()
+    for seed in range(100):
+        scene, d = gen_correct_diagram(seed)
+        seen = Witness(scene.quad, scene.light, scene.viewpoint, DRAWING_PLANE)
+        for w in (lift_collinear_centers(d), seen):
+            for claim in _broken(seed, d, w):
+                digest.update(repr(verify_witness(d, claim)).encode())
+    quad = SpatialQuadrangle(
+        Point3(1, 0, 1, 1), Point3(0, 1, 2, 1), Point3(-1, 1, 2, 1), Point3(1, -2, -1, 1),
+        plane=Plane3(0, 1, -1, 1),
+    )
+    scene = SpatialScene(quad, Point3(0, 2, 1, 1), DRAWING_PLANE, Point3(2, 3, 5, 1))
+    d = project_scene(scene)
+    assert [v.coords for v in d.quad1.vertices] == [(1, -2, 0), (0, 3, 1), (1, 3, 1), (1, 0, 2)]
+    w = Witness(quad, scene.light, scene.viewpoint, DRAWING_PLANE)
+    assert verify_witness(d, w).passed
+    aimed = (_aimed(d, w, lab, j) for lab in VERTEX_LABELS for j in range(3))
+    for claim in (*_broken(0, d, w), *aimed):
+        digest.update(repr(verify_witness(d, claim)).encode())
+    assert digest.hexdigest() == (
+        "29e200b2074bf55a2f195c9dfb4aec80a8aeb8282f47bc1c7402996dd248183e"
+    )
+
+
 # --- scene projection ---------------------------------------------------------
 
 def test_scene_round_trip_reproduces_diagram():
@@ -386,6 +452,78 @@ def test_project_scene_invariant_gates():
         project_scene(
             SpatialScene(quad=off_plane, light=Point3(3, 0, 1, 1), shadow_plane=DRAWING_PLANE)
         )
+
+
+def test_project_scene_onto_other_shadow_planes_frozen():
+    # recorded before the chart read the raw projections; the chart drops
+    # coordinate 0, 1 and 0 of these planes
+    w = lift_collinear_centers(DIAGRAM)
+    scene = scene_from_witness(w)
+    expected = {
+        (Plane3(1, 0, 0, 0), w.O2): (
+            "PlanarDiagram(O=Point2(0:1:0), quad1=Quadrangle(P=Point2(3:-1:2), "
+            "Q=Point2(3:1:4), R=Point2(3:-1:-4), S=Point2(3:1:-2)), quad2=Quadrangle("
+            "P=Point2(6:-1:4), Q=Point2(6:-5:8), R=Point2(6:5:-8), S=Point2(6:1:-4)))"
+        ),
+        (Plane3(1, 0, 0, 0), Point3(1, 2, 5, 1)): (
+            "PlanarDiagram(O=Point2(3:7:1), quad1=Quadrangle(P=Point2(3:-1:2), "
+            "Q=Point2(3:1:4), R=Point2(3:-1:-4), S=Point2(3:1:-2)), quad2=Quadrangle("
+            "P=Point2(1:-3:1), Q=Point2(9:17:5), R=Point2(5:17:5), S=Point2(3:3:-1)))"
+        ),
+        (Plane3(0, 2, 3, -1), w.O2): (
+            "PlanarDiagram(O=Point2(9:1:3), quad1=Quadrangle(P=Point2(1:1:-1), "
+            "Q=Point2(5:1:-1), R=Point2(7:3:5), S=Point2(11:3:5)), quad2=Quadrangle("
+            "P=Point2(5:-3:7), Q=Point2(11:3:-7), R=Point2(35:-5:1), S=Point2(19:-5:1)))"
+        ),
+        (Plane3(0, 2, 3, -1), Point3(1, 2, 5, 1)): (
+            "PlanarDiagram(O=Point2(13:2:4), quad1=Quadrangle(P=Point2(1:1:-1), "
+            "Q=Point2(5:1:-1), R=Point2(7:3:5), S=Point2(11:3:5)), quad2=Quadrangle("
+            "P=Point2(4:-7:13), Q=Point2(32:7:-13), R=Point2(28:-13:-17), S=Point2(8:13:17)))"
+        ),
+        (Plane3(3, 0, 1, -2), w.O2): (
+            "PlanarDiagram(O=Point2(0:7:-1), quad1=Quadrangle(P=Point2(8:-1:7), "
+            "Q=Point2(8:5:13), R=Point2(8:-5:-13), S=Point2(8:1:-7)), quad2=Quadrangle("
+            "P=Point2(12:-5:11), Q=Point2(12:-17:23), R=Point2(12:17:-23), S=Point2(12:5:-11)))"
+        ),
+        (Plane3(3, 0, 1, -2), Point3(1, 2, 5, 1)): (
+            "PlanarDiagram(O=Point2(8:17:1), quad1=Quadrangle(P=Point2(8:-1:7), "
+            "Q=Point2(8:5:13), R=Point2(8:-5:-13), S=Point2(8:1:-7)), quad2=Quadrangle("
+            "P=Point2(16:7:11), Q=Point2(40:67:23), R=Point2(16:67:23), S=Point2(8:-7:-11)))"
+        ),
+    }
+    for (plane, viewpoint), diagram in expected.items():
+        assert repr(project_scene(replace(scene, shadow_plane=plane, viewpoint=viewpoint))) == (
+            diagram
+        )
+    # without a viewpoint the chart direction flattens two vertices together
+    collapsed = {
+        Plane3(1, 0, 0, 0): "vertices P and Q coincide at Point2(4:-1:3)",
+        Plane3(0, 2, 3, -1): "vertices P and S coincide at Point2(1:-1:3)",
+        Plane3(3, 0, 1, -2): "vertices P and Q coincide at Point2(4:-1:3)",
+    }
+    for plane, text in collapsed.items():
+        with pytest.raises(DegenerateScene) as e:
+            project_scene(replace(scene, shadow_plane=plane, viewpoint=None))
+        assert str(e.value) == f"scene is not depictable from this viewpoint: {text}"
+
+
+def test_project_scene_normalises_a_chart_that_shares_a_factor():
+    # correct seed 5 cast on the seeded plane 2 x1 - x2 - x3 = 0: the
+    # canonical image of Pbar from the viewpoint keeps a factor 2 once its
+    # x1 is dropped
+    rng = SplitMix64(5)
+    scene, _ = gen_correct_diagram(5)
+    scene = replace(scene, shadow_plane=Plane3(*(rng.below(7) - 3 for _ in range(4))))
+    assert scene.shadow_plane == Plane3(0, 2, -1, -1)
+    x0, _, x2, x3 = central_project(scene.viewpoint, scene.shadow_plane, scene.quad.Pbar).coords
+    assert gcd(x0, x2, x3) == 2
+    assert repr(project_scene(scene)) == (
+        "PlanarDiagram(O=Point2(703:-5928:5592), quad1=Quadrangle("
+        "P=Point2(5541:-1736:-38136), Q=Point2(2193:-5992:28392), R=Point2(435:-1208:696), "
+        "S=Point2(16481:-58856:21224)), quad2=Quadrangle(P=Point2(74813:-290633:-26628), "
+        "Q=Point2(18170:-247751:61740), R=Point2(1664:4573:-7668), "
+        "S=Point2(65278:55447:-311668)))"
+    )
 
 
 # --- side traces ---------------------------------------------------------------
