@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help)
         if document:
             p.add_argument("input", help=f"{document} document path")
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, document=document)
         return p
 
     command("check", _cmd_check, "verdict for a diagram document")
@@ -104,14 +104,13 @@ def _argument(text: str, name: str, kind: type = Fraction) -> int | Fraction:
         raise _UsageError(str(e)) from None
 
 
-def _cmd_check(args, out: TextIO) -> int:
-    verdict = decide_depiction(parse_diagram(_read_text(args.input)))
+def _cmd_check(args, diagram, out: TextIO) -> int:
+    verdict = decide_depiction(diagram)
     out.write(emit_verdict(verdict))
     return 0 if verdict.correct else 1 if verdict.applicable else 2
 
 
-def _cmd_lift(args, out: TextIO) -> int:
-    diagram = parse_diagram(_read_text(args.input))
+def _cmd_lift(args, diagram, out: TextIO) -> int:
     c1, c2 = _argument(args.c1, "--c1"), _argument(args.c2, "--c2")
     axis = args.method == "axis"
     witness = lift_via_axis(diagram) if axis else lift_collinear_centers(diagram, c1, c2)
@@ -119,19 +118,17 @@ def _cmd_lift(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_project(args, out: TextIO) -> int:
-    out.write(emit_diagram(project_scene(parse_scene(_read_text(args.input)))))
+def _cmd_project(args, scene, out: TextIO) -> int:
+    out.write(emit_diagram(project_scene(scene)))
     return 0
 
 
-def _cmd_axis(args, out: TextIO) -> int:
-    diagram = parse_diagram(_read_text(args.input))
+def _cmd_axis(args, diagram, out: TextIO) -> int:
     out.write(_traces("axis", common_axis(diagram.quad1, diagram.quad2), diagram))
     return 0
 
 
-def _cmd_qset(args, out: TextIO) -> int:
-    diagram = parse_diagram(_read_text(args.input))
+def _cmd_qset(args, diagram, out: TextIO) -> int:
     pieces = args.line.split(",")
     if len(pieces) != 3:
         raise _UsageError(f"line must be 'a,b,c', got {args.line!r}")
@@ -173,7 +170,7 @@ _FUZZ = {
 }
 
 
-def _cmd_fuzz(args, out: TextIO) -> int:
+def _cmd_fuzz(args, _, out: TextIO) -> int:
     if args.count <= 0:
         raise _UsageError(f"--count must be positive, got {args.count}")
     from . import generators  # only fuzz draws diagrams; other commands never load them
@@ -192,8 +189,8 @@ def _cmd_fuzz(args, out: TextIO) -> int:
     return 1 if failures else 0
 
 
-def _cmd_render(args, out: TextIO) -> int:
-    svg = render_svg(parse_diagram(_read_text(args.input)))
+def _cmd_render(args, diagram, out: TextIO) -> int:
+    svg = render_svg(diagram)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0
@@ -209,7 +206,9 @@ def run_cli(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None =
     try:
         with redirect_stdout(out):  # argparse prints --help to sys.stdout
             args = _PARSER.parse_args(list(argv))
-        return args.run(args, out)
+        # The document is read before any other argument is looked at: its errors come first.
+        read = {"diagram": parse_diagram, "scene": parse_scene}.get(args.document)
+        return args.run(args, read and read(_read_text(args.input)), out)
     except _UsageError as e:
         err.write(f"error: usage: {e}\n")
         return 64

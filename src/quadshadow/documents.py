@@ -88,25 +88,22 @@ def _fraction(node: Any, path: str) -> Fraction:
     """Any other rational spelling, read by Fraction once it is known to be bounded."""
     if isinstance(node, bool) or isinstance(node, float):
         raise ParseError(f"{path}: coordinates must be rational strings, got {node!r}")
-    if not isinstance(node, (int, str)):
+    if not isinstance(node, str):  # every int took _rational's own path
         raise ParseError(
             f"{path}: coordinates must be rational strings, got {type(node).__name__}"
         )
-    if isinstance(node, str):
-        # A nonzero m * 10**e with at most len(node) mantissa digits has a
-        # numerator or denominator of at least 10**_MAX_COORD_DIGITS once |e|
-        # exceeds that plus len(node); reject it before Fraction builds 10**e.
-        _, sep, tail = node.lower().rpartition("e")
-        try:
-            exponent = int(tail) if sep else 0
-        except ValueError:
-            exponent = 0  # no exponent form: Fraction rejects the string
-        if abs(exponent) > _MAX_COORD_DIGITS + len(node):
-            raise ParseError(
-                f"{path}: exponent {exponent} exceeds the {_MAX_COORD_BITS}-bit bound"
-            )
-        if not _SPELLING.fullmatch(node):
-            raise ParseError(f"{path}: not a rational: {node!r}")
+    # A nonzero m * 10**e with at most len(node) mantissa digits has a
+    # numerator or denominator of at least 10**_MAX_COORD_DIGITS once |e|
+    # exceeds that plus len(node); reject it before Fraction builds 10**e.
+    _, sep, tail = node.lower().rpartition("e")
+    try:
+        exponent = int(tail) if sep else 0
+    except ValueError:
+        exponent = 0  # no exponent form: Fraction rejects the string
+    if abs(exponent) > _MAX_COORD_DIGITS + len(node):
+        raise ParseError(f"{path}: exponent {exponent} exceeds the {_MAX_COORD_BITS}-bit bound")
+    if not _SPELLING.fullmatch(node):
+        raise ParseError(f"{path}: not a rational: {node!r}")
     try:
         return Fraction(node)
     except (ValueError, ZeroDivisionError):
@@ -308,7 +305,8 @@ def parse_verdict(text: str) -> Verdict:
     except ValueError:
         raise ParseError(f"degeneracy.kind: unknown kind {deg['kind']!r}") from None
     coincident = deg["coincident"]
-    if not isinstance(coincident, list) or not all(isinstance(c, str) for c in coincident):
+    shared = [v for v in VERTEX_LABELS if isinstance(coincident, list) and v in coincident]
+    if coincident != shared:  # distinct vertex labels in label order, as emitted
         raise ParseError("degeneracy.coincident: expected an array of labels")
     pairs = None
     if doc["diagonal_pairs"] is not None:

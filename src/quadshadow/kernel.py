@@ -370,15 +370,12 @@ def plane_through(a: Point3, b: Point3, c: Point3) -> Plane3:
 
 
 def _pierce(p: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """Raw Pluecker-matrix product P . a (zero vector iff line lies in plane)."""
-    p01, p02, p03, p23, p31, p12 = p
-    a0, a1, a2, a3 = a
-    return (
-        p01 * a1 + p02 * a2 + p03 * a3,
-        -p01 * a0 + p12 * a2 - p31 * a3,
-        -p02 * a0 - p12 * a1 + p23 * a3,
-        -p03 * a0 + p31 * a1 - p23 * a2,
-    )
+    """Raw Pluecker-matrix product P . a (zero vector iff line lies in plane).
+
+    It is the dual of _span: the same product with (p01, p02, p03) and
+    (p23, p31, p12) swapped.
+    """
+    return _span((*p[3:], *p[:3]), a)
 
 
 def meet_line_plane(line: Line3, plane: Plane3) -> Point3:
@@ -390,22 +387,11 @@ def meet_line_plane(line: Line3, plane: Plane3) -> Point3:
 
 
 def points_on_line3(line: Line3) -> tuple[Point3, Point3]:
-    """Two distinct points spanning a spatial line.
-
-    The nonzero columns of the antisymmetric Pluecker matrix are points of
-    the line; columns j and k are independent exactly when p_jk is nonzero.
-    """
-    p01, p02, p03, p23, p31, p12 = line.coords
-    cols = (
-        (0, -p01, -p02, -p03),
-        (p01, 0, -p12, p31),
-        (p02, p12, 0, -p23),
-        (p03, -p31, p23, 0),
-    )
-    pairs = ((0, 1, p01), (0, 2, p02), (0, 3, p03), (1, 2, p12), (1, 3, -p31), (2, 3, p23))
-    # The canonical coordinates of a Line3 are never all zero, so some p_jk is nonzero.
-    j, k = next((j, k) for j, k, pjk in pairs if pjk != 0)
-    return Point3(*cols[j]), Point3(*cols[k])
+    """Two distinct points spanning a spatial line, deterministically chosen."""
+    # Its pierces of the four coordinate planes, the columns of the Pluecker matrix, span it.
+    pierces = (_pierce(line.coords, e) for e in _BASIS3)
+    p, q, *_ = dict.fromkeys(Point3(*x) for x in pierces if any(x))
+    return p, q
 
 
 def meet_lines3(l1: Line3, l2: Line3) -> Point3 | None:

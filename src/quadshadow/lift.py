@@ -135,12 +135,10 @@ class SpatialQuadrangle:
         return (self.Pbar, self.Qbar, self.Rbar, self.Sbar)
 
     def vertex(self, label: str) -> Point3:
-        if label not in VERTEX_LABELS:
-            raise KeyError(label)
-        return getattr(self, label + "bar")
+        return self.labeled()[label]
 
     def labeled(self) -> dict[str, Point3]:
-        return {lab: self.vertex(lab) for lab in VERTEX_LABELS}
+        return dict(zip(VERTEX_LABELS, self.vertices))
 
 
 @dataclass(frozen=True)

@@ -274,9 +274,7 @@ class Collineation:
         return Line2(*(sum(r * c for r, c in zip(row, l.coords)) for row in cof))
 
     def apply_quadrangle(self, q: Quadrangle) -> Quadrangle:
-        return Quadrangle(
-            self.apply(q.P), self.apply(q.Q), self.apply(q.R), self.apply(q.S)
-        )
+        return Quadrangle(*map(self.apply, q.vertices))
 
     def compose(self, other: "Collineation") -> "Collineation":
         """Matrix product: self after other."""

@@ -135,17 +135,6 @@ def render_svg(d: PlanarDiagram) -> str:
     def line_tag(a: tuple[float, float], b: tuple[float, float]) -> str:
         return f'<line x1="{a[0]:.4f}" y1="{a[1]:.4f}" x2="{b[0]:.4f}" y2="{b[1]:.4f}"/>'
 
-    def line_elements(lines, dedupe: set) -> list[str]:
-        out = []
-        for line in lines:
-            if line in dedupe:
-                continue
-            dedupe.add(line)
-            chord = _clip_to_rect(line, rect)
-            if chord is not None:
-                out.append(line_tag(pixel(chord[0]), pixel(chord[1])))
-        return out
-
     parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -154,31 +143,33 @@ def render_svg(d: PlanarDiagram) -> str:
     )
     parts.append(f'<rect width="{width:.4f}" height="{height:.4f}" fill="white"/>')
 
-    seen: set[Line2] = set()
-    parts.append('<g class="quad1-sides" stroke="#1f77b4" stroke-width="1.5">')
-    parts.extend(line_elements(sides(d.quad1).labeled().values(), seen))
-    parts.append("</g>")
-    parts.append('<g class="quad2-sides" stroke="#d62728" stroke-width="1.5">')
-    parts.extend(line_elements(sides(d.quad2).labeled().values(), seen))
-    parts.append("</g>")
-
+    seen: set[Line2] = set()  # the two quadrangles draw a shared side once
     rays = (join2(d.O, v) for quad in (d.quad1, d.quad2) for v in quad.vertices)
-    parts.append('<g class="rays" stroke="#999999" stroke-width="0.75" stroke-dasharray="6 4">')
-    parts.extend(line_elements(rays, set()))
-    parts.append("</g>")
-
     # diagonal points never coincide, so each triangle has three sides
     diag_lines = (
         join2(u, v)
         for dt in triangles
         for u, v in ((dt.A, dt.B), (dt.B, dt.C), (dt.C, dt.A))
     )
-    parts.append(
-        '<g class="diagonal-triangles" stroke="#2ca02c" stroke-width="1" '
-        'stroke-dasharray="3 3">'
+    layers = (
+        ('class="quad1-sides" stroke="#1f77b4" stroke-width="1.5"',
+         sides(d.quad1).labeled().values(), seen),
+        ('class="quad2-sides" stroke="#d62728" stroke-width="1.5"',
+         sides(d.quad2).labeled().values(), seen),
+        ('class="rays" stroke="#999999" stroke-width="0.75" stroke-dasharray="6 4"', rays, set()),
+        ('class="diagonal-triangles" stroke="#2ca02c" stroke-width="1" stroke-dasharray="3 3"',
+         diag_lines, set()),
     )
-    parts.extend(line_elements(diag_lines, set()))
-    parts.append("</g>")
+    for attributes, lines, dedupe in layers:
+        parts.append(f"<g {attributes}>")
+        for line in lines:
+            if line in dedupe:
+                continue
+            dedupe.add(line)
+            chord = _clip_to_rect(line, rect)
+            if chord is not None:
+                parts.append(line_tag(pixel(chord[0]), pixel(chord[1])))
+        parts.append("</g>")
 
     try:
         axis = _common_axis(d._side_axes)

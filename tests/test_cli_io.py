@@ -207,10 +207,16 @@ def test_parse_rejects_geometric_invariant_violations():
         ("witness", 5, "witness: expected a string or null"),
         ("witness", {}, "witness: expected a string or null"),
         ("applicable", 1, "applicable: expected a boolean"),
-        (
-            "degeneracy",
-            {"kind": "none", "coincident": ["P", 7]},
-            "degeneracy.coincident: expected an array of labels",
+        *(
+            (
+                "degeneracy",
+                {"kind": "none", "coincident": coincident},
+                "degeneracy.coincident: expected an array of labels",
+            )
+            # anything but distinct vertex labels in label order, as emit_verdict writes them
+            for coincident in (
+                ["P", 7], ["X"], ["P", "P", "P"], ["S", "R", "Q"], ["p"], ["P", "Q", "R", "S", "T"]
+            )
         ),
     ],
 )
@@ -344,6 +350,7 @@ def test_check_incorrect_diagram_exits_one():
 def test_check_matches_golden_verdict(name, status):
     expected = (DATA / f"{name}-verdict.json").read_text()
     assert run("check", str(DATA / f"{name}.json")) == (status, expected, "")
+    assert emit_verdict(parse_verdict(expected)) == expected  # the golden reads back
 
 
 def test_vertex_degenerate_golden_is_generated():
@@ -422,6 +429,39 @@ def test_help_exits_zero(capsys):
     code, out, _ = run("lift", "--help")
     assert code == 0 and out.startswith("usage: quadshadow lift") and "--method" in out
     assert capsys.readouterr() == ("", "")
+
+
+def test_help_texts_are_frozen(monkeypatch):
+    # sha256 of the top-level help and of each subcommand's, 80 columns wide
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in ([], ["check"], ["lift"], ["project"], ["axis"], ["qset"], ["fuzz"], ["render"]):
+        code, out, err = run(*argv, "--help")
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "5d6c324e2998c1e5d739f027c4c0746c207f03bd03a820b8a04f64b5776d942c"
+    )
+
+
+def test_the_document_is_read_before_any_other_argument(tmp_path):
+    # a bad document exits 2 before a bad --c1, a bad qset line or an
+    # unwritable --out is looked at
+    doc = json.loads(DILATION.read_text())
+    del doc["O"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    missing_o = "error: ParseError: document: missing field 'O'\n"
+    for argv in (
+        ("lift", str(bad), "--c1", "nope"),
+        ("qset", str(bad), "1,2"),
+        ("render", str(bad), "--out", str(tmp_path / "no" / "x.svg")),
+    ):
+        assert run(*argv) == (2, "", missing_o)
+    scene = json.loads(SCENE.read_text())
+    del scene["quad"]
+    bad.write_text(json.dumps(scene))
+    assert run("project", str(bad)) == (2, "", "error: ParseError: document: missing field 'quad'\n")
 
 
 def _python_m(module, *argv):

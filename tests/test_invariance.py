@@ -2,23 +2,28 @@
 
 The criterion uses incidence only, so a collineation of the drawing plane keeps
 every verdict field; relabelling P, Q, R, S alike in both quadrangles permutes
-the diagonal pairs; and swapping the quadrangles keeps the verdict.  Fixed seeds,
-so every run checks the same diagrams.
+the diagonal pairs and the sides named in the notes; and swapping the quadrangles
+keeps the verdict and swaps the quadrangles named in the notes.  Fixed seeds, so
+every run checks the same diagrams.
 """
 
+import re
+from fractions import Fraction as F
 from itertools import permutations
 
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
 from quadshadow.generators import (
+    _toward,
     gen_collineation,
     gen_correct_diagram,
     gen_degenerate_diagram,
     gen_general_position_diagram,
     gen_incorrect_diagram,
+    gen_quadrangle,
 )
 from quadshadow.lift import lift_collinear_centers, verify_witness
 from quadshadow.perspectivity import common_axis
-from quadshadow.quadrangle import Quadrangle
+from quadshadow.quadrangle import SIDE_LABELS, Quadrangle
 
 SEEDS = range(100)
 #: The vertex pairs joined by the two opposite sides through A, B and C.
@@ -27,8 +32,27 @@ DIAGONALS = (("SP", "QR"), ("SQ", "RP"), ("SR", "PQ"))
 RELABELLINGS = list(permutations("PQRS"))[1:]
 
 
+#: The notes of a diagram whose center lies on side PQ of both quadrangles.
+ON_SIDE_PQ = (
+    "center O lies on side PQ of quadrangle 1",
+    "center O lies on side PQ of quadrangle 2",
+)
+
+
+def center_on_side(seed):
+    """O on side PQ of gen_quadrangle(seed), other than P and Q, and each vertex
+    moved along its ray from O: by equal ratios (correct) for even seeds, with
+    one vertex moved by another ratio (incorrect) for odd ones."""
+    q = gen_quadrangle(seed)
+    o = _toward(q.P, q.Q, (F(1, 3), F(-1, 2), F(3, 2))[seed % 3])
+    ratios = [2, 2, 2, 2]
+    if seed % 2:
+        ratios[seed // 2 % 4] = 3
+    return PlanarDiagram(o, q, Quadrangle(*map(_toward, [o] * 4, q.vertices, ratios)))
+
+
 def diagrams(seed):
-    """One diagram of each of the six generated kinds, the correct ones first."""
+    """One diagram of each of the seven kinds, the two always correct ones first."""
     return (
         gen_correct_diagram(seed)[1],
         gen_general_position_diagram(seed),
@@ -36,7 +60,32 @@ def diagrams(seed):
         gen_general_position_diagram(seed, correct=False),
         gen_degenerate_diagram(seed),
         gen_degenerate_diagram(seed, kind=DegeneracyKind.VERTEX),
+        center_on_side(seed),
     )
+
+
+def is_correct(seed, n):
+    """The verdict diagrams(seed)[n] is built to have."""
+    return n < 2 or n == 6 and seed % 2 == 0
+
+
+NOTE = re.compile(r"center O lies on side (\w\w) of quadrangle ([12])")
+
+
+def relabelled_notes(notes, perm):
+    """The notes of the relabelled diagram, in order: its side ab is old side perm[a] perm[b]."""
+    old = {(n, frozenset(side)) for side, n in (NOTE.fullmatch(x).groups() for x in notes)}
+    return tuple(
+        f"center O lies on side {lab} of quadrangle {n}"
+        for n in "12"
+        for lab in SIDE_LABELS
+        if (n, frozenset(perm[v] for v in lab)) in old
+    )
+
+
+def swapped_notes(notes):
+    """The notes of the swapped diagram: quadrangle 2's first, each number swapped."""
+    return tuple(x[:-1] + new for old, new in ("21", "12") for x in notes if x[-1] == old)
 
 
 def diagonal_index(pair_of_sides):
@@ -54,7 +103,9 @@ def test_a_collineation_keeps_every_verdict_field_and_correct_images_verify():
             )
             verdict = decide_depiction(d)
             assert decide_depiction(image) == verdict, (seed, n)
-            assert verdict.correct == (n < 2), (seed, n)
+            assert verdict.correct == is_correct(seed, n), (seed, n)
+            if n == 6:
+                assert verdict.notes == ON_SIDE_PQ, seed
             if verdict.correct:
                 assert verify_witness(image, lift_collinear_centers(image)).passed, (seed, n)
             if n == 1:  # a correct diagram in general position has a common axis
@@ -78,6 +129,8 @@ def test_a_relabelling_permutes_the_diagonal_pairs_and_the_swap_keeps_the_verdic
                 assert other.correct == verdict.correct, (seed, n)
                 assert other.degeneracy.kind is verdict.degeneracy.kind, (seed, n)
             assert swapped.diagonal_pairs == verdict.diagonal_pairs, (seed, n)
+            assert relabelled.notes == relabelled_notes(verdict.notes, perm), (seed, n)
+            assert swapped.notes == swapped_notes(verdict.notes), (seed, n)
             if verdict.applicable:
                 moved = (
                     diagonal_index([perm[a] + perm[b] for a, b in sides]) for sides in DIAGONALS

@@ -5,7 +5,10 @@ with plain Fraction arithmetic (cross products, explicit parametric line
 intersection) rather than the kernel's own formulas.
 """
 
+import hashlib
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -268,6 +271,73 @@ def test_points_on_line3():
     u, v = points_on_line3(line)
     assert u != v
     assert line.contains(u) and line.contains(v)
+
+
+def sparse_points(seed, n, zero=None):
+    """n seeded spatial points, most coordinates 0 or +-1; coordinate `zero` is 0 in all."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        x = [rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(4)]
+        if zero is not None:
+            x[zero] = 0
+        if any(x):
+            out.append(Point3(*x))
+    return out
+
+
+BASIS3 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def test_points_on_line3_frozen_on_coordinate_axes_and_planes():
+    axes = [line3_through(Point3(*a), Point3(*b)) for a, b in combinations(BASIS3, 2)]
+    assert [tuple(x.coords for x in points_on_line3(line)) for line in axes] == [
+        ((0, 1, 0, 0), (1, 0, 0, 0)),
+        ((0, 0, 1, 0), (1, 0, 0, 0)),
+        ((0, 0, 0, 1), (1, 0, 0, 0)),
+        ((0, 0, 1, 0), (0, 1, 0, 0)),
+        ((0, 0, 0, 1), (0, 1, 0, 0)),
+        ((0, 0, 0, 1), (0, 0, 1, 0)),
+    ]
+    digest = hashlib.sha256()
+    for k in range(4):  # lines in the coordinate plane x_k = 0
+        points = sparse_points(k, 40, zero=k)
+        for a, b in zip(points[::2], points[1::2]):
+            if a != b:
+                digest.update(repr(points_on_line3(line3_through(a, b))).encode())
+    assert digest.hexdigest() == (
+        "a81d3c2c1928bb20c473db17d147feba24b21cebacd0b86a8089c2fad422e32f"
+    )
+
+
+def test_spatial_incidence_outputs_are_frozen():
+    # sha256 of every spatial join, meet and incidence test over seeded points
+    # with many zero coordinates, errors by class name
+    def outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except GeometryError as e:
+            return type(e).__name__
+
+    digest = hashlib.sha256()
+    points = sparse_points(7, 200)
+    for a, b, c, d in zip(points[0::4], points[1::4], points[2::4], points[3::4]):
+        digest.update(
+            f"{collinear3(a, b, c)} {coplanarity_det(a, b, c, d)} "
+            f"{outcome(plane_through, a, b, c)}\n".encode()
+        )
+        if a == b or c == d:
+            continue
+        l, m = line3_through(a, b), line3_through(c, d)
+        digest.update(
+            f"{points_on_line3(l)} {l.contains(c)} {l.contains(d)} "
+            f"{outcome(meet_lines3, l, m)}\n".encode()
+        )
+        for plane in (Plane3(*c.coords), DRAWING_PLANE):
+            digest.update(f"{outcome(meet_line_plane, l, plane)}\n".encode())
+    assert digest.hexdigest() == (
+        "314b41ec8a268e93a5b8c1a50d4138fbe507f9c1a92e359cdaa3514788b8b03b"
+    )
 
 
 # --- meets of spatial lines --------------------------------------------
