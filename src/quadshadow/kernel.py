@@ -437,18 +437,19 @@ def coplanarity_det(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     return -(p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3)
 
 
-def _project(center: Point3, target: Plane3, x: Point3) -> tuple[int, int, int, int]:
-    """central_project's image, not normalised; never zero, as x is not the center."""
+def _project(center: Point3, target: Plane3, x: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """central_project's image of raw x, not normalised; zero exactly when x is the center."""
     a0, a1, a2, a3 = target.coords
     c0, c1, c2, c3 = center.coords
     pc = a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3
     if not pc:
         raise CenterOnTarget(f"projection center {center!r} lies on {target!r}")
-    if x == center:
-        raise ProjectingCenter(f"cannot project the center {center!r} itself")
-    x0, x1, x2, x3 = x.coords
+    x0, x1, x2, x3 = x
     px = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
-    return (pc * x0 - px * c0, pc * x1 - px * c1, pc * x2 - px * c2, pc * x3 - px * c3)
+    image = (pc * x0 - px * c0, pc * x1 - px * c1, pc * x2 - px * c2, pc * x3 - px * c3)
+    if not any(image):
+        raise ProjectingCenter(f"cannot project the center {center!r} itself")
+    return image
 
 
 def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:
@@ -459,7 +460,7 @@ def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:
     coefficients a the image is (a.c) x - (a.x) c: it lies on the line
     through c and x, and a annihilates it.
     """
-    return Point3(*_project(center, target, x))
+    return Point3(*_project(center, target, x.coords))
 
 
 def embed_drawing(p: Point2) -> Point3:

@@ -38,13 +38,15 @@ from dataclasses import dataclass
 
 from .kernel import (
     DRAWING_PLANE,
+    CoincidentLines,
+    CoincidentPoints,
     GeometryError,
-    Line3,
     Plane3,
     Point2,
     Point3,
     Scalar,
     _cross,
+    _det3,
     _project,
     central_project,
     chart_drawing,
@@ -57,13 +59,11 @@ from .kernel import (
     plane_through,
 )
 from .quadrangle import (
-    OPPOSITE_SIDES,
     SIDE_LABELS,
     VERTEX_LABELS,
     DiagonalTriangle,
     Quadrangle,
     _check_vertices,
-    diagonal_triangle,
 )
 from .perspectivity import HomologousSidesEqual, NotPerspective, _common_axis
 from .checker import PlanarDiagram, decide_depiction
@@ -353,7 +353,8 @@ def project_scene(s: SpatialScene) -> PlanarDiagram:
 
     def chart(center: Point3, x: Point3) -> Point2:
         """The image of x from center, charted without coordinate k and normalised once."""
-        return Point2(*(c for i, c in enumerate(_project(center, s.shadow_plane, x)) if i != k))
+        image = _project(center, s.shadow_plane, x.coords)
+        return Point2(*(c for i, c in enumerate(image) if i != k))
 
     try:
         shadow = {lab: chart(s.light, x) for lab, x in quad.labeled().items()}
@@ -365,11 +366,6 @@ def project_scene(s: SpatialScene) -> PlanarDiagram:
         raise DegenerateScene(f"scene is not depictable from this viewpoint: {e}") from e
 
 
-def _spatial_sides(quad: SpatialQuadrangle) -> dict[str, Line3]:
-    v = quad.labeled()
-    return {lab: line3_through(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS}
-
-
 def witness_side_traces(w: Witness) -> dict[str, Point2]:
     """Where the six sides of the witness quadrangle pierce the drawing plane
     x2 = 0, whatever drawing plane the witness declares.
@@ -378,8 +374,37 @@ def witness_side_traces(w: Witness) -> dict[str, Point2]:
     homologous side intersections, labeled compatibly with the planar
     traces.
     """
-    sides = _spatial_sides(w.quad).items()
+    v = w.quad.labeled()
+    sides = ((lab, line3_through(v[lab[0]], v[lab[1]])) for lab in SIDE_LABELS)
     return {lab: chart_drawing(meet_line_plane(line, DRAWING_PLANE)) for lab, line in sides}
+
+
+def _spatial_diagonals(v: dict[str, tuple[int, ...]]) -> tuple[list[int], ...] | None:
+    """Raw diagonal points A, B, C of four raw vertices, or None when they span space.
+
+    On three rows of rank 3 the 3x3 minors give cP P - cQ Q + cR R - cS S = 0,
+    and on the fourth row the same sum is the 4x4 determinant.  So for coplanar
+    vertices cQ Q - cR R is on QR and SP, cP P + cR R on RP and SQ, and so on.
+    """
+    for a, b in SIDE_LABELS:
+        if v[a] == v[b]:
+            raise CoincidentPoints(f"cannot join {Point3(*v[a])!r} with itself")
+    P, Q, R, S = v.values()
+    for k in range(4):
+        p, q, r, s = (x[:k] + x[k + 1:] for x in (P, Q, R, S))
+        cP, cQ, cR, cS = _det3(q, r, s), _det3(p, r, s), _det3(p, q, s), _det3(p, q, r)
+        if cP or cQ or cR or cS:
+            break
+    else:
+        side = line3_through(Point3(*S), Point3(*P))
+        raise CoincidentLines(f"cannot intersect {side!r} with itself")
+    if P[k] * cP - Q[k] * cQ + R[k] * cR - S[k] * cS:
+        return None
+    return (
+        [cQ * y - cR * z for y, z in zip(Q, R)],
+        [cP * x + cR * z for x, z in zip(P, R)],
+        [cP * x - cQ * y for x, y in zip(P, Q)],
+    )
 
 
 def _clause(name: str, fn) -> ClauseCheck:
@@ -406,19 +431,20 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
     Failures are reported, never raised.
     """
     quad = w.quad
-    vertices = quad.labeled()
+    vertices = {lab: x.coords for lab, x in quad.labeled().items()}
+    drawn1, drawn2 = ([x.coords for x in q.vertices] for q in (d.quad1, d.quad2))
 
     def projects(center: Point3, spatial: dict, planar, what: str = "vertex") -> str:
-        """Failure text for the first spatial point whose image misses its labelled planar one."""
-        for lab, x in spatial.items():
+        """Failure text for the first raw spatial point whose image misses its raw planar one."""
+        for (lab, x), y in zip(spatial.items(), planar):
             r0, r1, _, r3 = _project(center, DRAWING_PLANE, x)  # r2 = c2 x2 - x2 c2 = 0
-            if any(_cross((r0, r1, r3), planar[lab].coords)):
+            if any(_cross((r0, r1, r3), y)):
                 return f"{what} {lab} projects to {Point3(r0, r1, 0, r3)!r}"
         return ""
 
     def clause_quad() -> str:
         _check_vertices(quad.vertices, collinear3)
-        for la, a in vertices.items():
+        for la, a in quad.labeled().items():
             if not quad.plane.contains(a):
                 return f"vertex {la} is off the declared plane"
         if w.drawing_plane != DRAWING_PLANE:
@@ -434,19 +460,17 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
         return "" if ok else "centers are not collinear with the embedded O"
 
     def clause_diagonals() -> str:
-        sides3 = _spatial_sides(quad)
-        spatial = {}
-        for lab, (s2, s1) in zip(DiagonalTriangle._LABELS, OPPOSITE_SIDES):
-            spatial[lab] = meet_lines3(sides3[s1], sides3[s2])
-            if spatial[lab] is None:
-                return f"opposite sides {s1}, {s2} are skew"
-        first = projects(w.O1, spatial, diagonal_triangle(d.quad1), "diagonal point")
-        return first or projects(w.O2, spatial, diagonal_triangle(d.quad2), "diagonal point")
+        points = _spatial_diagonals(vertices)
+        if points is None:
+            return "opposite sides SP, QR are skew"
+        spatial = dict(zip(DiagonalTriangle._LABELS, points))
+        first = projects(w.O1, spatial, d.quad1._crosses[1], "diagonal point")
+        return first or projects(w.O2, spatial, d.quad2._crosses[1], "diagonal point")
 
     clauses = (
         _clause("spatial quadrangle valid and planar", clause_quad),
-        _clause("first projection reproduces quad1", lambda: projects(w.O1, vertices, d.quad1)),
-        _clause("second projection reproduces quad2", lambda: projects(w.O2, vertices, d.quad2)),
+        _clause("first projection reproduces quad1", lambda: projects(w.O1, vertices, drawn1)),
+        _clause("second projection reproduces quad2", lambda: projects(w.O2, vertices, drawn2)),
         _clause("centers collinear with embedded O", clause_centers),
         _clause("diagonal points correspond", clause_diagonals),
     )

@@ -191,14 +191,15 @@ def test_the_verdict_builds_no_sides_or_diagonal_triangles():
         for q in (d.quad1, d.quad2):
             assert "_crosses" in vars(q), name
             assert not {"_sides", "_diagonal_triangle"} & set(vars(q)), name
-    # the dilation is correct: its witness check builds the diagonal triangles
-    # from the kept crosses and reads them, and its figure builds the sides
+    # the dilation is correct: its witness check reads the kept diagonal crosses
+    # and builds neither sides nor diagonal triangles; only its figure builds both
     witness = lift_collinear_centers(d)
     assert verify_witness(d, witness).passed
-    assert all("_diagonal_triangle" in vars(q) for q in (d.quad1, d.quad2))
+    for q in (d.quad1, d.quad2):
+        assert not {"_sides", "_diagonal_triangle"} & set(vars(q))
     render_svg(d)
-    assert all("_sides" in vars(q) for q in (d.quad1, d.quad2))
-    vars(d.quad1)["_diagonal_triangle"] = diagonal_triangle(d.quad2)
+    assert all({"_sides", "_diagonal_triangle"} <= set(vars(q)) for q in (d.quad1, d.quad2))
+    vars(d.quad1)["_crosses"] = d.quad2._crosses
     assert not verify_witness(d, witness).clauses[-1].ok
 
 

@@ -23,9 +23,11 @@ from quadshadow.kernel import (
     central_project,
     collinear3,
     embed_drawing,
+    line3_through,
     meet2,
+    meet_lines3,
 )
-from quadshadow.quadrangle import SIDE_LABELS, VERTEX_LABELS, Quadrangle
+from quadshadow.quadrangle import OPPOSITE_SIDES, SIDE_LABELS, VERTEX_LABELS, Quadrangle
 from quadshadow.perspectivity import (
     HomologousSidesEqual,
     NotPerspective,
@@ -39,7 +41,7 @@ from quadshadow.checker import (
     classify_degeneracy,
     decide_depiction,
 )
-from quadshadow.generators import SplitMix64, gen_correct_diagram
+from quadshadow.generators import SplitMix64, gen_correct_diagram, gen_general_position_diagram
 from quadshadow.lift import (
     ClauseCheck,
     DegenerateParameters,
@@ -57,6 +59,7 @@ from quadshadow.lift import (
     scene_from_witness,
     verify_witness,
     witness_side_traces,
+    _spatial_diagonals,
 )
 
 A = Point2.affine
@@ -378,6 +381,90 @@ def test_verify_witness_reports_are_frozen():
     assert digest.hexdigest() == (
         "29e200b2074bf55a2f195c9dfb4aec80a8aeb8282f47bc1c7402996dd248183e"
     )
+
+
+def _oracle_diagonals(quad):
+    """The spatial diagonal points A, B, C as meets of Pluecker sides."""
+    v = quad.labeled()
+    side = {lab: line3_through(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS}
+    return tuple(meet_lines3(side[s1], side[s2]) for s2, s1 in OPPOSITE_SIDES)
+
+
+def _degenerate(seed, w):
+    """Eight seeded breakages aimed at the diagonal clause: a random vertex,
+    a repeated vertex, a collinear triple, four collinear vertices, coplanar
+    vertices off the declared plane, O1 at a spatial diagonal point, four
+    random vertices, and a random O2."""
+    rng = SplitMix64(seed)
+
+    def point():
+        return Point3(*(rng.below(19) - 9 for _ in range(3)), rng.below(9) + 1)
+
+    def mix(*terms):
+        """The point sum of k x over (k, x) pairs of raw coordinates."""
+        return Point3(*(sum(k * x[n] for k, x in terms) for n in range(4)))
+
+    def quad(*vertices):
+        return replace(w, quad=SpatialQuadrangle(*vertices, plane=w.quad.plane))
+
+    verts = list(w.quad.vertices)
+    i, j, m = rng.below(4), rng.below(3), rng.below(2)
+    others = [n for n in range(4) if n != i]
+    a, b = verts[i].coords, verts[others[j]].coords
+    repeated, triple = list(verts), list(verts)
+    repeated[others[j]] = verts[i]
+    triple[others[(j + 1 + m) % 3]] = mix((1, a), (rng.below(5) + 1, b))
+    u, x, y = point(), point(), point()
+    return (
+        replace(w, quad=replace(w.quad, **{VERTEX_LABELS[i] + "bar": point()})),
+        quad(*repeated),
+        quad(*triple),
+        quad(verts[i], verts[others[j]], mix((1, a), (2, b)), mix((3, a), (-1, b))),
+        quad(u, x, y, mix((rng.below(3) + 1, u.coords), (-1, x.coords), (2, y.coords))),
+        replace(w, O1=_oracle_diagonals(w.quad)[rng.below(3)]),
+        quad(point(), point(), point(), point()),
+        replace(w, O2=point()),
+    )
+
+
+def test_verify_witness_diagonal_clause_is_frozen_on_degenerate_witnesses():
+    # sha256 of the reports on eight breakages of the lifted, the scene's
+    # and (in general position) the axis witness of correct seeds 0-39,
+    # recorded while clause 5 still met Pluecker sides
+    digest = hashlib.sha256()
+    kinds = set()
+    for seed in range(40):
+        scene, d = gen_correct_diagram(seed)
+        seen = Witness(scene.quad, scene.light, scene.viewpoint, DRAWING_PLANE)
+        witnesses = [lift_collinear_centers(d), seen]
+        if general_position(d.quad1, d.quad2):
+            witnesses.append(lift_via_axis(d))
+        for w in witnesses:
+            for claim in _degenerate(seed, w):
+                report = verify_witness(d, claim)
+                digest.update(repr(report).encode())
+                kinds.add(report.clauses[4].detail.split(" ")[0])
+    assert kinds >= {
+        "CoincidentPoints:", "CoincidentLines:", "opposite", "ProjectingCenter:", "diagonal"
+    }
+    assert digest.hexdigest() == (
+        "c5bd4aeabfef5e93468feb34faf91ddeed0fd002e8dbc56f5475e9c336cb0f43"
+    )
+
+
+def test_raw_diagonal_points_are_the_meets_of_the_opposite_sides():
+    # Cramer's relation on the four vertices against the Pluecker meets, on
+    # the scene's, the lifted and the axis witnesses of correct diagrams
+    for seed in range(300):
+        scene, d = gen_correct_diagram(seed)
+        general = gen_general_position_diagram(seed)
+        quads = [scene.quad, lift_collinear_centers(d).quad]
+        quads += [lift_collinear_centers(general).quad, lift_via_axis(general).quad]
+        if general_position(d.quad1, d.quad2):
+            quads.append(lift_via_axis(d).quad)
+        for quad in quads:
+            raw = _spatial_diagonals({lab: x.coords for lab, x in quad.labeled().items()})
+            assert tuple(Point3(*x) for x in raw) == _oracle_diagonals(quad), seed
 
 
 # --- scene projection ---------------------------------------------------------
