@@ -61,7 +61,8 @@ class DegeneracyClass:
 
 
 def classify_degeneracy(q1: Quadrangle, q2: Quadrangle) -> DegeneracyClass:
-    shared = tuple(lab for lab in VERTEX_LABELS if q1.vertex(lab) == q2.vertex(lab))
+    pairs = zip(VERTEX_LABELS, q1.vertices, q2.vertices)
+    shared = tuple(lab for lab, a, b in pairs if a.coords == b.coords and type(a) is type(b))
     kind = DegeneracyKind.IDENTICAL if len(shared) == 4 else DegeneracyKind.NONE
     if len(shared) == 3:
         (moved,) = set(VERTEX_LABELS).difference(shared)

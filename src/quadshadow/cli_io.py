@@ -112,6 +112,8 @@ def _cmd_check(args, diagram, out: TextIO) -> int:
 
 def _cmd_lift(args, diagram, out: TextIO) -> int:
     c1, c2 = _argument(args.c1, "--c1"), _argument(args.c2, "--c2")
+    if c1 == c2 or c1 == 0 or c2 == 0:  # for both methods: a bad option, not a domain failure
+        raise _UsageError(f"--c1 {c1} and --c2 {c2} must be distinct and nonzero")
     axis = args.method == "axis"
     witness = lift_via_axis(diagram) if axis else lift_collinear_centers(diagram, c1, c2)
     out.write(emit_witness(witness))

@@ -41,14 +41,13 @@ DOCUMENT_VERSION = 1
 _MAX_COORD_BITS = 1024
 #: Decimal digits of 2**_MAX_COORD_BITS, so 10**_MAX_COORD_DIGITS is past the bound.
 _MAX_COORD_DIGITS = len(str(1 << _MAX_COORD_BITS))
-#: A sign and decimal digits, ASCII only, as int() reads them.
-_PLAIN_INT = re.compile(r"-?[0-9]+")
 #: The ASCII characters of every other spelling Fraction reads alike on
 #: every supported Python: no spaces, underscores or non-ASCII digits.
 _SPELLING = re.compile(r"[-+./0-9eE]+")
-#: Longest string the int fast path takes: past any bounded integer, and far
-#: below the least int-to-str digit limit an interpreter may set (640).
-_MAX_INT_CHARS = _MAX_COORD_DIGITS + 1
+#: By arity, an element's coordinates joined by ",", all plain ASCII integers of at most
+#: 308 digits: int() reads them, each below 10**308 < 2**1024 and far below the least
+#: int-to-str digit limit an interpreter may set (640), so no bound is checked.
+_PLAIN_ARRAY = {n: re.compile(",".join(["-?[0-9]{1,308}"] * n)) for n in (3, 4)}
 
 
 class ParseError(Exception):
@@ -66,14 +65,11 @@ class InvariantViolation(Exception):
 def _rational(node: Any, path: str) -> int | Fraction:
     """A bounded rational, as an int when it is integral.
 
-    A JSON integer or a short plain decimal integer string goes straight to
-    int; every other spelling goes through Fraction, to the same value.
+    A JSON integer is taken as it is and every string goes through Fraction;
+    an array of plain integer strings never comes here, as _element reads it.
     """
-    if type(node) is int or (
-        type(node) is str and len(node) <= _MAX_INT_CHARS and _PLAIN_INT.fullmatch(node)
-    ):
-        value = int(node)
-        bits = value.bit_length()
+    if type(node) is int:
+        value, bits = node, node.bit_length()
     else:
         value = _fraction(node, path)
         bits = max(value.numerator.bit_length(), value.denominator.bit_length())
@@ -148,7 +144,11 @@ def _element(cls, node: Any, path: str):
     if not isinstance(node, list) or len(node) != arity:
         raise ParseError(f"{path}: expected an array of {arity} rationals")
     try:
-        coords = [_rational(c, path) for c in node]
+        plain = _PLAIN_ARRAY[arity].fullmatch(",".join(node))
+    except TypeError:  # a coordinate that is not a string
+        plain = None
+    try:
+        coords = map(int, node) if plain else [_rational(c, path) for c in node]
     except ParseError:
         for i, c in enumerate(node):  # only now name the failing coordinate
             _rational(c, f"{path}[{i}]")

@@ -153,7 +153,7 @@ def normalize(coords) -> tuple[int, ...]:
             if c < 0:
                 g = -g
             break
-    return tuple([c // g for c in coords])
+    return tuple(coords) if g == 1 else tuple([c // g for c in coords])
 
 
 def _fmt(coords: tuple[int, ...]) -> str:

@@ -209,7 +209,7 @@ def displaced_centers(O: Point2, c1: Scalar, c2: Scalar) -> tuple[Point3, Point3
         raise DegenerateParameters(
             f"displacements must be distinct and nonzero, got {c1} and {c2}"
         )
-    e0, e1, _, e3 = embed_drawing(O).coords
+    e0, e1, e3 = O.coords
     return Point3(e0, e1, c1, e3), Point3(e0, e1, c2, e3)
 
 

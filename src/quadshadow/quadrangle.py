@@ -85,8 +85,9 @@ class _Labeled:
 class Quadrangle(_Labeled):
     """Four labeled points, no three collinear.  Checked on construction.
 
-    Its raw crosses, sides and diagonal triangle are built once, on first
-    use; they are not fields, so equality, hashing and repr ignore them.
+    Its raw crosses, sides and diagonal triangle are built once: the check
+    keeps the crosses of sides PQ, SP and QR, and the rest come on first
+    use.  They are not fields, so equality, hashing and repr ignore them.
     """
 
     P: Point2
@@ -98,14 +99,23 @@ class Quadrangle(_Labeled):
     vertex = _Labeled.__getitem__
 
     def __post_init__(self) -> None:
-        _check_vertices(self.vertices, collinear2)
+        p, q, r, s = self.P.coords, self.Q.coords, self.R.coords, self.S.coords
+        if len({p, q, r, s}) < 4:  # a repeated vertex, reported as _check_vertices does
+            _check_vertices(self.vertices, collinear2)
+        pq, sp, qr = _cross(p, q), _cross(s, p), _cross(q, r)
+        for (l0, l1, l2), x, lab in ((pq, r, "P, Q, R"), (pq, s, "P, Q, S"),
+                                     (sp, r, "P, R, S"), (qr, s, "Q, R, S")):
+            if l0 * x[0] + l1 * x[1] + l2 * x[2] == 0:
+                raise CollinearTriple(f"vertices {lab} are collinear")
+        object.__setattr__(self, "_kept_sides", (pq, sp, qr))
 
     @cached_property
     def _crosses(self) -> tuple[dict[str, tuple[int, ...]], tuple[tuple[int, ...], ...]]:
         """Sides by label, then A, B, C: crosses of vertex pairs, then of sides."""
-        v = {lab: x.coords for lab, x in self.labeled().items()}
-        s = {lab: _cross(v[lab[0]], v[lab[1]]) for lab in SIDE_LABELS}
-        return s, tuple(_cross(s[b], s[a]) for a, b in OPPOSITE_SIDES)
+        p, q, r, s = self.P.coords, self.Q.coords, self.R.coords, self.S.coords
+        pq, sp, qr = self._kept_sides
+        side = dict(QR=qr, RP=_cross(r, p), PQ=pq, SP=sp, SQ=_cross(s, q), SR=_cross(s, r))
+        return side, tuple(_cross(side[b], side[a]) for a, b in OPPOSITE_SIDES)
 
     @cached_property
     def _sides(self) -> SideSet:

@@ -21,7 +21,7 @@ import quadshadow.cli_io
 import quadshadow.generators
 import quadshadow.lift
 import quadshadow.perspectivity
-from quadshadow.kernel import Point2, meet2
+from quadshadow.kernel import GeometryError, Point2, meet2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, Reason, decide_depiction
 from quadshadow.generators import (
@@ -51,7 +51,7 @@ from quadshadow.cli_io import (
     render_svg,
     run_cli,
 )
-from quadshadow.documents import emit_scene, parse_verdict, parse_witness
+from quadshadow.documents import _element, emit_scene, parse_verdict, parse_witness
 
 DATA = Path(__file__).parent / "data"
 DILATION = DATA / "dilation.json"
@@ -529,9 +529,36 @@ def test_axis_lift_matches_stored_witness():
 
 def test_lift_rejects_equal_displacements():
     code, _, err = run("lift", str(DILATION), "--c1", "2", "--c2", "2")
-    assert code == 1
+    assert code == 64
     code, _, err = run("lift", str(DILATION), "--c1", "nope")
     assert code == 64
+
+
+@pytest.mark.parametrize("method", ["centers", "axis"])
+@pytest.mark.parametrize(
+    "options, c1, c2",
+    [
+        (["--c1=0"], 0, -1),
+        (["--c2=0/5"], 1, 0),
+        (["--c1=1", "--c2=1"], 1, 1),
+        (["--c1=-1"], -1, -1),
+        (["--c1=1/2", "--c2=2/4"], F(1, 2), F(1, 2)),
+    ],
+)
+def test_lift_degenerate_displacements_are_usage_errors(tmp_path, method, options, c1, c2):
+    # exit 1 means an incorrect diagram or a domain failure, never a bad option
+    for diagram in (DILATION, GENERAL):
+        code, out, err = run("lift", f"--method={method}", *options, str(diagram))
+        assert (code, out) == (64, "")
+        assert err == f"error: usage: --c1 {c1} and --c2 {c2} must be distinct and nonzero\n"
+    # the document is read first: an invalid one still exits 2
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1}')
+    code, out, err = run("lift", f"--method={method}", *options, str(bad))
+    assert (code, out, err) == (2, "", "error: ParseError: document: missing field 'O'\n")
+    # library callers still see the domain error
+    with pytest.raises(quadshadow.lift.DegenerateParameters):
+        quadshadow.lift.lift_collinear_centers(parse_diagram(DILATION.read_text()), c1, c2)
 
 
 def test_project_reproduces_the_diagram():
@@ -1031,9 +1058,22 @@ def _read(read, node):
 _BOUND_INTEGERS = [2**1024 - 1, 2**1024, -(2**1024 - 1), -(2**1024)]  # 1024 and 1025 bits
 
 
+def _read_element(read, node):
+    """An element O read coordinate by coordinate, the failing one named, as documents do."""
+    try:
+        coords = [read(c, f"O[{i}]") for i, c in enumerate(node)]
+    except ParseError as e:
+        return "ParseError", str(e)
+    try:
+        return Point2(*coords)
+    except GeometryError as e:
+        return "InvariantViolation", f"O: {e}"
+
+
 def test_integer_shortcut_matches_the_fraction_reader():
-    # the shortcut takes ASCII -?[0-9]+ of at most 310 characters and JSON
-    # integers; everything else must reach Fraction and read as before
+    # _rational takes JSON integers as they are and every string to Fraction;
+    # _element reads an array of plain ASCII integers of at most 308 digits with
+    # int in one step: both must read every spelling as the reference does
     corpus = [
         "+3", " 3", "3 ", "03", "-0", "0", "-12", "3_0", "\u0663", "\uff13", "6/2", "-6/2",
         "1.5", "1e3", "1E3", "", "-", "--3", "3\n", "0x10", "1/0",
@@ -1044,6 +1084,12 @@ def test_integer_shortcut_matches_the_fraction_reader():
     ]
     for node in corpus:
         assert _read(_rational, node) == _read(reference_rational, node), repr(node)[:40]
+        for array in ([node, "2", "1"], ["3", "0", node], [node, node, node]):
+            try:
+                got = _element(Point2, array, "O")
+            except (ParseError, InvariantViolation) as e:
+                got = type(e).__name__, str(e)
+            assert got == _read_element(reference_rational, array), repr(array)[:60]
 
 
 def test_rationals_at_the_bound_lift_and_emit(tmp_path):
@@ -1060,3 +1106,75 @@ def test_broken_invariant_exits_seventy(monkeypatch):
     code, out, err = run("lift", str(DILATION))
     assert (code, out) == (70, "")
     assert err == "error: internal: RuntimeError: invariant broken: perspective rays cannot be skew\n"
+
+
+# --- parse errors, frozen -------------------------------------------------------
+
+#: Coordinate spellings every document reader must reject, with the text after "{path}: ".
+_REJECTED = [
+    *((s, f"not a rational: {s!r}")
+      for s in (" 7", "7 ", "1_0", "٣", "", "-", "--1", "1,2")),
+    ("9" * 309, "a 1027-bit rational exceeds the 1024-bit bound"),
+    ("1" + "0" * 309, "a 1027-bit rational exceeds the 1024-bit bound"),
+    ("-" + "9" * 309, "a 1027-bit rational exceeds the 1024-bit bound"),
+    (str(2**1024), "a 1025-bit rational exceeds the 1024-bit bound"),
+    (2**1024, "a 1025-bit rational exceeds the 1024-bit bound"),
+    (-(2**1024), "a 1025-bit rational exceeds the 1024-bit bound"),
+    (True, "coordinates must be rational strings, got True"),
+    (False, "coordinates must be rational strings, got False"),
+    (1.5, "coordinates must be rational strings, got 1.5"),
+    (None, "coordinates must be rational strings, got NoneType"),
+    ([7], "coordinates must be rational strings, got list"),
+    ({}, "coordinates must be rational strings, got dict"),
+]
+#: Spellings every reader must accept, each equal to a canonical integer string.
+_ACCEPTED = [
+    "-0", "0", "007", "+7", "7", "-7", "6/2", "-6/2", "1e3", "3.0",
+    "9" * 308, "-" + "9" * 308, "1" + "0" * 308, "-1" + "0" * 308, "0" + "1" + "0" * 308,
+    "0" * 310, "0" * 400 + "7",
+    str(2**1024 - 1), str(-(2**1024 - 1)), 2**1024 - 1, -(2**1024 - 1), 7, -7, 0,
+]
+_SLOTS = [("O", None), ("quad1", "R"), ("quad2", "S")]
+
+
+def _spelled(field, label, i, node):
+    """The dilation with one coordinate, or with i None the whole element, replaced."""
+    doc = json.loads(DILATION.read_text())
+    parent, key = (doc, field) if label is None else (doc[field], label)
+    if i is None:
+        parent[key] = node
+    else:
+        parent[key][i] = node
+    return json.dumps(doc)
+
+
+def _check(tmp_path, text):
+    p = tmp_path / "spelled.json"
+    p.write_text(text)
+    return run("check", str(p))
+
+
+@pytest.mark.parametrize("field, label, i", [(f, lab, i) for (f, lab), i in zip(_SLOTS, (0, 2, 1))])
+def test_coordinate_spellings_are_frozen(tmp_path, field, label, i):
+    # wherever a coordinate sits, a spelling reads as its canonical integer does,
+    # or fails with the reader's text and the coordinate's own path
+    path = field if label is None else f"{field}.{label}"
+    for node, message in _REJECTED:
+        assert _check(tmp_path, _spelled(field, label, i, node)) == (
+            2, "", f"error: ParseError: {path}[{i}]: {message}\n"
+        ), repr(node)[:40]
+    for node in _ACCEPTED:
+        canonical = _spelled(field, label, i, str(int(F(node))))
+        spelled = _spelled(field, label, i, node)
+        assert _check(tmp_path, spelled) == _check(tmp_path, canonical), repr(node)[:40]
+        try:
+            expected = parse_diagram(canonical)
+        except InvariantViolation as e:
+            with pytest.raises(InvariantViolation, match=re.escape(str(e))):
+                parse_diagram(spelled)
+        else:
+            assert parse_diagram(spelled) == expected, repr(node)[:40]
+    for node in (["1", "1"], ["1", "1", "1", "1"], [], "111", None, [["1", "1", "1"]]):
+        assert _check(tmp_path, _spelled(field, label, None, node)) == (
+            2, "", f"error: ParseError: {path}: expected an array of 3 rationals\n"
+        ), repr(node)

@@ -1,9 +1,12 @@
 """Complete quadrangles: sides, diagonal triangles, quadrangular traces."""
 
-from itertools import permutations
+import json
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
+from quadshadow.documents import InvariantViolation, parse_diagram
 from quadshadow.kernel import Line2, Point2, join2, meet2
 from quadshadow.quadrangle import (
     OPPOSITE_SIDES,
@@ -19,6 +22,8 @@ from quadshadow.quadrangle import (
     sides,
     validate_quadrangle,
 )
+
+DILATION = Path(__file__).parent / "data" / "dilation.json"
 
 STANDARD = Quadrangle(
     Point2(1, 0, 0), Point2(0, 1, 0), Point2(0, 0, 1), Point2(1, 1, 1)
@@ -56,6 +61,65 @@ def test_collinear_triple_rejected():
             Point2.affine(0, 5),
         )
     assert "Q" in str(err.value) and "R" in str(err.value)
+
+
+#: Affine (x, y) or homogeneous (x0, x1, x2) vertices P, Q, R, S, and the error they raise.
+_INVALID = {
+    # each coincident pair of (0, 0), (1, 0), (0, 1), (2, 3), both moved to (-2, 3) and
+    # the second spelled as a multiple of the first
+    **{
+        f"{a}={b}": (
+            [(2, -3, -1) if k == i else (-4, 6, 2) if k == j else c
+             for k, c in enumerate([(0, 0), (1, 0), (0, 1), (2, 3)])],
+            RepeatedVertex, f"vertices {a} and {b} coincide at Point2(2:-3:-1)",
+        )
+        for (i, a), (j, b) in combinations(enumerate(VERTEX_LABELS), 2)
+    },
+    "PQR": ([(0, 0), (1, 0), (2, 0), (0, 1)], CollinearTriple, "vertices P, Q, R are collinear"),
+    "PQS": ([(0, 0), (1, 0), (0, 1), (2, 0)], CollinearTriple, "vertices P, Q, S are collinear"),
+    "PRS": ([(0, 0), (1, 0), (0, 1), (0, 2)], CollinearTriple, "vertices P, R, S are collinear"),
+    "QRS": ([(0, 0), (1, 0), (0, 1), (2, -1)], CollinearTriple, "vertices Q, R, S are collinear"),
+    "PQRS": ([(0, 0), (1, 0), (2, 0), (3, 0)], CollinearTriple, "vertices P, Q, R are collinear"),
+    # R = S on the line PQR: the pair is reported before the triple
+    "R=S, PQR": (
+        [(0, 0), (1, 0), (2, 0), (2, 0)], RepeatedVertex, "vertices R and S coincide at Point2(2:0:1)"
+    ),
+    "P=Q, PQR": (
+        [(5, 5), (5, 5), (0, 1), (3, 2)], RepeatedVertex, "vertices P and Q coincide at Point2(5:5:1)"
+    ),
+    "ideal P=Q": (
+        [(1, 0, 0), (-2, 0, 0), (0, 1), (1, 1)], RepeatedVertex,
+        "vertices P and Q coincide at Point2(1:0:0)",
+    ),
+    "ideal PQR": (
+        [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0)], CollinearTriple, "vertices P, Q, R are collinear"
+    ),
+    "ideal PRS": (
+        [(0, 0), (3, 1), (1, 0, 0), (2, 0)], CollinearTriple, "vertices P, R, S are collinear"
+    ),
+    "ideal QRS": (
+        [(0, 0), (0, 1, 0), (1, 1), (1, 5)], CollinearTriple, "vertices Q, R, S are collinear"
+    ),
+}
+
+
+def _points(coords):
+    return [Point2.affine(*c) if len(c) == 2 else Point2(*c) for c in coords]
+
+
+@pytest.mark.parametrize("case", _INVALID)
+def test_quadrangle_validation_texts_are_frozen(case):
+    # the texts _check_vertices words: the first coincident pair, else the first
+    # collinear triple in the order PQR, PQS, PRS, QRS
+    coords, error, message = _INVALID[case]
+    with pytest.raises(error) as info:
+        Quadrangle(*_points(coords))
+    assert str(info.value) == message
+    doc = json.loads(DILATION.read_text())
+    doc["quad1"] = {lab: [str(c) for c in v.coords] for lab, v in zip(VERTEX_LABELS, _points(coords))}
+    with pytest.raises(InvariantViolation) as info:
+        parse_diagram(json.dumps(doc))
+    assert str(info.value) == f"quad1: {message}"
 
 
 def test_validate_quadrangle_returns_value():
