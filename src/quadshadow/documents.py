@@ -19,7 +19,7 @@ from typing import Any
 
 from .kernel import GeometryError, Line2, Plane3, Point2, Point3
 from .quadrangle import VERTEX_LABELS, DiagonalTriangle, Quadrangle, quadrangular_trace
-from .checker import DegeneracyClass, DegeneracyKind, PlanarDiagram, Reason, Verdict
+from .checker import DegeneracyClass, DegeneracyKind, PlanarDiagram, Reason, Verdict, _ruling
 from .lift import SpatialQuadrangle, SpatialScene, Witness
 
 __all__ = [
@@ -323,11 +323,10 @@ def parse_verdict(text: str) -> Verdict:
     notes = doc["notes"]
     if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
         raise ParseError("notes: expected an array of strings")
-    return Verdict(
-        applicable=doc["applicable"],
-        diagonal_pairs=pairs,
-        degeneracy=DegeneracyClass(kind=kind, coincident=tuple(coincident)),
-        correct=doc["correct"],
-        reason=reason,
-        notes=tuple(notes),
-    )
+    allowed = {3: ("triangle", "vertex"), 4: ("identical",)}.get(len(shared), ("none",))
+    if kind.value not in allowed:
+        raise InvariantViolation(f"degeneracy: {len(shared)} coincident labels for {kind.value}")
+    v = _ruling(pairs, DegeneracyClass(kind, tuple(coincident)), tuple(notes))
+    if (v.applicable, v.correct, v.reason) != (doc["applicable"], doc["correct"], reason):
+        raise InvariantViolation("applicable, correct, reason: contradict the diagonal pairs")
+    return v

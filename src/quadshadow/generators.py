@@ -41,7 +41,7 @@ from .kernel import (
     meet2,
     plane_through,
 )
-from .quadrangle import Quadrangle, _check_vertices, validate_quadrangle
+from .quadrangle import Quadrangle, _check_vertices
 from .perspectivity import (
     Collineation, Triple, _homologous_meets, _triangle_sides, general_position
 )
@@ -156,7 +156,7 @@ def _toward(a: Point2, b: Point2, t: Fraction) -> Point2:
 
 def _quadrangle(rng: SplitMix64, cfg: GenConfig | None) -> Quadrangle:
     def draw(rng: SplitMix64, cfg: GenConfig) -> Quadrangle:
-        return validate_quadrangle(*(_point2(rng, cfg) for _ in range(4)))
+        return Quadrangle(*(_point2(rng, cfg) for _ in range(4)))
 
     return _retry(rng, cfg, draw, "valid quadrangle")
 
@@ -231,7 +231,7 @@ def gen_incorrect_diagram(seed: int, cfg: GenConfig | None = None) -> PlanarDiag
         if len(set(ratios)) == 1:
             return None
         moved = (_toward(center, v, t) for v, t in zip(quad1.vertices, ratios))
-        quad2 = validate_quadrangle(*moved)
+        quad2 = Quadrangle(*moved)
         diagram = PlanarDiagram(O=center, quad1=quad1, quad2=quad2)
         verdict = decide_depiction(diagram)
         return diagram if verdict.applicable and not verdict.correct else None
@@ -282,7 +282,7 @@ def gen_degenerate_diagram(
             t = _nonzero_fraction(rng, cfg)
             if t == 1:
                 return None
-            quad2 = validate_quadrangle(p, q, r, _toward(center, s, t))
+            quad2 = Quadrangle(p, q, r, _toward(center, s, t))
         else:
             a = _nonzero_fraction(rng, cfg)
             if a == 1:
@@ -294,7 +294,7 @@ def gen_degenerate_diagram(
             r2 = _toward(r, s, b)
             if r2 == center:
                 return None
-            quad2 = validate_quadrangle(p, q, r2, s)
+            quad2 = Quadrangle(p, q, r2, s)
         diagram = PlanarDiagram(O=center, quad1=quad1, quad2=quad2)
         got = classify_degeneracy(diagram.quad1, diagram.quad2)
         _invariant(got.kind is kind, f"built {kind.value} but classified {got.kind.value}")

@@ -70,12 +70,10 @@ __all__ = [
     "join2",
     "meet2",
     "collinear2",
-    "points_on_line2",
     "line3_through",
     "plane_through",
     "meet_line_plane",
     "meet_lines3",
-    "points_on_line3",
     "collinear3",
     "coplanarity_det",
     "central_project",
@@ -322,14 +320,6 @@ def collinear2(p: Point2, q: Point2, r: Point2) -> bool:
     return _det3(p.coords, q.coords, r.coords) == 0
 
 
-def points_on_line2(l: Line2) -> tuple[Point2, Point2]:
-    """Two distinct points on a planar line, deterministically chosen."""
-    # The crosses of l with the three basis points span the points of l, so two are distinct.
-    crosses = (_cross(l.coords, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    p, q, *_ = dict.fromkeys(Point2(*c) for c in crosses if any(c))
-    return p, q
-
-
 def _pluecker(a: Point3, b: Point3) -> tuple[int, int, int, int, int, int]:
     """Raw 2x2 minors of the stacked coordinates of a and b, in Pluecker
     order; not normalised, and zero exactly when a equals b."""
@@ -384,14 +374,6 @@ def meet_line_plane(line: Line3, plane: Plane3) -> Point3:
     if not any(x):
         raise LineInPlane(f"{line!r} lies inside {plane!r}")
     return Point3(*x)
-
-
-def points_on_line3(line: Line3) -> tuple[Point3, Point3]:
-    """Two distinct points spanning a spatial line, deterministically chosen."""
-    # Its pierces of the four coordinate planes, the columns of the Pluecker matrix, span it.
-    pierces = (_pierce(line.coords, e) for e in _BASIS3)
-    p, q, *_ = dict.fromkeys(Point3(*x) for x in pierces if any(x))
-    return p, q
 
 
 def meet_lines3(l1: Line3, l2: Line3) -> Point3 | None:

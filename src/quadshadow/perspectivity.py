@@ -36,7 +36,7 @@ from .kernel import (
     meet2,
     normalize,
 )
-from .quadrangle import VERTEX_LABELS, Quadrangle, _Labeled, sides
+from .quadrangle import Quadrangle, _Labeled, sides
 
 __all__ = [
     "CenterIsVertex",
@@ -47,8 +47,6 @@ __all__ = [
     "AXIS_SIDES",
     "SideAxes",
     "Collineation",
-    "pair_perspective_from",
-    "quad_perspective",
     "triangles_perspective_point",
     "perspective_center",
     "desargues_axis",
@@ -81,33 +79,12 @@ class InvalidPair(GeometryError):
     """A point pair unusable for defining a perspective collineation."""
 
 
-def pair_perspective_from(center: Point2, x1: Point2, x2: Point2) -> bool:
-    """True iff x1 = x2 or the pair is collinear with the center.
-
-    collinear2 already treats a coincident pair as collinear, so the whole
-    convention collapses into one determinant test.
-    """
-    return collinear2(center, x1, x2)
-
-
-def quad_perspective(center: Point2, q1: Quadrangle, q2: Quadrangle) -> bool:
-    """All four labeled vertex pairs perspective from the center."""
-    for q in (q1, q2):
-        for lab, v in q.labeled().items():
-            if v == center:
-                raise CenterIsVertex(f"center {center!r} is vertex {lab}")
-    return all(
-        pair_perspective_from(center, q1.vertex(lab), q2.vertex(lab))
-        for lab in VERTEX_LABELS
-    )
-
-
 def triangles_perspective_point(center: Point2, t1: Triple, t2: Triple) -> bool:
     """All three labeled vertex pairs perspective from the center."""
     for t in (t1, t2):
         if center in t:
             raise CenterIsVertex(f"center {center!r} is a triangle vertex")
-    return all(pair_perspective_from(center, a, b) for a, b in zip(t1, t2))
+    return all(collinear2(center, a, b) for a, b in zip(t1, t2))
 
 
 def perspective_center(t1: Triple, t2: Triple) -> Point2:
@@ -126,7 +103,7 @@ def perspective_center(t1: Triple, t2: Triple) -> Point2:
         raise ValueError("perspective center undetermined: homologous joins coincide")
     center = meet2(joins[0], second)
     for a, b in zip(t1, t2):
-        if not pair_perspective_from(center, a, b):
+        if not collinear2(center, a, b):
             raise NotPerspective(f"pair {a!r}, {b!r} misses candidate center {center!r}")
     return center
 

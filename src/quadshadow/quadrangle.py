@@ -9,8 +9,7 @@ in the diagonal points
     A = SP . QR,    B = SQ . RP,    C = SR . PQ,
 
 which over the rationals always form a genuine triangle.  Labels matter
-throughout this package: quadrangles are compared label by label, and the
-separate helper ``same_vertex_set`` compares them as bare point sets.
+throughout this package: quadrangles are compared label by label.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ __all__ = [
     "SideSet",
     "DiagonalTriangle",
     "QuadrangularTrace",
-    "validate_quadrangle",
-    "same_vertex_set",
     "sides",
     "diagonal_triangle",
     "quadrangular_trace",
@@ -128,16 +125,6 @@ class Quadrangle(_Labeled):
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
         return (self.P, self.Q, self.R, self.S)
-
-
-def validate_quadrangle(p: Point2, q: Point2, r: Point2, s: Point2) -> Quadrangle:
-    """Checked constructor; raises RepeatedVertex or CollinearTriple."""
-    return Quadrangle(p, q, r, s)
-
-
-def same_vertex_set(q1: Quadrangle, q2: Quadrangle) -> bool:
-    """Compare two quadrangles as unlabeled point sets."""
-    return set(q1.vertices) == set(q2.vertices)
 
 
 @dataclass(frozen=True)

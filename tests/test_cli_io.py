@@ -52,6 +52,7 @@ from quadshadow.cli_io import (
     run_cli,
 )
 from quadshadow.documents import _element, emit_scene, parse_verdict, parse_witness
+from test_acceptance import correct_pool, gp_pool
 
 DATA = Path(__file__).parent / "data"
 DILATION = DATA / "dilation.json"
@@ -225,6 +226,37 @@ def test_parse_verdict_rejects_bad_fields(field, value, message):
     doc[field] = value
     with pytest.raises(ParseError, match=message):
         parse_verdict(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"applicable": False},
+        {"correct": False},
+        {"diagonal_pairs": None},
+        {"reason": "not_perspective"},
+        {"diagonal_pairs": {"A": True, "B": False, "C": True}},
+        {"degeneracy": {"kind": "identical", "coincident": []}},
+        {"degeneracy": {"kind": "none", "coincident": ["P", "Q", "R"]}},
+    ],
+    ids=[
+        "not-applicable-but-correct", "incorrect-with-every-pair", "applicable-without-pairs",
+        "correct-not-perspective", "correct-with-a-failed-pair", "correct-identical",
+        "none-with-three-shared",
+    ],
+)
+def test_parse_verdict_rejects_a_verdict_the_checker_contradicts(patch):
+    doc = json.loads((DATA / "dilation-verdict.json").read_text())
+    doc.update(patch)
+    with pytest.raises(InvariantViolation):
+        parse_verdict(json.dumps(doc))
+
+
+def test_every_acceptance_pool_verdict_reads_back_equal():
+    good, bad = gp_pool()
+    for d in [d for _, d in correct_pool()] + good + bad:
+        v = decide_depiction(d)
+        assert parse_verdict(emit_verdict(v)) == v
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -420,6 +452,19 @@ def test_missing_file_exits_sixty_six():
     code, _, err = run("check", "no/such/file.json")
     assert code == 66
     assert "error:" in err
+
+
+def test_a_directory_as_input_exits_sixty_six(tmp_path):
+    code, out, err = run("check", str(tmp_path))
+    assert (code, out) == (66, "")
+    assert err.startswith("error: file: ")
+
+
+def test_render_into_a_missing_directory_exits_sixty_six_and_writes_nothing(tmp_path):
+    code, out, err = run("render", str(DILATION), "--out", str(tmp_path / "no" / "d.svg"))
+    assert (code, out) == (66, "")
+    assert err.startswith("error: file: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero(capsys):

@@ -3,13 +3,16 @@
 The criterion uses incidence only, so a collineation of the drawing plane keeps
 every verdict field; relabelling P, Q, R, S alike in both quadrangles permutes
 the diagonal pairs and the sides named in the notes; and swapping the quadrangles
-keeps the verdict and swaps the quadrangles named in the notes.  Fixed seeds, so
-every run checks the same diagrams.
+keeps the verdict and swaps the quadrangles named in the notes.  The verdict's
+integer diagonal pairs are also held to the perspectivity of the normalised
+diagonal triangles.  Fixed seeds, so every run checks the same diagrams.
 """
 
 import re
 from fractions import Fraction as F
 from itertools import permutations
+
+import pytest
 
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
 from quadshadow.generators import (
@@ -21,9 +24,12 @@ from quadshadow.generators import (
     gen_incorrect_diagram,
     gen_quadrangle,
 )
+from quadshadow.kernel import collinear2
 from quadshadow.lift import lift_collinear_centers, verify_witness
-from quadshadow.perspectivity import common_axis
-from quadshadow.quadrangle import SIDE_LABELS, Quadrangle
+from quadshadow.perspectivity import CenterIsVertex, common_axis, triangles_perspective_point
+from quadshadow.quadrangle import SIDE_LABELS, Quadrangle, diagonal_triangle
+from test_acceptance import correct_pool, gp_pool
+from test_checker import A, SQUARE
 
 SEEDS = range(100)
 #: The vertex pairs joined by the two opposite sides through A, B and C.
@@ -62,6 +68,10 @@ def diagrams(seed):
         gen_degenerate_diagram(seed, kind=DegeneracyKind.VERTEX),
         center_on_side(seed),
     )
+
+
+#: A square doubled from the origin, which is the diagonal point B = SQ.RP of both.
+AT_DIAGONAL_B = PlanarDiagram(A(0, 0), SQUARE, Quadrangle(A(2, 2), A(-2, 2), A(-2, -2), A(2, -2)))
 
 
 def is_correct(seed, n):
@@ -139,3 +149,21 @@ def test_a_relabelling_permutes_the_diagonal_pairs_and_the_swap_keeps_the_verdic
                 assert relabelled.diagonal_pairs == expected, (seed, n)
             else:
                 assert relabelled.diagonal_pairs is None, (seed, n)
+
+
+def test_the_diagonal_pairs_are_the_perspectivity_of_the_diagonal_triangles():
+    # the verdict's raw determinants held to the predicates on normalised diagonal points,
+    # over the acceptance and invariance pools and one diagram with O at a diagonal point
+    good, bad = gp_pool()
+    pools = [d for _, d in correct_pool()] + good + bad + [AT_DIAGONAL_B]
+    for d in pools + [d for seed in SEEDS for d in diagrams(seed)]:
+        verdict = decide_depiction(d)
+        if not verdict.applicable:
+            continue
+        t1, t2 = diagonal_triangle(d.quad1).points, diagonal_triangle(d.quad2).points
+        assert verdict.diagonal_pairs == tuple(map(collinear2, [d.O] * 3, t1, t2))
+        if d.O in t1 + t2:
+            with pytest.raises(CenterIsVertex):
+                triangles_perspective_point(d.O, t1, t2)
+        else:
+            assert all(verdict.diagonal_pairs) == triangles_perspective_point(d.O, t1, t2)

@@ -8,7 +8,6 @@ intersection) rather than the kernel's own formulas.
 import hashlib
 import random
 from fractions import Fraction as F
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -43,8 +42,6 @@ from quadshadow.kernel import (
     meet_lines3,
     normalize,
     plane_through,
-    points_on_line2,
-    points_on_line3,
 )
 
 
@@ -164,20 +161,6 @@ def test_collinear2_coincident_pair_counts():
     assert collinear2(a, a, Point2(7, 1, 2))
 
 
-def test_points_on_line2():
-    line = Line2(2, -3, 4)
-    u, v = points_on_line2(line)
-    assert u != v
-    assert line.contains(u) and line.contains(v)
-
-
-def test_points_on_line2_skips_a_vanishing_cross_and_a_repeated_point():
-    # x = 0 is parallel to the first basis vector: its cross vanishes
-    assert points_on_line2(Line2(1, 0, 0)) == (Point2(0, 0, 1), Point2(0, 1, 0))
-    # x + y = 0: the first two crosses give the same point, the third a new one
-    assert points_on_line2(Line2(1, 1, 0)) == (Point2(0, 0, 1), Point2(1, -1, 0))
-
-
 def test_ideal_point_has_no_affine_coordinates():
     with pytest.raises(ZeroVector, match=r"^ideal point Point2\(1:0:0\) has no affine "):
         Point2(1, 0, 0).affine_coords
@@ -266,48 +249,15 @@ def test_meet_line_plane_incidence():
     assert plane.contains(x) and line.contains(x)
 
 
-def test_points_on_line3():
-    line = line3_through(Point3(1, 2, 3, 1), Point3(-2, 0, 5, 3))
-    u, v = points_on_line3(line)
-    assert u != v
-    assert line.contains(u) and line.contains(v)
-
-
-def sparse_points(seed, n, zero=None):
-    """n seeded spatial points, most coordinates 0 or +-1; coordinate `zero` is 0 in all."""
+def sparse_points(seed, n):
+    """n seeded spatial points, most coordinates 0 or +-1."""
     rng = random.Random(seed)
     out = []
     while len(out) < n:
         x = [rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(4)]
-        if zero is not None:
-            x[zero] = 0
         if any(x):
             out.append(Point3(*x))
     return out
-
-
-BASIS3 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-def test_points_on_line3_frozen_on_coordinate_axes_and_planes():
-    axes = [line3_through(Point3(*a), Point3(*b)) for a, b in combinations(BASIS3, 2)]
-    assert [tuple(x.coords for x in points_on_line3(line)) for line in axes] == [
-        ((0, 1, 0, 0), (1, 0, 0, 0)),
-        ((0, 0, 1, 0), (1, 0, 0, 0)),
-        ((0, 0, 0, 1), (1, 0, 0, 0)),
-        ((0, 0, 1, 0), (0, 1, 0, 0)),
-        ((0, 0, 0, 1), (0, 1, 0, 0)),
-        ((0, 0, 0, 1), (0, 0, 1, 0)),
-    ]
-    digest = hashlib.sha256()
-    for k in range(4):  # lines in the coordinate plane x_k = 0
-        points = sparse_points(k, 40, zero=k)
-        for a, b in zip(points[::2], points[1::2]):
-            if a != b:
-                digest.update(repr(points_on_line3(line3_through(a, b))).encode())
-    assert digest.hexdigest() == (
-        "a81d3c2c1928bb20c473db17d147feba24b21cebacd0b86a8089c2fad422e32f"
-    )
 
 
 def test_spatial_incidence_outputs_are_frozen():
@@ -330,13 +280,13 @@ def test_spatial_incidence_outputs_are_frozen():
             continue
         l, m = line3_through(a, b), line3_through(c, d)
         digest.update(
-            f"{points_on_line3(l)} {l.contains(c)} {l.contains(d)} "
+            f"{l.contains(c)} {l.contains(d)} "
             f"{outcome(meet_lines3, l, m)}\n".encode()
         )
         for plane in (Plane3(*c.coords), DRAWING_PLANE):
             digest.update(f"{outcome(meet_line_plane, l, plane)}\n".encode())
     assert digest.hexdigest() == (
-        "314b41ec8a268e93a5b8c1a50d4138fbe507f9c1a92e359cdaa3514788b8b03b"
+        "b8971ee978a991410bebdb6b205ac17c01938f04906474626954259758880fef"
     )
 
 

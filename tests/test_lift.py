@@ -656,7 +656,9 @@ def test_lift_via_axis_produces_verified_witness():
     assert w.quad.plane != DRAWING_PLANE
     # the vertical plane over the axis (1 : 1 : 1) meets the drawing plane exactly there
     assert w.quad.plane == Plane3(1, 1, 0, 1)
-    for embedded in (embed_drawing(p) for p in _axis_points(axis)):
+    meets = diagram._side_axes.meets.values()
+    assert len(set(meets)) > 1 and all(axis.contains(m) for m in meets)
+    for embedded in map(embed_drawing, meets):
         assert w.quad.plane.contains(embedded)
 
 
@@ -716,12 +718,6 @@ def test_side_axes_that_fail_are_not_kept():
             with pytest.raises(error) as again:
                 d._side_axes
             assert str(again.value) == str(first.value)
-
-
-def _axis_points(axis):
-    from quadshadow.kernel import points_on_line2
-
-    return points_on_line2(axis)
 
 
 def test_axis_route_traces_lie_on_the_axis():

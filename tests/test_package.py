@@ -100,7 +100,6 @@ PUBLIC_NAMES = [
     "meet_line_plane",
     "meet_lines3",
     "normalize",
-    "pair_perspective_from",
     "parse_diagram",
     "parse_scene",
     "parse_verdict",
@@ -109,19 +108,14 @@ PUBLIC_NAMES = [
     "perspective_collineation",
     "planarity_certificate",
     "plane_through",
-    "points_on_line2",
-    "points_on_line3",
     "project_scene",
-    "quad_perspective",
     "quadrangular_trace",
     "render_svg",
     "run_cli",
-    "same_vertex_set",
     "scene_from_witness",
     "side_axes",
     "sides",
     "triangles_perspective_point",
-    "validate_quadrangle",
     "verify_witness",
     "witness_side_traces",
 ]
@@ -153,7 +147,7 @@ def test_every_public_name_resolves_and_star_import_binds_them_all(monkeypatch):
     namespace = {}
     exec("from quadshadow import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 112
+    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 106
 
 
 #: Exit code and lazy modules loaded after each step (after the import, the modules only), as JSON.

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from quadshadow.checker import PlanarDiagram, decide_depiction
 from quadshadow.cli_io import parse_diagram
 from quadshadow.generators import gen_general_position_diagram
-from quadshadow.kernel import Line2, Point2, collinear2, join2, meet2, points_on_line2
+from quadshadow.kernel import Line2, Point2, collinear2, join2, meet2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.perspectivity import (
     AXIS_SIDES,
@@ -21,10 +22,8 @@ from quadshadow.perspectivity import (
     common_axis,
     desargues_axis,
     general_position,
-    pair_perspective_from,
     perspective_center,
     perspective_collineation,
-    quad_perspective,
     side_axes,
     triangles_perspective_point,
 )
@@ -59,34 +58,6 @@ def cross(a, b):
 
 # --- point perspectivity ------------------------------------------------
 
-def test_pair_perspective_from_is_collinearity():
-    assert pair_perspective_from(O, Point2.affine(1, 1), Point2.affine(-1, 2))
-    assert not pair_perspective_from(O, Point2.affine(1, 1), Point2.affine(-1, 3))
-
-
-def test_coincident_homologues_count_as_perspective():
-    p = Point2.affine(1, 1)
-    assert pair_perspective_from(O, p, p)
-
-
-def test_quad_perspective_dilation():
-    assert quad_perspective(O, SQUARE, DILATED)
-
-
-def test_quad_perspective_fails_off_ray():
-    # (-9, 4) leaves the ray through O and Q; (-9, 3) would stay on it
-    moved = Quadrangle(
-        Point2.affine(-1, 2),
-        Point2.affine(-9, 4),
-        Point2.affine(-5, -2),
-        Point2.affine(-1, -2),
-    )
-    assert not quad_perspective(O, SQUARE, moved)
-
-
-def test_quad_perspective_center_is_vertex():
-    with pytest.raises(CenterIsVertex):
-        quad_perspective(SQUARE.P, SQUARE, DILATED)
 
 
 def test_triangles_perspective_point():
@@ -216,7 +187,7 @@ def test_general_position_true_for_generic_homology():
     axis = Line2(1, 1, 1)
     h = perspective_collineation(O, axis, (Point2.affine(1, 1), Point2.affine(-1, 2)))
     image = h.apply_quadrangle(SQUARE)
-    assert quad_perspective(O, SQUARE, image)
+    assert decide_depiction(PlanarDiagram(O, SQUARE, image)).applicable
     assert general_position(SQUARE, image)
     assert common_axis(SQUARE, image) == axis
 
@@ -341,23 +312,30 @@ def test_elation_when_center_on_axis():
 
 
 @pytest.mark.parametrize(
-    "center, axis, target, matrix",
+    "center, axis, cuts, target, matrix",
     [
         # an elation: the affine center (1, 2) lies on the axis 2x - y = 0
-        (Point2.affine(1, 2), Line2(2, -1, 0), (3, 4), ((8, -3, 0), (12, -4, 0), (6, -3, 2))),
+        (Point2.affine(1, 2), Line2(2, -1, 0), (Line2(1, 0, 0), Line2(0, 0, 1)), (3, 4),
+         ((8, -3, 0), (12, -4, 0), (6, -3, 2))),
         # a homology with the ideal center (1 : 0 : 0), off the axis x = 2
-        (Point2(1, 0, 0), Line2(1, 0, -2), (5, 1), ((3, 0, -10), (0, -2, 0), (0, 0, -2))),
+        (Point2(1, 0, 0), Line2(1, 0, -2), (Line2(0, 1, 0), Line2(0, 0, 1)), (5, 1),
+         ((3, 0, -10), (0, -2, 0), (0, 0, -2))),
         # the translation by (5, 0): the ideal center lies on the line at infinity
-        (Point2(1, 0, 0), Line2(0, 0, 1), (5, 1), ((1, 0, 5), (0, 1, 0), (0, 0, 1))),
+        (Point2(1, 0, 0), Line2(0, 0, 1), (Line2(1, 0, 0), Line2(0, 1, 0)), (5, 1),
+         ((1, 0, 5), (0, 1, 0), (0, 0, 1))),
     ],
     ids=["elation", "ideal-center", "translation"],
 )
-def test_perspective_collineation_elations_and_ideal_centers_frozen(center, axis, target, matrix):
+def test_perspective_collineation_elations_and_ideal_centers_frozen(
+    center, axis, cuts, target, matrix
+):
     pair = (Point2.affine(0, 1), Point2.affine(*target))
     h = perspective_collineation(center, axis, pair)
     assert h.matrix == matrix  # recorded before the pair was solved with cross products
     assert h.apply(pair[0]) == pair[1]
-    p, q = points_on_line2(axis)
+    # two distinct points of the axis, where it meets two coordinate lines
+    p, q = (meet2(axis, cut) for cut in cuts)
+    assert p != q
     for x in (p, q, Point2(*(a + b for a, b in zip(p.coords, q.coords)))):
         assert axis.contains(x)
         assert h.apply(x) == x

@@ -18,9 +18,7 @@ from quadshadow.quadrangle import (
     RepeatedVertex,
     diagonal_triangle,
     quadrangular_trace,
-    same_vertex_set,
     sides,
-    validate_quadrangle,
 )
 
 DILATION = Path(__file__).parent / "data" / "dilation.json"
@@ -120,20 +118,6 @@ def test_quadrangle_validation_texts_are_frozen(case):
     with pytest.raises(InvariantViolation) as info:
         parse_diagram(json.dumps(doc))
     assert str(info.value) == f"quad1: {message}"
-
-
-def test_validate_quadrangle_returns_value():
-    q = validate_quadrangle(*SQUARE.vertices)
-    assert q == SQUARE
-
-
-def test_same_vertex_set_ignores_labels():
-    relabeled = Quadrangle(SQUARE.S, SQUARE.P, SQUARE.Q, SQUARE.R)
-    assert same_vertex_set(SQUARE, relabeled)
-    moved = Quadrangle(
-        Point2.affine(2, 2), SQUARE.Q, SQUARE.R, SQUARE.S
-    )
-    assert not same_vertex_set(SQUARE, moved)
 
 
 # --- sides ---------------------------------------------------------------
