@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .kernel import Point2, _det3, collinear2
 from .quadrangle import VERTEX_LABELS, Quadrangle
-from .perspectivity import CenterIsVertex, SideAxes, side_axes
+from .perspectivity import CenterIsVertex
 
 __all__ = [
     "DegeneracyKind",
@@ -95,8 +95,8 @@ _DIAGONAL_REASONS = (Reason.DIAGONAL_A, Reason.DIAGONAL_B, Reason.DIAGONAL_C)
 class PlanarDiagram:
     """Center plus two labeled quadrangles; O must not be a vertex.
 
-    Its verdict and side axes are worked out once, on first use; they are
-    not fields, so equality, hashing and repr ignore them.
+    Its verdict is worked out once, on first use; it is not a field, so
+    equality, hashing and repr ignore it.
     """
 
     O: Point2
@@ -124,10 +124,6 @@ class PlanarDiagram:
         applicable = all(_det3(o, x1.coords, x2.coords) == 0 for x1, x2 in vertex_pairs)
         pairs = tuple(_det3(o, x1, x2) == 0 for x1, x2 in zip(d1, d2)) if applicable else None
         return _ruling(pairs, degeneracy, notes)
-
-    @cached_property
-    def _side_axes(self) -> SideAxes:
-        return side_axes(self.quad1, self.quad2)
 
 
 @dataclass(frozen=True)

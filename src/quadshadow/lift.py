@@ -65,7 +65,7 @@ from .quadrangle import (
     Quadrangle,
     _check_vertices,
 )
-from .perspectivity import HomologousSidesEqual, NotPerspective, _common_axis
+from .perspectivity import HomologousSidesEqual, NotPerspective, _common_axis, side_axes
 from .checker import PlanarDiagram, decide_depiction
 
 __all__ = [
@@ -295,7 +295,7 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
         raise NotCorrectDiagram(f"diagram is not correct ({verdict.reason.value})")
     # A correct diagram's side axes exist whenever it is in general position.
     try:
-        axes = d._side_axes
+        axes = side_axes(d.quad1, d.quad2)
     except (HomologousSidesEqual, NotPerspective):
         axes = None
     if axes is None or len(set(axes.meets.values())) < len(axes.meets):

@@ -180,13 +180,19 @@ class SideAxes(_Labeled):
 
 
 def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
-    """Compute s, r, q, p from the six homologous side intersections."""
+    """Compute s, r, q, p from the six homologous side intersections.  q1 keeps
+    them for this partner object, not for an equal one; a failure is not kept."""
+    kept = getattr(q1, "_kept_axes", None)
+    if kept is not None and kept[0] is q2:
+        return kept[1]
     meets = _homologous_meets(sides(q1).labeled(), sides(q2).labeled())
     axes = {
         name: _line_through_all([meets[lab] for lab in labs])
         for name, labs in AXIS_SIDES.items()
     }
-    return SideAxes(**axes, meets=meets)
+    result = SideAxes(**axes, meets=meets)
+    object.__setattr__(q1, "_kept_axes", (q2, result))
+    return result
 
 
 def _common_axis(axes: SideAxes) -> Line2:

@@ -1,7 +1,8 @@
 """SVG figures of planar diagrams, placed in exact integers.
 
-The padded bounding box is one rectangle over a common denominator and
-each line is clipped to it as homogeneous integer points.  A coordinate
+The padded bounding box is one rectangle over a common denominator, and
+each line is clipped to it in one pass, as the interval of x (of y when
+vertical) it runs inside, its ends homogeneous integer points.  A coordinate
 becomes a float only when written, as one correctly rounded integer
 quotient times the canvas scale, so it is the float of the exact rational.
 Every figure is first rescaled exactly by a power of 2 to span between 1/2
@@ -16,7 +17,7 @@ from math import isfinite
 
 from .kernel import GeometryError, Line2, Point2, join2
 from .quadrangle import diagonal_triangle, sides
-from .perspectivity import _common_axis
+from .perspectivity import common_axis
 from .checker import PlanarDiagram
 
 __all__ = ["render_svg"]
@@ -44,12 +45,6 @@ def _beside(v: float, offset: int, extent: float) -> float:
     return _clamp(v + offset, extent) if extent < _COLLAPSED else v + offset
 
 
-def _lex(p: Homogeneous, q: Homogeneous) -> int:
-    """Sign of p - q in lexicographic (x, y) order, by cross-multiplication."""
-    return (p[0] * q[2] - q[0] * p[2]) or (p[1] * q[2] - q[1] * p[2])
-
-
-_LEX = cmp_to_key(_lex)
 _BY_X = cmp_to_key(lambda p, q: p[0] * q[2] - q[0] * p[2])
 _BY_Y = cmp_to_key(lambda p, q: p[1] * q[2] - q[1] * p[2])
 
@@ -73,23 +68,23 @@ def _clip_to_rect(line: Line2, rect: tuple) -> tuple[Homogeneous, Homogeneous] |
     lexicographic order, or None if the line meets it in fewer than two points."""
     a, b, c = line.coords
     x0, y0, x1, y1, d = rect
-    hits = []
-    if b:  # the line meets x = X/D at y/(|b| D)
-        sign, m = (1, b) if b > 0 else (-1, -b)
-        for x in (x0, x1):
-            y = -sign * (a * x + c * d)
-            if y0 * m <= y <= y1 * m:
-                hits.append((x * m, y, m * d))
-    if a:  # canonical, so a > 0: it meets y = Y/D at x/(a D)
-        for y in (y0, y1):
-            x = -(b * y + c * d)
-            if x0 * a <= x <= x1 * a:
-                hits.append((x, y * a, a * d))
-    if hits:
-        lo, hi = min(hits, key=_LEX), max(hits, key=_LEX)
-        if _lex(lo, hi):
-            return lo, hi
-    return None
+    cd = c * d
+    if not b:  # x = -c/a, a > 0 as the line is canonical; the ideal line fails the test
+        return ((-cd, y0 * a, a * d), (-cd, y1 * a, a * d)) if x0 * a <= -cd <= x1 * a else None
+    if b < 0:  # so the ends on x = x0 and x = x1 are over b d > 0
+        a, b, cd = -a, -b, -cd
+    lo, hi = (x0 * b, -(a * x0 + cd), b * d), (x1 * b, -(a * x1 + cd), b * d)
+    if a:  # move each end in to where the line crosses y = Y at x = u/(m d), if further in
+        m, s, y_lo, y_hi = (a, -1, y1, y0) if a > 0 else (-a, 1, y0, y1)
+        u = s * (b * y_lo + cd)
+        if u > x0 * m:
+            lo = (u, y_lo * m, m * d)
+        u = s * (b * y_hi + cd)
+        if u < x1 * m:
+            hi = (u, y_hi * m, m * d)
+    elif not y0 * b <= -cd <= y1 * b:
+        return None
+    return (lo, hi) if lo[0] * hi[2] < hi[0] * lo[2] else None
 
 
 def render_svg(d: PlanarDiagram) -> str:
@@ -172,7 +167,7 @@ def render_svg(d: PlanarDiagram) -> str:
         parts.append("</g>")
 
     try:
-        axis = _common_axis(d._side_axes)
+        axis = common_axis(d.quad1, d.quad2)
     except GeometryError:
         axis = None
     if axis is not None and not axis.is_ideal:

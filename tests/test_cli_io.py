@@ -23,6 +23,7 @@ import quadshadow.lift
 import quadshadow.perspectivity
 from quadshadow.kernel import GeometryError, Point2, meet2
 from quadshadow.quadrangle import Quadrangle
+from quadshadow.perspectivity import common_axis, side_axes
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, Reason, decide_depiction
 from quadshadow.generators import (
     GenConfig,
@@ -713,7 +714,8 @@ def test_fuzz_reports_a_raised_geometry_error(monkeypatch):
 
 def test_axis_lift_and_render_build_the_side_axes_once(monkeypatch):
     doc = emit_diagram(gen_general_position_diagram(0, correct=True))
-    g = parse_diagram(doc)
+    g, again, bare = (parse_diagram(doc) for _ in range(3))
+    q1, q2 = g.quad1, g.quad2
     calls = []
 
     def counting_meet2(l, m):
@@ -721,9 +723,25 @@ def test_axis_lift_and_render_build_the_side_axes_once(monkeypatch):
         return meet2(l, m)
 
     monkeypatch.setattr(quadshadow.perspectivity, "meet2", counting_meet2)
+    axes = side_axes(q1, q2)
+    assert common_axis(q1, q2) == axes.s
     lift_via_axis(g)
     svg = render_svg(g)
     assert len(calls) == 6
+    assert side_axes(q1, q2) is axes
+    # the kept axes are not a field: equality, hashing and repr ignore them
+    assert (q1 == bare.quad1, hash(q1), repr(q1)) == (True, hash(bare.quad1), repr(bare.quad1))
+    # an equal diagram parsed again shares nothing
+    side_axes(again.quad1, again.quad2)
+    common_axis(again.quad1, again.quad2)
+    lift_via_axis(again)
+    assert render_svg(again) == svg
+    assert len(calls) == 12
+    # another partner, even an equal one, replaces the kept axes
+    assert side_axes(q1, again.quad2) == axes
+    recomputed = side_axes(q1, q2)
+    assert len(calls) == 24
+    assert recomputed == axes and recomputed is not axes
     monkeypatch.undo()
     assert svg == render_svg(parse_diagram(doc))
 

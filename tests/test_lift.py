@@ -656,7 +656,7 @@ def test_lift_via_axis_produces_verified_witness():
     assert w.quad.plane != DRAWING_PLANE
     # the vertical plane over the axis (1 : 1 : 1) meets the drawing plane exactly there
     assert w.quad.plane == Plane3(1, 1, 0, 1)
-    meets = diagram._side_axes.meets.values()
+    meets = side_axes(diagram.quad1, diagram.quad2).meets.values()
     assert len(set(meets)) > 1 and all(axis.contains(m) for m in meets)
     for embedded in map(embed_drawing, meets):
         assert w.quad.plane.contains(embedded)
@@ -716,7 +716,7 @@ def test_side_axes_that_fail_are_not_kept():
             side_axes(d.quad1, d.quad2)
         for _ in range(2):
             with pytest.raises(error) as again:
-                d._side_axes
+                side_axes(d.quad1, d.quad2)
             assert str(again.value) == str(first.value)
 
 
