@@ -18,26 +18,15 @@ with affine chart ``x3 = 1``; the affine point ``(x, y, z)`` is
 
 The canonical *drawing plane* is ``x2 = 0``, i.e. the plane with
 coefficients ``(0 : 0 : 1 : 0)``.  ``embed_drawing`` maps the planar point
-``(x0 : x1 : x2)`` to the spatial point ``(x0 : x1 : 0 : x2)`` and
-``chart_drawing`` inverts it.
+``(x0 : x1 : x2)`` to the spatial point ``(x0 : x1 : 0 : x2)``.
 
-Spatial lines use Pluecker coordinates in the fixed order
+Space has points and planes only.  The plane through three points is read
+from the 2x2 minors of the first two, taken in the order
 
-    (p01, p02, p03, p23, p31, p12),   p_ij = a_i * b_j - a_j * b_i
+    (p01, p02, p03, p23, p31, p12),   p_ij = a_i * b_j - a_j * b_i,
 
-for a line through points ``a`` and ``b``.  Note the fourth-to-sixth
-entries are ``p23, p31, p12`` (not ``p13``): with this ordering the
-Grassmann-Pluecker relation reads
-
-    p01 * p23 + p02 * p31 + p03 * p12 = 0
-
-and two lines ``p``, ``q`` meet (are coplanar) exactly when the reciprocal
-bilinear form
-
-    p01*q23 + p02*q31 + p03*q12 + p23*q01 + p31*q02 + p12*q03
-
-vanishes.  Sign conventions for Pluecker coordinates differ between texts;
-all consumers of this package should rely on the ordering above.
+and contracted with the third point; these are the Pluecker coordinates of
+the line through a and b, though no line is ever built.
 """
 
 from __future__ import annotations
@@ -58,27 +47,20 @@ __all__ = [
     "LineInPlane",
     "CenterOnTarget",
     "ProjectingCenter",
-    "NotOnDrawingPlane",
-    "PlueckerViolation",
     "Point2",
     "Line2",
     "Point3",
     "Plane3",
-    "Line3",
     "DRAWING_PLANE",
     "normalize",
     "join2",
     "meet2",
     "collinear2",
-    "line3_through",
     "plane_through",
-    "meet_line_plane",
-    "meet_lines3",
     "collinear3",
     "coplanarity_det",
     "central_project",
     "embed_drawing",
-    "chart_drawing",
 ]
 
 
@@ -112,14 +94,6 @@ class CenterOnTarget(GeometryError):
 
 class ProjectingCenter(GeometryError):
     """Attempt to project the center of the projection itself."""
-
-
-class NotOnDrawingPlane(GeometryError):
-    """A spatial point expected on the drawing plane x2 = 0 is off it."""
-
-
-class PlueckerViolation(GeometryError):
-    """Six coordinates that do not satisfy the Grassmann-Pluecker relation."""
 
 
 def normalize(coords) -> tuple[int, ...]:
@@ -234,31 +208,6 @@ class Plane3(_Element):
         return a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3 == 0
 
 
-class Line3(_Element):
-    """Spatial line in Pluecker coordinates (p01, p02, p03, p23, p31, p12).
-
-    The constructor enforces the Grassmann-Pluecker relation
-    p01*p23 + p02*p31 + p03*p12 = 0, which characterises the six-tuples
-    that actually describe lines.
-    """
-
-    _ARITY = 6
-
-    def __init__(self, *pluecker: Scalar):
-        super().__init__(*pluecker)
-        p01, p02, p03, p23, p31, p12 = self.coords
-        if p01 * p23 + p02 * p31 + p03 * p12 != 0:
-            raise PlueckerViolation(
-                f"({_fmt(self.coords)}) violates the Grassmann-Pluecker relation"
-            )
-
-    pluecker = property(lambda self: self.coords, doc="The canonical Pluecker coordinates.")
-
-    def contains(self, x: Point3) -> bool:
-        """Incidence test: all 3x3 minors of the stacked matrix vanish."""
-        return not any(_span(self.coords, x.coords))
-
-
 def _span(p: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, int, int, int]:
     """Coefficients of the plane through x and the line with (possibly
     unnormalised) Pluecker coordinates p, not normalised.
@@ -279,8 +228,6 @@ def _span(p: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, int, int, int]:
 
 #: The canonical drawing plane x2 = 0.
 DRAWING_PLANE = Plane3(0, 0, 1, 0)
-
-_BASIS3 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -335,13 +282,6 @@ def _pluecker(a: Point3, b: Point3) -> tuple[int, int, int, int, int, int]:
     )
 
 
-def line3_through(a: Point3, b: Point3) -> Line3:
-    """Pluecker line through two distinct spatial points."""
-    if a == b:
-        raise CoincidentPoints(f"cannot join {a!r} with itself")
-    return Line3(*_pluecker(a, b))
-
-
 def _plane_coeffs(a: Point3, b: Point3, c: Point3) -> tuple[int, int, int, int]:
     """Signed 3x3 minors of the stacked 3x4 coordinate matrix, not normalised."""
     return _span(_pluecker(a, b), c.coords)
@@ -359,49 +299,10 @@ def plane_through(a: Point3, b: Point3, c: Point3) -> Plane3:
     return Plane3(*coeffs)
 
 
-def _pierce(p: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """Raw Pluecker-matrix product P . a (zero vector iff line lies in plane).
-
-    It is the dual of _span: the same product with (p01, p02, p03) and
-    (p23, p31, p12) swapped.
-    """
-    return _span((*p[3:], *p[:3]), a)
-
-
-def meet_line_plane(line: Line3, plane: Plane3) -> Point3:
-    """Unique intersection point of a line with a plane not containing it."""
-    x = _pierce(line.coords, plane.coords)
-    if not any(x):
-        raise LineInPlane(f"{line!r} lies inside {plane!r}")
-    return Point3(*x)
-
-
-def meet_lines3(l1: Line3, l2: Line3) -> Point3 | None:
-    """Common point of two coplanar spatial lines, or None when skew.
-
-    The reciprocal bilinear form decides coplanarity.  For coplanar
-    distinct lines the common point is found by cutting l2 with a plane
-    through l1 that differs from the common plane; some coordinate basis
-    point off l1 always spans such a plane with it.
-    """
-    if l1 == l2:
-        raise CoincidentLines(f"cannot intersect {l1!r} with itself")
-    p = l1.coords
-    q = l2.coords
-    form = p[0] * q[3] + p[1] * q[4] + p[2] * q[5] + p[3] * q[0] + p[4] * q[1] + p[5] * q[2]
-    if form != 0:
-        return None
-    # Basis points on l1 span no plane; the others cannot all span the one plane holding l2.
-    planes = (_span(p, z) for z in _BASIS3)
-    points = (_pierce(q, plane) for plane in planes if any(plane))
-    return Point3(*next(x for x in points if any(x)))
-
-
 def collinear3(a: Point3, b: Point3, c: Point3) -> bool:
     """Spatial collinearity; coincident pairs count as collinear.
 
-    The three are collinear exactly when they span no plane; no Line3 is
-    built.
+    The three are collinear exactly when they span no plane.
     """
     return not any(_plane_coeffs(a, b, c))
 
@@ -450,10 +351,3 @@ def embed_drawing(p: Point2) -> Point3:
     x0, x1, x2 = p.coords
     return Point3(x0, x1, 0, x2)
 
-
-def chart_drawing(x: Point3) -> Point2:
-    """Inverse of embed_drawing for points on the drawing plane."""
-    x0, x1, x2, x3 = x.coords
-    if x2 != 0:
-        raise NotOnDrawingPlane(f"{x!r} is not on the drawing plane x2 = 0")
-    return Point2(x0, x1, x3)

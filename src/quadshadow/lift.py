@@ -21,7 +21,8 @@ constructs one in two independent ways:
   vertical plane (l0 : l1 : 0 : l2) over the embedded axis, O1 is a fixed
   point off both planes, quad1 is projected from O1 onto the witness
   plane, and O2 is recovered as the common point of the rays through the
-  lifted vertices and quad2.  Requires the six homologous side pairs and
+  lifted vertices and quad2: a diagonal point of the lifted P and Q and
+  their images in quad2.  Requires the six homologous side pairs and
   their intersections to be in general position.
 
 ``project_scene`` goes the other way: from a spatial quadrangle, a light
@@ -41,21 +42,21 @@ from .kernel import (
     CoincidentLines,
     CoincidentPoints,
     GeometryError,
+    LineInPlane,
     Plane3,
     Point2,
     Point3,
     Scalar,
     _cross,
     _det3,
+    _fmt,
+    _pluecker,
     _project,
     central_project,
-    chart_drawing,
     collinear3,
     coplanarity_det,
     embed_drawing,
-    line3_through,
-    meet_line_plane,
-    meet_lines3,
+    normalize,
     plane_through,
 )
 from .quadrangle import (
@@ -157,8 +158,7 @@ class SpatialScene:
 
     Without a viewpoint the scene is reported in the shadow plane's own
     chart (the flattening drops the coordinate of the plane's first
-    nonzero coefficient, which for the drawing plane is plain
-    chart_drawing).
+    nonzero coefficient, which for the drawing plane is x2).
     """
 
     quad: SpatialQuadrangle
@@ -308,11 +308,16 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
     barred = [central_project(O1, plane, embed_drawing(v)) for v in d.quad1.vertices]
     quad = SpatialQuadrangle(*barred, plane=plane)
 
-    rays = [line3_through(b, embed_drawing(v)) for b, v in zip(barred, d.quad2.vertices)]
-    O2 = meet_lines3(rays[0], rays[1])
-    _invariant(O2 is not None, "lifted rays to quad2 do not meet")
+    drawn = [embed_drawing(v) for v in d.quad2.vertices]
+    # The rays from the first two lifted vertices are the sides RP and SQ of
+    # (Pbar, Qbar, P2, Q2), so they meet in its diagonal point B.
+    corners = (barred[0], barred[1], drawn[0], drawn[1])
+    meets = _spatial_diagonals(dict(zip(VERTEX_LABELS, (x.coords for x in corners))))
+    _invariant(meets is not None, "lifted rays to quad2 do not meet")
+    O2 = Point3(*meets[1])
     _invariant(
-        all(ray.contains(O2) for ray in rays), "second center is not common to all four rays"
+        all(collinear3(b, x, O2) for b, x in zip(barred, drawn)),
+        "second center is not common to all four rays",
     )
     _invariant(collinear3(O1, O2, embed_drawing(d.O)), "centers not collinear with O")
     return Witness(quad=quad, O1=O1, O2=O2, drawing_plane=DRAWING_PLANE)
@@ -372,11 +377,26 @@ def witness_side_traces(w: Witness) -> dict[str, Point2]:
 
     For a valid witness of a general-position diagram these are the six
     homologous side intersections, labeled compatibly with the planar
-    traces.
+    traces.  Side ab pierces x2 = 0 at b2 a - a2 b, which is zero exactly
+    when a and b both lie in it.
     """
     v = w.quad.labeled()
-    sides = ((lab, line3_through(v[lab[0]], v[lab[1]])) for lab in SIDE_LABELS)
-    return {lab: chart_drawing(meet_line_plane(line, DRAWING_PLANE)) for lab, line in sides}
+    traces = {}
+    for lab in SIDE_LABELS:
+        a, b = v[lab[0]], v[lab[1]]
+        if a == b:
+            raise CoincidentPoints(f"cannot join {a!r} with itself")
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = a.coords, b.coords
+        trace = (b2 * a0 - a2 * b0, b2 * a1 - a2 * b1, b2 * a3 - a2 * b3)
+        if not any(trace):
+            raise LineInPlane(f"{_line_text(a, b)} lies inside {DRAWING_PLANE!r}")
+        traces[lab] = Point2(*trace)
+    return traces
+
+
+def _line_text(a: Point3, b: Point3) -> str:
+    """The line through a and b as failure texts name it, by its Pluecker coordinates."""
+    return f"Line3({_fmt(normalize(_pluecker(a, b)))})"
 
 
 def _spatial_diagonals(v: dict[str, tuple[int, ...]]) -> tuple[list[int], ...] | None:
@@ -396,8 +416,7 @@ def _spatial_diagonals(v: dict[str, tuple[int, ...]]) -> tuple[list[int], ...] |
         if cP or cQ or cR or cS:
             break
     else:
-        side = line3_through(Point3(*S), Point3(*P))
-        raise CoincidentLines(f"cannot intersect {side!r} with itself")
+        raise CoincidentLines(f"cannot intersect {_line_text(Point3(*S), Point3(*P))} with itself")
     if P[k] * cP - Q[k] * cQ + R[k] * cR - S[k] * cS:
         return None
     return (

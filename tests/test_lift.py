@@ -16,16 +16,17 @@ import quadshadow.checker
 import quadshadow.perspectivity
 from quadshadow.kernel import (
     DRAWING_PLANE,
+    CoincidentPoints,
+    GeometryError,
     Line2,
+    LineInPlane,
     Plane3,
     Point2,
     Point3,
     central_project,
     collinear3,
     embed_drawing,
-    line3_through,
     meet2,
-    meet_lines3,
 )
 from quadshadow.quadrangle import OPPOSITE_SIDES, SIDE_LABELS, VERTEX_LABELS, Quadrangle
 from quadshadow.perspectivity import (
@@ -61,6 +62,8 @@ from quadshadow.lift import (
     witness_side_traces,
     _spatial_diagonals,
 )
+
+from pluecker_oracle import line3_through, meet_line_plane, meet_lines3
 
 A = Point2.affine
 
@@ -452,19 +455,24 @@ def test_verify_witness_diagonal_clause_is_frozen_on_degenerate_witnesses():
     )
 
 
-def test_raw_diagonal_points_are_the_meets_of_the_opposite_sides():
-    # Cramer's relation on the four vertices against the Pluecker meets, on
-    # the scene's, the lifted and the axis witnesses of correct diagrams
+def _seeded_witnesses():
+    """(seed, diagram, witness, route) for the scene's, the lifted and, in
+    general position, the axis witnesses of correct diagrams, seeds 0-299."""
     for seed in range(300):
         scene, d = gen_correct_diagram(seed)
-        general = gen_general_position_diagram(seed)
-        quads = [scene.quad, lift_collinear_centers(d).quad]
-        quads += [lift_collinear_centers(general).quad, lift_via_axis(general).quad]
-        if general_position(d.quad1, d.quad2):
-            quads.append(lift_via_axis(d).quad)
-        for quad in quads:
-            raw = _spatial_diagonals({lab: x.coords for lab, x in quad.labeled().items()})
-            assert tuple(Point3(*x) for x in raw) == _oracle_diagonals(quad), seed
+        seen = Witness(scene.quad, scene.light, scene.viewpoint, DRAWING_PLANE)
+        yield seed, d, seen, "scene"
+        for d in (d, gen_general_position_diagram(seed)):
+            yield seed, d, lift_collinear_centers(d), "lift"
+            if general_position(d.quad1, d.quad2):
+                yield seed, d, lift_via_axis(d), "axis"
+
+
+def test_raw_diagonal_points_are_the_meets_of_the_opposite_sides():
+    # Cramer's relation on the four vertices against the Pluecker meets
+    for seed, _, w, _ in _seeded_witnesses():
+        raw = _spatial_diagonals({lab: x.coords for lab, x in w.quad.labeled().items()})
+        assert tuple(Point3(*x) for x in raw) == _oracle_diagonals(w.quad), seed
 
 
 # --- scene projection ---------------------------------------------------------
@@ -627,6 +635,48 @@ def test_witness_side_traces_frozen_values():
     assert traces["SQ"] == Point2(1, -1, 0)
     assert traces["RP"] == Point2(1, 1, 0)
     assert set(traces) == set(SIDE_LABELS)
+
+
+def test_witness_side_traces_name_a_side_in_the_drawing_plane_and_a_repeated_vertex():
+    # quad2 keeps P and Q and doubles R and S from O, so the lifted P and Q
+    # stay in the drawing plane and so does their side
+    square = Quadrangle(A(0, 0), A(4, 0), A(4, 4), A(0, 4))
+    image = Quadrangle(A(0, 0), A(4, 0), A(6, 11), A(-2, 11))
+    d = PlanarDiagram(O=A(2, -3), quad1=square, quad2=image)
+    w = lift_collinear_centers(d)
+    assert verify_witness(d, w).passed
+    with pytest.raises(GeometryError) as inside:
+        witness_side_traces(w)
+    assert type(inside.value) is LineInPlane
+    assert str(inside.value) == "Line3(0:0:1:0:0:0) lies inside Plane3(0:0:1:0)"
+    repeated = replace(w, quad=replace(w.quad, Rbar=w.quad.Qbar))
+    with pytest.raises(GeometryError) as same:
+        witness_side_traces(repeated)
+    assert type(same.value) is CoincidentPoints
+    assert str(same.value) == "cannot join Point3(4:0:0:1) with itself"
+
+
+def _oracle_traces(w):
+    """Each side of the witness as a Pluecker line, pierced with x2 = 0."""
+    v = w.quad.labeled()
+    traces = {}
+    for lab in SIDE_LABELS:
+        x0, x1, _, x3 = meet_line_plane(line3_through(v[lab[0]], v[lab[1]]), DRAWING_PLANE).coords
+        traces[lab] = Point2(x0, x1, x3)
+    return traces
+
+
+def test_side_traces_and_second_centers_match_the_pluecker_route():
+    # the dilation's traces are all ideal; the axis route's O2 is where the
+    # rays from the lifted P and Q through their quad2 images meet
+    dilation = lift_collinear_centers(DIAGRAM)
+    assert all(trace.is_ideal for trace in witness_side_traces(dilation).values())
+    for seed, d, w, route in [(None, DIAGRAM, dilation, "lift"), *_seeded_witnesses()]:
+        assert witness_side_traces(w) == _oracle_traces(w), seed
+        if route == "axis":
+            drawn = [embed_drawing(x) for x in d.quad2.vertices]
+            rays = [line3_through(b, x) for b, x in zip(w.quad.vertices, drawn)]
+            assert w.O2 == meet_lines3(rays[0], rays[1]), seed
 
 
 # --- the axis route --------------------------------------------------------------

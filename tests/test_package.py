@@ -33,20 +33,17 @@ PUBLIC_NAMES = [
     "InvalidPair",
     "InvariantViolation",
     "Line2",
-    "Line3",
     "LineInPlane",
     "LineThroughVertex",
     "NoCommonAxis",
     "NotCorrectDiagram",
     "NotGeneralPosition",
-    "NotOnDrawingPlane",
     "NotPerspective",
     "OPPOSITE_SIDES",
     "ParseError",
     "PlanarDiagram",
     "PlanarityCertificate",
     "Plane3",
-    "PlueckerViolation",
     "Point2",
     "Point3",
     "ProjectingCenter",
@@ -68,7 +65,6 @@ PUBLIC_NAMES = [
     "ZeroVector",
     "__version__",
     "central_project",
-    "chart_drawing",
     "classify_degeneracy",
     "collinear2",
     "collinear3",
@@ -95,10 +91,7 @@ PUBLIC_NAMES = [
     "join2",
     "lift_collinear_centers",
     "lift_via_axis",
-    "line3_through",
     "meet2",
-    "meet_line_plane",
-    "meet_lines3",
     "normalize",
     "parse_diagram",
     "parse_scene",
@@ -147,7 +140,7 @@ def test_every_public_name_resolves_and_star_import_binds_them_all(monkeypatch):
     namespace = {}
     exec("from quadshadow import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 106
+    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 99
 
 
 #: Exit code and lazy modules loaded after each step (after the import, the modules only), as JSON.

@@ -11,13 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from quadshadow.kernel import (
-    Point2,
-    coplanarity_det,
-    embed_drawing,
-    line3_through,
-    meet_lines3,
-)
+from quadshadow.kernel import Point2, coplanarity_det, embed_drawing
 from quadshadow.quadrangle import VERTEX_LABELS, Quadrangle
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
 from quadshadow.lift import _ray_meet, displaced_centers, planarity_certificate
@@ -26,6 +20,8 @@ from quadshadow.generators import (
     gen_degenerate_diagram,
     gen_incorrect_diagram,
 )
+
+from pluecker_oracle import line3_through, meet_lines3
 
 DISPLACEMENTS = [(1, -1), (F(3, 2), -7), (2, 5)]
 
