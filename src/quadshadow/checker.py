@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .kernel import Point2, _det3, collinear2
-from .quadrangle import VERTEX_LABELS, Quadrangle
+from .quadrangle import VERTEX_LABELS, Quadrangle, _once
 from .perspectivity import CenterIsVertex
 
 __all__ = [
@@ -110,7 +109,7 @@ class PlanarDiagram:
                 if v.coords == o and type(v) is o_cls:  # v == self.O, without the generated __eq__
                     raise CenterIsVertex(f"center O equals vertex {lab} of {which}")
 
-    @cached_property
+    @_once
     def _verdict(self) -> Verdict:
         degeneracy = classify_degeneracy(self.quad1, self.quad2)
         o, (s1, d1), (s2, d2) = self.O.coords, self.quad1._crosses, self.quad2._crosses

@@ -36,7 +36,6 @@ from .kernel import (
     Point3,
     ZeroVector,
     collinear2,
-    collinear3,
     join2,
     meet2,
     plane_through,
@@ -46,7 +45,7 @@ from .perspectivity import (
     Collineation, Triple, _homologous_meets, _triangle_sides, general_position
 )
 from .checker import DegeneracyKind, PlanarDiagram, classify_degeneracy, decide_depiction
-from .lift import SpatialQuadrangle, SpatialScene, _invariant, project_scene
+from .lift import SpatialQuadrangle, SpatialScene, _invariant, _triple_planes, project_scene
 
 __all__ = [
     "SplitMix64",
@@ -199,7 +198,7 @@ def gen_correct_diagram(
             kw = r * q * u3 * v3
             coords = zip(u.coords, v.coords, w.coords)
             verts.append(Point3(*[ku * x + kv * y + kw * z for x, y, z in coords]))
-        _check_vertices(verts, collinear3)
+        _check_vertices(verts, (not any(t) for t in _triple_planes(*(v.coords for v in verts))))
         light = _point3(rng, cfg)
         if plane.contains(light) or DRAWING_PLANE.contains(light):
             return None

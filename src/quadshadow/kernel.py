@@ -267,11 +267,11 @@ def collinear2(p: Point2, q: Point2, r: Point2) -> bool:
     return _det3(p.coords, q.coords, r.coords) == 0
 
 
-def _pluecker(a: Point3, b: Point3) -> tuple[int, int, int, int, int, int]:
-    """Raw 2x2 minors of the stacked coordinates of a and b, in Pluecker
-    order; not normalised, and zero exactly when a equals b."""
-    a0, a1, a2, a3 = a.coords
-    b0, b1, b2, b3 = b.coords
+def _pluecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int, int, int, int]:
+    """Raw 2x2 minors of the stacked raw points a and b, in Pluecker order;
+    not normalised, and zero exactly when a and b are proportional."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
     return (
         a0 * b1 - a1 * b0,  # p01
         a0 * b2 - a2 * b0,  # p02
@@ -282,18 +282,13 @@ def _pluecker(a: Point3, b: Point3) -> tuple[int, int, int, int, int, int]:
     )
 
 
-def _plane_coeffs(a: Point3, b: Point3, c: Point3) -> tuple[int, int, int, int]:
-    """Signed 3x3 minors of the stacked 3x4 coordinate matrix, not normalised."""
-    return _span(_pluecker(a, b), c.coords)
-
-
 def plane_through(a: Point3, b: Point3, c: Point3) -> Plane3:
     """Plane spanned by three non-collinear spatial points.
 
     Coefficients are the signed 3x3 minors of the stacked 3x4 coordinate
     matrix; a zero vector means the points are collinear (or coincident).
     """
-    coeffs = _plane_coeffs(a, b, c)
+    coeffs = _span(_pluecker(a.coords, b.coords), c.coords)
     if not any(coeffs):
         raise CollinearPoints(f"{a!r}, {b!r}, {c!r} do not span a plane")
     return Plane3(*coeffs)
@@ -304,7 +299,7 @@ def collinear3(a: Point3, b: Point3, c: Point3) -> bool:
 
     The three are collinear exactly when they span no plane.
     """
-    return not any(_plane_coeffs(a, b, c))
+    return not any(_span(_pluecker(a.coords, b.coords), c.coords))
 
 
 def coplanarity_det(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
@@ -315,35 +310,29 @@ def coplanarity_det(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     certificate of non-planarity.  Expanded along d's row, it is minus the
     dot product of d with the unnormalised plane coefficients of a, b, c.
     """
-    p0, p1, p2, p3 = _plane_coeffs(a, b, c)
+    p0, p1, p2, p3 = _span(_pluecker(a.coords, b.coords), c.coords)
     x0, x1, x2, x3 = d.coords
     return -(p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3)
-
-
-def _project(center: Point3, target: Plane3, x: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """central_project's image of raw x, not normalised; zero exactly when x is the center."""
-    a0, a1, a2, a3 = target.coords
-    c0, c1, c2, c3 = center.coords
-    pc = a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3
-    if not pc:
-        raise CenterOnTarget(f"projection center {center!r} lies on {target!r}")
-    x0, x1, x2, x3 = x
-    px = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
-    image = (pc * x0 - px * c0, pc * x1 - px * c1, pc * x2 - px * c2, pc * x3 - px * c3)
-    if not any(image):
-        raise ProjectingCenter(f"cannot project the center {center!r} itself")
-    return image
 
 
 def central_project(center: Point3, target: Plane3, x: Point3) -> Point3:
     """Image of x on the target plane as seen from the center.
 
     Points already on the target are fixed.  The center must be off the
-    target plane and x must differ from the center.  For a target with
-    coefficients a the image is (a.c) x - (a.x) c: it lies on the line
-    through c and x, and a annihilates it.
+    target plane and x must differ from it.  For a target with coefficients
+    a the image (a.c) x - (a.x) c is on the line cx and the target, and 0 at c.
     """
-    return Point3(*_project(center, target, x.coords))
+    a0, a1, a2, a3 = target.coords
+    c0, c1, c2, c3 = center.coords
+    pc = a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3
+    if not pc:
+        raise CenterOnTarget(f"projection center {center!r} lies on {target!r}")
+    x0, x1, x2, x3 = x.coords
+    px = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
+    image = (pc * x0 - px * c0, pc * x1 - px * c1, pc * x2 - px * c2, pc * x3 - px * c3)
+    if not any(image):
+        raise ProjectingCenter(f"cannot project the center {center!r} itself")
+    return Point3(*image)
 
 
 def embed_drawing(p: Point2) -> Point3:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from .kernel import (
     DRAWING_PLANE,
+    CenterOnTarget,
     CoincidentLines,
     CoincidentPoints,
     GeometryError,
@@ -46,12 +47,11 @@ from .kernel import (
     Plane3,
     Point2,
     Point3,
+    ProjectingCenter,
     Scalar,
-    _cross,
-    _det3,
     _fmt,
     _pluecker,
-    _project,
+    _span,
     central_project,
     collinear3,
     coplanarity_det,
@@ -311,8 +311,8 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
     drawn = [embed_drawing(v) for v in d.quad2.vertices]
     # The rays from the first two lifted vertices are the sides RP and SQ of
     # (Pbar, Qbar, P2, Q2), so they meet in its diagonal point B.
-    corners = (barred[0], barred[1], drawn[0], drawn[1])
-    meets = _spatial_diagonals(dict(zip(VERTEX_LABELS, (x.coords for x in corners))))
+    corners = [x.coords for x in (barred[0], barred[1], drawn[0], drawn[1])]
+    meets = _spatial_diagonals(dict(zip(VERTEX_LABELS, corners)), _triple_planes(*corners))
     _invariant(meets is not None, "lifted rays to quad2 do not meet")
     O2 = Point3(*meets[1])
     _invariant(
@@ -353,20 +353,26 @@ def project_scene(s: SpatialScene) -> PlanarDiagram:
     if s.viewpoint is not None and s.shadow_plane.contains(s.viewpoint):
         raise DegenerateScene("viewpoint lies in the shadow plane")
 
-    k = next(i for i, c in enumerate(s.shadow_plane.coords) if c)
+    a = a0, a1, a2, a3 = s.shadow_plane.coords
+    k = next(i for i, c in enumerate(a) if c)
     viewpoint = s.viewpoint or Point3(*(int(i == k) for i in range(4)))
+    i, j, m = (n for n in range(4) if n != k)
 
-    def chart(center: Point3, x: Point3) -> Point2:
-        """The image of x from center, charted without coordinate k and normalised once."""
-        image = _project(center, s.shadow_plane, x.coords)
-        return Point2(*(c for i, c in enumerate(image) if i != k))
+    def chart(center: Point3, points):
+        """Yield images (a.c) x - (a.x) c without coordinate k, zero only at c as a_k != 0."""
+        c = center.coords
+        ac = a0 * c[0] + a1 * c[1] + a2 * c[2] + a3 * c[3]  # nonzero: the gates above
+        for x in (p.coords for p in points):
+            ax = a0 * x[0] + a1 * x[1] + a2 * x[2] + a3 * x[3]
+            u, v, w = ac * x[i] - ax * c[i], ac * x[j] - ax * c[j], ac * x[m] - ax * c[m]
+            if not (u or v or w):
+                raise ProjectingCenter(f"cannot project the center {center!r} itself")
+            yield Point2(u, v, w)
 
     try:
-        shadow = {lab: chart(s.light, x) for lab, x in quad.labeled().items()}
-        seen_quad = {lab: chart(viewpoint, x) for lab, x in quad.labeled().items()}
-        seen_light = chart(viewpoint, s.light)
-        quad1, quad2 = Quadrangle(**shadow), Quadrangle(**seen_quad)
-        return PlanarDiagram(O=seen_light, quad1=quad1, quad2=quad2)
+        shadow = [*chart(s.light, quad.vertices)]
+        *seen_quad, seen_light = chart(viewpoint, (*quad.vertices, s.light))
+        return PlanarDiagram(O=seen_light, quad1=Quadrangle(*shadow), quad2=Quadrangle(*seen_quad))
     except GeometryError as e:
         raise DegenerateScene(f"scene is not depictable from this viewpoint: {e}") from e
 
@@ -396,23 +402,29 @@ def witness_side_traces(w: Witness) -> dict[str, Point2]:
 
 def _line_text(a: Point3, b: Point3) -> str:
     """The line through a and b as failure texts name it, by its Pluecker coordinates."""
-    return f"Line3({_fmt(normalize(_pluecker(a, b)))})"
+    return f"Line3({_fmt(normalize(_pluecker(a.coords, b.coords)))})"
 
 
-def _spatial_diagonals(v: dict[str, tuple[int, ...]]) -> tuple[list[int], ...] | None:
-    """Raw diagonal points A, B, C of four raw vertices, or None when they span space.
+def _triple_planes(P, Q, R, S) -> tuple[tuple[int, ...], ...]:
+    """Raw planes of PQR, PQS, PRS, QRS: entry k is (-1)^k times the minor without column k."""
+    pq, rs = _pluecker(P, Q), _pluecker(R, S)
+    return _span(pq, R), _span(pq, S), _span(rs, P), _span(rs, Q)
 
-    On three rows of rank 3 the 3x3 minors give cP P - cQ Q + cR R - cS S = 0,
-    and on the fourth row the same sum is the 4x4 determinant.  So for coplanar
-    vertices cQ Q - cR R is on QR and SP, cP P + cR R on RP and SQ, and so on.
+
+def _spatial_diagonals(v: dict[str, tuple[int, ...]], planes) -> tuple[list[int], ...] | None:
+    """Raw diagonal points A, B, C of four raw vertices with their triple planes, or None
+    when they span space.
+
+    The 3x3 minors off a row k where the triple planes are not all zero (their entries k, all
+    signed alike) give cP P - cQ Q + cR R - cS S = 0 there, and on row k the 4x4 determinant.
+    So for coplanar vertices cQ Q - cR R is on QR and SP, cP P + cR R on RP and SQ, and so on.
     """
     for a, b in SIDE_LABELS:
         if v[a] == v[b]:
             raise CoincidentPoints(f"cannot join {Point3(*v[a])!r} with itself")
     P, Q, R, S = v.values()
     for k in range(4):
-        p, q, r, s = (x[:k] + x[k + 1:] for x in (P, Q, R, S))
-        cP, cQ, cR, cS = _det3(q, r, s), _det3(p, r, s), _det3(p, q, s), _det3(p, q, r)
+        cS, cR, cQ, cP = (x[k] for x in planes)
         if cP or cQ or cR or cS:
             break
     else:
@@ -451,18 +463,24 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
     """
     quad = w.quad
     vertices = {lab: x.coords for lab, x in quad.labeled().items()}
+    planes = _triple_planes(*vertices.values())
     drawn1, drawn2 = ([x.coords for x in q.vertices] for q in (d.quad1, d.quad2))
 
     def projects(center: Point3, spatial: dict, planar, what: str = "vertex") -> str:
-        """Failure text for the first raw spatial point whose image misses its raw planar one."""
-        for (lab, x), y in zip(spatial.items(), planar):
-            r0, r1, _, r3 = _project(center, DRAWING_PLANE, x)  # r2 = c2 x2 - x2 c2 = 0
-            if any(_cross((r0, r1, r3), y)):
+        """Failure text for the first spatial point whose x2 = 0 image misses its planar one."""
+        c0, c1, c2, c3 = center.coords
+        if not c2:
+            raise CenterOnTarget(f"projection center {center!r} lies on {DRAWING_PLANE!r}")
+        for (lab, (x0, x1, x2, x3)), (y0, y1, y2) in zip(spatial.items(), planar):
+            r0, r1, r3 = c2 * x0 - x2 * c0, c2 * x1 - x2 * c1, c2 * x3 - x2 * c3
+            if not (r0 or r1 or r3):
+                raise ProjectingCenter(f"cannot project the center {center!r} itself")
+            if r1 * y2 - r3 * y1 or r3 * y0 - r0 * y2 or r0 * y1 - r1 * y0:  # (r0, r1, r3) x y
                 return f"{what} {lab} projects to {Point3(r0, r1, 0, r3)!r}"
         return ""
 
     def clause_quad() -> str:
-        _check_vertices(quad.vertices, collinear3)
+        _check_vertices(quad.vertices, (not any(t) for t in planes))
         for la, a in quad.labeled().items():
             if not quad.plane.contains(a):
                 return f"vertex {la} is off the declared plane"
@@ -479,7 +497,7 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
         return "" if ok else "centers are not collinear with the embedded O"
 
     def clause_diagonals() -> str:
-        points = _spatial_diagonals(vertices)
+        points = _spatial_diagonals(vertices, planes)
         if points is None:
             return "opposite sides SP, QR are skew"
         spatial = dict(zip(DiagonalTriangle._LABELS, points))

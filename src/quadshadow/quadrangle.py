@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .kernel import GeometryError, Line2, Point2, _cross, meet2, collinear2
+from .kernel import GeometryError, Line2, Point2, _cross, meet2
 
 __all__ = [
     "VERTEX_LABELS",
@@ -54,14 +54,24 @@ class LineThroughVertex(GeometryError):
 
 
 def _check_vertices(vertices, collinear) -> None:
-    """Raise unless the labeled vertices are distinct, no three collinear."""
+    """Raise at a repeated vertex pair, then at the first of PQR, PQS, PRS, QRS flagged."""
     labeled = tuple(zip(VERTEX_LABELS, vertices))
     for (la, a), (lb, b) in combinations(labeled, 2):
         if a.coords == b.coords and type(a) is type(b):  # a == b, without the generated __eq__
             raise RepeatedVertex(f"vertices {la} and {lb} coincide at {a!r}")
-    for (la, a), (lb, b), (lc, c) in combinations(labeled, 3):
-        if collinear(a, b, c):
-            raise CollinearTriple(f"vertices {la}, {lb}, {lc} are collinear")
+    for labels, flat in zip(combinations(VERTEX_LABELS, 3), collinear):
+        if flat:
+            raise CollinearTriple(f"vertices {', '.join(labels)} are collinear")
+
+
+class _once(cached_property):
+    """cached_property without the lock that Python 3.11 takes on every first read."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 class _Labeled:
@@ -97,16 +107,15 @@ class Quadrangle(_Labeled):
 
     def __post_init__(self) -> None:
         p, q, r, s = self.P.coords, self.Q.coords, self.R.coords, self.S.coords
-        if len({p, q, r, s}) < 4:  # a repeated vertex, reported as _check_vertices does
-            _check_vertices(self.vertices, collinear2)
         pq, sp, qr = _cross(p, q), _cross(s, p), _cross(q, r)
-        for (l0, l1, l2), x, lab in ((pq, r, "P, Q, R"), (pq, s, "P, Q, S"),
-                                     (sp, r, "P, R, S"), (qr, s, "Q, R, S")):
-            if l0 * x[0] + l1 * x[1] + l2 * x[2] == 0:
-                raise CollinearTriple(f"vertices {lab} are collinear")
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = pq, sp, qr
+        flat = (a0 * r[0] + a1 * r[1] + a2 * r[2] == 0, a0 * s[0] + a1 * s[1] + a2 * s[2] == 0,
+                b0 * r[0] + b1 * r[1] + b2 * r[2] == 0, c0 * s[0] + c1 * s[1] + c2 * s[2] == 0)
+        if True in flat or len({p, q, r, s}) < 4:
+            _check_vertices(self.vertices, flat)
         object.__setattr__(self, "_kept_sides", (pq, sp, qr))
 
-    @cached_property
+    @_once
     def _crosses(self) -> tuple[dict[str, tuple[int, ...]], tuple[tuple[int, ...], ...]]:
         """Sides by label, then A, B, C: crosses of vertex pairs, then of sides."""
         p, q, r, s = self.P.coords, self.Q.coords, self.R.coords, self.S.coords
@@ -114,11 +123,11 @@ class Quadrangle(_Labeled):
         side = dict(QR=qr, RP=_cross(r, p), PQ=pq, SP=sp, SQ=_cross(s, q), SR=_cross(s, r))
         return side, tuple(_cross(side[b], side[a]) for a, b in OPPOSITE_SIDES)
 
-    @cached_property
+    @_once
     def _sides(self) -> SideSet:
         return SideSet(**{lab: Line2(*c) for lab, c in self._crosses[0].items()})
 
-    @cached_property
+    @_once
     def _diagonal_triangle(self) -> DiagonalTriangle:
         return DiagonalTriangle(*(Point2(*c) for c in self._crosses[1]))
 

@@ -64,7 +64,7 @@ def line3_through(a: Point3, b: Point3) -> Line3:
     """Pluecker line through two distinct spatial points."""
     if a == b:
         raise CoincidentPoints(f"cannot join {a!r} with itself")
-    return Line3(*_pluecker(a, b))
+    return Line3(*_pluecker(a.coords, b.coords))
 
 
 def _pierce(p: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, int, int, int]:

@@ -61,6 +61,7 @@ from quadshadow.lift import (
     verify_witness,
     witness_side_traces,
     _spatial_diagonals,
+    _triple_planes,
 )
 
 from pluecker_oracle import line3_through, meet_line_plane, meet_lines3
@@ -312,17 +313,31 @@ def test_verify_witness_reports_instead_of_raising_on_garbage():
 
 
 def test_verify_witness_names_a_collinear_spatial_triple():
+    # Clause 1 names every repeated pair and every collinear triple by its labels,
+    # in the order pairs PQ, PR, PS, QR, QS, RS, then triples PQR, PQS, PRS, QRS.
     w = lift_collinear_centers(DIAGRAM)
-    P, Q = w.quad.Pbar, w.quad.Qbar
-    middle = Point3(*(a * Q.coords[3] + b * P.coords[3] for a, b in zip(P.coords, Q.coords)))
-    tampered = Witness(
-        quad=SpatialQuadrangle(P, Q, middle, w.quad.Sbar, plane=w.quad.plane),
-        O1=w.O1,
-        O2=w.O2,
-        drawing_plane=w.drawing_plane,
-    )
-    detail = verify_witness(DIAGRAM, tampered).clauses[0].detail
-    assert detail == "CollinearTriple: vertices P, Q, R are collinear"
+    vertices = dict(zip(VERTEX_LABELS, w.quad.vertices))
+
+    def clause_quad(**moved):
+        quad = SpatialQuadrangle(*{**vertices, **moved}.values(), plane=w.quad.plane)
+        return verify_witness(DIAGRAM, Witness(quad, w.O1, w.O2, w.drawing_plane)).clauses[0]
+
+    def on_line(a, b):
+        # a point of the line ab other than a and b
+        (a, a3), (b, b3) = ((vertices[x].coords, vertices[x].coords[3]) for x in (a, b))
+        return Point3(*(x * b3 + y * a3 for x, y in zip(a, b)))
+
+    at = {"P": "Point3(1:4:-1:3)", "Q": "Point3(7:-4:1:-3)", "R": "Point3(7:4:1:-3)"}
+    for a, b in ("PQ", "PR", "PS", "QR", "QS", "RS"):
+        assert clause_quad(**{b: vertices[a]}) == ClauseCheck(
+            "spatial quadrangle valid and planar",
+            False,
+            f"RepeatedVertex: vertices {a} and {b} coincide at {at[a]}",
+        )
+    for a, b, c in ("PQR", "PQS", "PRS", "QRS"):
+        assert clause_quad(**{c: on_line(a, b)}).detail == (
+            f"CollinearTriple: vertices {a}, {b}, {c} are collinear"
+        )
 
 
 def _aimed(d, w, lab, j):
@@ -471,7 +486,10 @@ def _seeded_witnesses():
 def test_raw_diagonal_points_are_the_meets_of_the_opposite_sides():
     # Cramer's relation on the four vertices against the Pluecker meets
     for seed, _, w, _ in _seeded_witnesses():
-        raw = _spatial_diagonals({lab: x.coords for lab, x in w.quad.labeled().items()})
+        raw = _spatial_diagonals(
+            {lab: x.coords for lab, x in w.quad.labeled().items()},
+            _triple_planes(*(x.coords for x in w.quad.vertices)),
+        )
         assert tuple(Point3(*x) for x in raw) == _oracle_diagonals(w.quad), seed
 
 
@@ -504,7 +522,7 @@ def test_project_scene_without_viewpoint_drops_the_chart_coordinate():
 
 def test_project_scene_invariant_gates():
     w = lift_collinear_centers(DIAGRAM)
-    with pytest.raises(DegenerateScene):
+    with pytest.raises(DegenerateScene, match="^light lies in the plane of the quadrangle$"):
         project_scene(
             SpatialScene(
                 quad=w.quad,
@@ -512,11 +530,11 @@ def test_project_scene_invariant_gates():
                 shadow_plane=DRAWING_PLANE,
             )
         )
-    with pytest.raises(DegenerateScene):
+    with pytest.raises(DegenerateScene, match="^light lies in the shadow plane$"):
         project_scene(
             SpatialScene(quad=w.quad, light=Point3(1, 1, 0, 1), shadow_plane=DRAWING_PLANE)
         )
-    with pytest.raises(DegenerateScene):
+    with pytest.raises(DegenerateScene, match="^viewpoint lies in the shadow plane$"):
         project_scene(
             SpatialScene(
                 quad=w.quad,
@@ -525,6 +543,14 @@ def test_project_scene_invariant_gates():
                 viewpoint=Point3(5, 5, 0, 1),
             )
         )
+    # seen from its own vertex Q, the quadrangle has no image there
+    assert w.quad.Qbar == Point3(7, -4, 1, -3)
+    with pytest.raises(DegenerateScene) as seen_from_q:
+        project_scene(replace(scene_from_witness(w), viewpoint=w.quad.Qbar))
+    assert str(seen_from_q.value) == (
+        "scene is not depictable from this viewpoint: "
+        "cannot project the center Point3(7:-4:1:-3) itself"
+    )
     flat = SpatialQuadrangle(
         Pbar=embed_drawing(SQUARE.P),
         Qbar=embed_drawing(SQUARE.Q),
@@ -532,7 +558,7 @@ def test_project_scene_invariant_gates():
         Sbar=embed_drawing(SQUARE.S),
         plane=DRAWING_PLANE,
     )
-    with pytest.raises(DegenerateScene):
+    with pytest.raises(DegenerateScene, match="^spatial quadrangle lies in the shadow plane$"):
         project_scene(
             SpatialScene(quad=flat, light=Point3(0, 0, 1, 1), shadow_plane=DRAWING_PLANE)
         )
@@ -543,7 +569,7 @@ def test_project_scene_invariant_gates():
         Sbar=Point3(1, -4, 1, 3),  # not on the declared plane
         plane=Plane3(0, 0, 3, 1),
     )
-    with pytest.raises(DegenerateScene):
+    with pytest.raises(DegenerateScene, match="^vertex S is off the declared plane$"):
         project_scene(
             SpatialScene(quad=off_plane, light=Point3(3, 0, 1, 1), shadow_plane=DRAWING_PLANE)
         )
