@@ -147,12 +147,8 @@ def _element(cls, node: Any, path: str):
         plain = _PLAIN_ARRAY[arity].fullmatch(",".join(node))
     except TypeError:  # a coordinate that is not a string
         plain = None
-    try:
-        coords = map(int, node) if plain else [_rational(c, path) for c in node]
-    except ParseError:
-        for i, c in enumerate(node):  # only now name the failing coordinate
-            _rational(c, f"{path}[{i}]")
-        raise
+    coords = (map(int, node) if plain
+              else [_rational(c, f"{path}[{i}]") for i, c in enumerate(node)])
     try:
         return cls(*coords)
     except GeometryError as e:

@@ -111,7 +111,7 @@ class Quadrangle(_Labeled):
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = pq, sp, qr
         flat = (a0 * r[0] + a1 * r[1] + a2 * r[2] == 0, a0 * s[0] + a1 * s[1] + a2 * s[2] == 0,
                 b0 * r[0] + b1 * r[1] + b2 * r[2] == 0, c0 * s[0] + c1 * s[1] + c2 * s[2] == 0)
-        if True in flat or len({p, q, r, s}) < 4:
+        if True in flat:  # a repeated pair makes one of these triples flat too
             _check_vertices(self.vertices, flat)
         object.__setattr__(self, "_kept_sides", (pq, sp, qr))
 

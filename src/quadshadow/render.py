@@ -26,7 +26,7 @@ _CANVAS = 640.0
 
 #: An affine point (x/w, y/w) as integers (x, y, w) with w > 0.
 Homogeneous = tuple[int, int, int]
-#: Marker color and radius by role; a shared marker takes its first role here.
+#: Marker color and radius by role; a shared marker takes its first member's role.
 _MARKERS = {"center": ("#000000", 4.5), "vertex": ("#1f77b4", 3.5), "diagonal": ("#2ca02c", 3.0)}
 
 
@@ -184,7 +184,7 @@ def render_svg(d: PlanarDiagram) -> str:
 
     parts.append('<g class="markers">')
     for point, members in affine_groups.items():
-        role = min((m[1] for m in members), key=list(_MARKERS).index)
+        role = members[0][1]  # vertices, then O, then diagonal points; O is no vertex
         color, radius = _MARKERS[role]
         cx, cy = pixel(point.coords)
         label = "=".join(m[0] for m in members)

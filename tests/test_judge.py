@@ -2,7 +2,6 @@
 only, from its canonical diagram document as seven determinants and notes."""
 
 import json
-import random
 from pathlib import Path
 
 from quadshadow import (
@@ -11,7 +10,7 @@ from quadshadow import (
 )
 from test_checker import A, SQUARE
 from test_ray_meet import HAND_BUILT
-from test_special_positions import CASES, _diagram
+from projective_images import IMAGES
 
 SIDES = ("QR", "RP", "PQ", "SP", "SQ", "SR")
 
@@ -47,10 +46,10 @@ def test_judge_agrees_with_the_goldens_and_every_generated_and_special_verdict()
         gen.gen_correct_diagram(s)[1], gen.gen_incorrect_diagram(s),
         gen.gen_general_position_diagram(s), gen.gen_general_position_diagram(s, correct=False),
         gen.gen_degenerate_diagram(s), gen.gen_degenerate_diagram(s, kind=DegeneracyKind.VERTEX))]
-    for ideal_center in (True, False):  # the cases of tests/test_special_positions.py
-        rng = random.Random(20260 + ideal_center)
-        pool += [_diagram(rng, ideal_center, c) for c in (True, False) for _ in range(CASES)]
-    pool += [*HAND_BUILT.values(),  # then O on side PQ, and O off the rays of quad2
+    # then O on side PQ, in SQUARE dilated by 2 from O (correct) and in a diagram
+    # that is not correct, and last O off the rays of quad2
+    pool += [*IMAGES, *HAND_BUILT.values(),
+             PlanarDiagram(A(0, 1), SQUARE, Quadrangle(A(2, 1), A(-2, 1), A(-2, -3), A(2, -3))),
              PlanarDiagram(A(0, 1), SQUARE, Quadrangle(A(2, 3), A(-2, 3), A(-2, -3), A(2, -3))),
              PlanarDiagram(A(3, 0), SQUARE, Quadrangle(A(-1, 2), A(-9, 4), A(-5, -2), A(-1, -2)))]
     for r, d in enumerate(map(gen.gen_degenerate_diagram, range(4))):  # one label alone off O

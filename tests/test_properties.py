@@ -17,7 +17,6 @@ from quadshadow.kernel import (
     meet2,
     normalize,
 )
-from quadshadow.render import _clip_to_rect
 
 from pluecker_oracle import line3_through, meet_lines3
 
@@ -176,59 +175,3 @@ def reference_coplanarity_det(a, b, c, d):
 def test_coplanarity_det_matches_laplace_reference(a, b, c, d):
     points = [Point3(*t) for t in (a, b, c, d)]
     assert coplanarity_det(*points) == reference_coplanarity_det(*points)
-
-
-def reference_clip(line, rect):
-    """The chord of a line across a rectangle of Fractions, found with
-    Fraction arithmetic: ends in lexicographic order, or None."""
-    a, b, c = line.coords
-    if a == 0 and b == 0:
-        return None
-    xmin, ymin, xmax, ymax = rect
-    hits = set()
-    for x in (xmin, xmax):
-        if b != 0:
-            y = Fraction(-(a * x + c), b)
-            if ymin <= y <= ymax:
-                hits.add((x, y))
-    for y in (ymin, ymax):
-        if a != 0:
-            x = Fraction(-(b * y + c), a)
-            if xmin <= x <= xmax:
-                hits.add((x, y))
-    if len(hits) < 2:
-        return None
-    ordered = sorted(hits)
-    return ordered[0], ordered[-1]
-
-
-# (X0, Y0, X1, Y1, D): the rectangle [X0/D, X1/D] x [Y0/D, Y1/D]
-rects = st.builds(
-    lambda x0, y0, w, h, d: (x0, y0, x0 + w, y0 + h, d),
-    st.integers(-6, 6),
-    st.integers(-6, 6),
-    st.integers(1, 8),
-    st.integers(1, 8),
-    st.integers(1, 4),
-)
-small = st.integers(-8, 8)
-
-
-@given(st.tuples(small, small, small).filter(any), rects)
-@example(line=(1, 1, 0), rect=(0, 0, 2, 2, 1))  # through exactly one corner
-@example(line=(1, -1, 0), rect=(0, 0, 2, 2, 1))  # through two opposite corners
-@example(line=(0, 1, 0), rect=(0, 0, 2, 2, 1))  # along the bottom edge
-@example(line=(1, 0, -2), rect=(0, 0, 2, 2, 1))  # along the right edge
-@example(line=(0, 2, -1), rect=(0, 0, 2, 2, 1))  # horizontal, y = 1/2
-@example(line=(3, 0, -1), rect=(0, 0, 2, 2, 3))  # vertical, x = 1/3
-@example(line=(1, 1, -10), rect=(0, 0, 2, 2, 1))  # misses the rectangle
-@example(line=(0, 0, 1), rect=(0, 0, 2, 2, 1))  # the line at infinity
-def test_integer_clip_matches_fraction_reference(line, rect):
-    line = Line2(*line)
-    x0, y0, x1, y1, d = rect
-    expected = reference_clip(line, tuple(Fraction(v, d) for v in (x0, y0, x1, y1)))
-    chord = _clip_to_rect(line, rect)
-    if chord is not None:
-        assert all(w > 0 for _, _, w in chord)
-        chord = tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in chord)
-    assert chord == expected

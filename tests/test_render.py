@@ -4,25 +4,23 @@ figures of projective images with an ideal center or an ideal vertex.
 The reference clip collects every point where the line meets an edge of the
 rectangle and takes the lexicographically least and greatest; the package's
 clip works the chord out as an interval instead.  Both must give the same
-rational ends, or both None.  Fixed seeds, so every run checks the same cases.
+rational ends, or both None, on every line render_svg draws and on lines
+placed against each of its rectangles (fixed seeds, so every run checks the
+same cases), and on random lines across random rectangles.
 """
 
 import hashlib
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import quadshadow.render
-from quadshadow.kernel import Line2, Point2, _cross, join2
-from quadshadow.checker import PlanarDiagram
-from quadshadow.perspectivity import Collineation
-from quadshadow.generators import (
-    gen_collineation,
-    gen_correct_diagram,
-    gen_general_position_diagram,
-    gen_incorrect_diagram,
-)
+from quadshadow.kernel import Line2, Point2, join2
+from quadshadow.generators import gen_correct_diagram, gen_general_position_diagram
 from quadshadow.render import _clip_to_rect, render_svg
+
+from projective_images import IMAGES
 
 
 def _lex(p, q):
@@ -131,35 +129,39 @@ def test_the_clip_agrees_with_the_reference_on_lines_placed_against_each_rectang
             assert (got is not None) == meets, (line, rect)
 
 
-def projective_images(seed):
-    """Images of three generated diagrams under collineations sending a line through
-    O, or through one of the eight vertices, to infinity.
+# (X0, Y0, X1, Y1, D): the rectangle [X0/D, X1/D] x [Y0/D, Y1/D]
+rects = st.builds(
+    lambda x0, y0, w, h, d: (x0, y0, x0 + w, y0 + h, d),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 4),
+)
+small = st.integers(-8, 8)
 
-    The line through X is X x (N x X), where N is the meet of the first two rows
-    of gen_collineation(seed) read as lines; those rows and the line then make a
-    matrix of determinant |N x X|^2, so it is invertible while N is not X.
-    """
-    rows = gen_collineation(seed).matrix[:2]
-    n = _cross(*rows)
-    for d in (
-        gen_correct_diagram(seed)[1],
-        gen_incorrect_diagram(seed),
-        gen_general_position_diagram(seed, correct=seed % 2 == 0),
-    ):
-        for x in (d.O, *d.quad1.vertices, *d.quad2.vertices):
-            h = Collineation((*rows, _cross(x.coords, _cross(n, x.coords))))
-            quads = h.apply_quadrangle(d.quad1), h.apply_quadrangle(d.quad2)
-            yield PlanarDiagram(h.apply(d.O), *quads)
+
+@given(st.tuples(small, small, small).filter(any), rects)
+@example(line=(1, 1, 0), rect=(0, 0, 2, 2, 1))  # through exactly one corner
+@example(line=(1, -1, 0), rect=(0, 0, 2, 2, 1))  # through two opposite corners
+@example(line=(0, 1, 0), rect=(0, 0, 2, 2, 1))  # along the bottom edge
+@example(line=(1, 0, -2), rect=(0, 0, 2, 2, 1))  # along the right edge
+@example(line=(0, 2, -1), rect=(0, 0, 2, 2, 1))  # horizontal, y = 1/2
+@example(line=(3, 0, -1), rect=(0, 0, 2, 2, 3))  # vertical, x = 1/3
+@example(line=(1, 1, -10), rect=(0, 0, 2, 2, 1))  # misses the rectangle
+@example(line=(0, 0, 1), rect=(0, 0, 2, 2, 1))  # the line at infinity
+def test_the_clip_agrees_with_the_reference_on_random_lines(line, rect):
+    line = Line2(*line)
+    assert same_chord(_clip_to_rect(line, rect), reference_clip(line, rect))
 
 
 def test_projective_images_render_frozen():
     # sha256 of the SVGs of 810 images, 90 with an ideal center and 720 with an
     # ideal vertex; any change to a chord, an arrow or a marker moves it
-    images = [image for seed in range(30) for image in projective_images(seed)]
-    assert len(images) == 810
-    assert sum(image.O.is_ideal for image in images) == 90
+    assert len(IMAGES) == 810
+    assert sum(image.O.is_ideal for image in IMAGES) == 90
     digest = hashlib.sha256()
-    for image in images:
+    for image in IMAGES:
         digest.update(render_svg(image).encode())
     assert digest.hexdigest() == (
         "c93472fb398c7ab02e097844f59c94e6ff0108be50f43f4360115ea4a329015d"
