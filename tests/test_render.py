@@ -1,5 +1,6 @@
 """SVG rendering: the chord clip against an independent reference, and frozen
-figures of projective images with an ideal center or an ideal vertex.
+figures of projective images with an ideal center or an ideal vertex and of
+diagrams that are not vertex-perspective.
 
 The reference clip collects every point where the line meets an edge of the
 rectangle and takes the lexicographically least and greatest; the package's
@@ -17,6 +18,8 @@ from hypothesis import example, given, strategies as st
 
 import quadshadow.render
 from quadshadow.kernel import Line2, Point2, join2
+from quadshadow.quadrangle import Quadrangle
+from quadshadow.checker import PlanarDiagram, decide_depiction
 from quadshadow.generators import gen_correct_diagram, gen_general_position_diagram
 from quadshadow.render import _clip_to_rect, render_svg
 
@@ -57,6 +60,23 @@ def same_chord(got, want):
     if got is None or want is None:
         return got is want
     return all(p[2] > 0 and not _lex(p, q) for p, q in zip(got, want))
+
+
+def off_rays(seed, correct):
+    """A generated diagram with the quad2 vertices picked by the bits of
+    seed % 15 + 1 moved by x0 + 1, so off their rays unless a ray is horizontal."""
+    d = gen_general_position_diagram(seed, correct=correct)
+    picked = seed % 15 + 1
+    moved = [
+        Point2(x0 + 1, x1, x2) if picked >> i & 1 else v
+        for i, v in enumerate(d.quad2.vertices)
+        for x0, x1, x2 in [v.coords]
+    ]
+    return PlanarDiagram(d.O, d.quad1, Quadrangle(*moved))
+
+
+#: 200 diagrams that are not vertex-perspective, one to four vertices off their rays
+NON_PERSPECTIVE = tuple(off_rays(seed, correct) for seed in range(100) for correct in (True, False))
 
 
 def drawn(diagrams):
@@ -165,4 +185,16 @@ def test_projective_images_render_frozen():
         digest.update(render_svg(image).encode())
     assert digest.hexdigest() == (
         "c93472fb398c7ab02e097844f59c94e6ff0108be50f43f4360115ea4a329015d"
+    )
+
+
+def test_non_perspective_figures_render_frozen():
+    # sha256 of the SVGs of NON_PERSPECTIVE, whose quad2 rays are drawn apart
+    # from quad1's; any change to a ray, a chord or a marker moves it
+    assert not any(decide_depiction(d).applicable for d in NON_PERSPECTIVE)
+    digest = hashlib.sha256()
+    for d in NON_PERSPECTIVE:
+        digest.update(render_svg(d).encode())
+    assert digest.hexdigest() == (
+        "63c50fb9f392ce2191b3a411e140bf84882ad1fc4b135d824cf2bb36d054fa2a"
     )
