@@ -1,21 +1,22 @@
 """SVG figures of planar diagrams, placed in exact integers.
 
-The padded bounding box is one rectangle over a common denominator, and
-each line is clipped to it in one pass, as the interval of x (of y when
-vertical) it runs inside, its ends homogeneous integer points.  A coordinate
-becomes a float only when written, as one correctly rounded integer
-quotient times the canvas scale, so it is the float of the exact rational.
-Every figure is first rescaled exactly by a power of 2 to span between 1/2
-and 2: that keeps the floats in range, and as a power of 2 commutes with
-correct rounding, it changes no written coordinate.
+The padded bounding box is one rectangle over a common denominator, found
+in one pass, and each line is clipped to it in one pass, as the interval of
+x (of y when vertical) it runs inside, its ends homogeneous integer points.
+A coordinate becomes a float only when written, as one correctly rounded
+integer quotient times the canvas scale, so it is the float of the exact
+rational, through one %-template per element.  Every figure is first
+rescaled exactly by a power of 2 to span between 1/2 and 2: that keeps the
+floats in range, and as a power of 2 commutes with correct rounding, it
+changes no written coordinate.  A quad2 vertex on the ray of its quad1
+vertex adds no ray, so a vertex-perspective figure joins four rays.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from math import isfinite
 
-from .kernel import GeometryError, Line2, Point2, join2
+from .kernel import GeometryError, Line2, _det3, join2
 from .quadrangle import diagonal_triangle, sides
 from .perspectivity import common_axis
 from .checker import PlanarDiagram
@@ -26,9 +27,18 @@ _CANVAS = 640.0
 
 #: An affine point (x/w, y/w) as integers (x, y, w) with w > 0.
 Homogeneous = tuple[int, int, int]
-#: Marker color and radius by role; a shared marker takes its first member's role.
-_MARKERS = {"center": ("#000000", 4.5), "vertex": ("#1f77b4", 3.5), "diagonal": ("#2ca02c", 3.0)}
-
+#: Labels of the 15 labeled points (vertices, O, diagonal points), and each label's role.
+_LABELS = tuple("P1 Q1 R1 S1 P2 Q2 R2 S2 O A1 B1 C1 A2 B2 C2".split())
+_ROLES = dict(zip(_LABELS, ("vertex",) * 8 + ("center",) + ("diagonal",) * 6))
+#: Marker circle and label by role; a shared marker takes its first member's role.
+_MARKERS = {
+    role: f'<circle class="{role}" cx="%.4f" cy="%.4f" r="{radius}" fill="{color}"/>\n'
+    f'<text x="%.4f" y="%.4f" fill="{color}">%s</text>'
+    for role, color, radius in (
+        ("center", "#000000", 4.5), ("vertex", "#1f77b4", 3.5), ("diagonal", "#2ca02c", 3.0)
+    )
+}
+_LINE = '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f"/>'
 
 #: A canvas side shorter than this prints as 0.0000: the figure is flat at float precision.
 _COLLAPSED = 0.5e-4
@@ -36,17 +46,6 @@ _COLLAPSED = 0.5e-4
 
 def _clamp(v: float, extent: float) -> float:
     return min(max(v, 0.0), extent)
-
-
-def _beside(v: float, offset: int, extent: float) -> float:
-    """A label's coordinate, offset from its point at v.  It may overhang
-    the canvas edge by the offset, except on a collapsed side, where no
-    offset fits and the label is clamped onto the canvas."""
-    return _clamp(v + offset, extent) if extent < _COLLAPSED else v + offset
-
-
-_BY_X = cmp_to_key(lambda p, q: p[0] * q[2] - q[0] * p[2])
-_BY_Y = cmp_to_key(lambda p, q: p[1] * q[2] - q[1] * p[2])
 
 
 def _padded(lo: Homogeneous, hi: Homogeneous, i: int) -> tuple[int, int, int]:
@@ -58,8 +57,19 @@ def _padded(lo: Homogeneous, hi: Homogeneous, i: int) -> tuple[int, int, int]:
 def _rectangle(points: list[Homogeneous]) -> tuple[int, int, int, int, int]:
     """Padded bounding box of points spanning both axes, as (X0, Y0, X1, Y1, D):
     the rectangle [X0/D, X1/D] x [Y0/D, Y1/D], D > 0."""
-    x0, x1, dx = _padded(min(points, key=_BY_X), max(points, key=_BY_X), 0)
-    y0, y1, dy = _padded(min(points, key=_BY_Y), max(points, key=_BY_Y), 1)
+    left = right = bottom = top = points[0]
+    for p in points:  # strict, so the first of equal extremes wins, as with min and max
+        x, y, w = p
+        if x * left[2] < left[0] * w:
+            left = p
+        elif x * right[2] > right[0] * w:
+            right = p
+        if y * bottom[2] < bottom[1] * w:
+            bottom = p
+        elif y * top[2] > top[1] * w:
+            top = p
+    x0, x1, dx = _padded(left, right, 0)
+    y0, y1, dy = _padded(bottom, top, 1)
     return x0 * dy, y0 * dx, x1 * dy, y1 * dx, dx * dy
 
 
@@ -96,24 +106,19 @@ def render_svg(d: PlanarDiagram) -> str:
     axis becomes one more arrow.  Coincident labeled points share a
     marker (or arrow) with their labels joined by '='.
     """
-    labeled: list[tuple[str, str, Point2]] = []
-    for suffix, quad in (("1", d.quad1), ("2", d.quad2)):
-        for lab, v in quad.labeled().items():
-            labeled.append((f"{lab}{suffix}", "vertex", v))
-    labeled.append(("O", "center", d.O))
+    o, vertices1, vertices2 = d.O, d.quad1.vertices, d.quad2.vertices
     triangles = (diagonal_triangle(d.quad1), diagonal_triangle(d.quad2))
-    for suffix, dt in zip("12", triangles):
-        for name, point in dt.labeled().items():
-            labeled.append((f"{name}{suffix}", "diagonal", point))
-
-    affine_groups: dict[Point2, list[tuple[str, str]]] = {}
-    ideal_groups: dict[Point2, list[tuple[str, str]]] = {}
-    for label, role, point in labeled:
-        target = ideal_groups if point.is_ideal else affine_groups
-        target.setdefault(point, []).append((label, role))
+    labeled = (*vertices1, *vertices2, o, *triangles[0].points, *triangles[1].points)
+    # points and lines are keyed by their canonical coordinates, which hash in C
+    affine_groups: dict[tuple[int, int, int], list[str]] = {}
+    ideal_groups: dict[tuple[int, int, int], list[str]] = {}
+    for label, point in zip(_LABELS, labeled):
+        coords = point.coords
+        target = ideal_groups if coords[2] == 0 else affine_groups
+        target.setdefault(coords, []).append(label)
 
     # three of each quadrangle's affine vertices, or two and a diagonal point, span both axes
-    affine = [p.coords if p.coords[2] > 0 else tuple(-c for c in p.coords) for p in affine_groups]
+    affine = [(x, y, w) if w > 0 else (-x, -y, -w) for x, y, w in affine_groups]
     left, bottom, right, top, den = rect = _rectangle(affine)
     world_w, world_h, num = right - left, top - bottom, den
     # rescaled exactly by 2**k, the world spans between 1/2 and 2
@@ -122,13 +127,19 @@ def render_svg(d: PlanarDiagram) -> str:
     world_w, world_h, num, left, top = (v * up for v in (world_w, world_h, num, left, top))
     scale = _CANVAS / (max(world_w, world_h) / den)
     width, height = world_w / den * scale, world_h / den * scale
+    flat_x, flat_y = width < _COLLAPSED, height < _COLLAPSED
 
     def pixel(p: tuple[int, int, int]) -> tuple[float, float]:
         x, y, w = p
-        return (x * num - left * w) / (w * den) * scale, (top * w - y * num) / (w * den) * scale
+        wd = w * den
+        return (x * num - left * w) / wd * scale, (top * w - y * num) / wd * scale
 
-    def line_tag(a: tuple[float, float], b: tuple[float, float]) -> str:
-        return f'<line x1="{a[0]:.4f}" y1="{a[1]:.4f}" x2="{b[0]:.4f}" y2="{b[1]:.4f}"/>'
+    def beside(p: tuple[float, float], offset: int) -> tuple[float, float]:
+        """A label's place, offset right and up from its point p.  It may overhang
+        the canvas edge by the offset, except on a collapsed side, where no
+        offset fits and the label is clamped onto the canvas."""
+        x, y = p[0] + offset, p[1] - offset
+        return _clamp(x, width) if flat_x else x, _clamp(y, height) if flat_y else y
 
     parts: list[str] = []
     parts.append(
@@ -138,8 +149,12 @@ def render_svg(d: PlanarDiagram) -> str:
     )
     parts.append(f'<rect width="{width:.4f}" height="{height:.4f}" fill="white"/>')
 
-    seen: set[Line2] = set()  # the two quadrangles draw a shared side once
-    rays = (join2(d.O, v) for quad in (d.quad1, d.quad2) for v in quad.vertices)
+    seen: set[tuple[int, int, int]] = set()  # the two quadrangles draw a shared side once
+    # O is no vertex, so a quad2 vertex on the ray of its quad1 vertex adds no ray
+    rays = [join2(o, v) for v in vertices1]
+    for u, v in zip(vertices1, vertices2):
+        if _det3(o.coords, u.coords, v.coords):
+            rays.append(join2(o, v))
     # diagonal points never coincide, so each triangle has three sides
     diag_lines = (
         join2(u, v)
@@ -158,12 +173,10 @@ def render_svg(d: PlanarDiagram) -> str:
     for attributes, lines, dedupe in layers:
         parts.append(f"<g {attributes}>")
         for line in lines:
-            if line in dedupe:
-                continue
-            dedupe.add(line)
-            chord = _clip_to_rect(line, rect)
-            if chord is not None:
-                parts.append(line_tag(pixel(chord[0]), pixel(chord[1])))
+            n = len(dedupe)
+            dedupe.add(line.coords)  # a line already drawn leaves the set as it was
+            if len(dedupe) != n and (chord := _clip_to_rect(line, rect)) is not None:
+                parts.append(_LINE % (pixel(chord[0]) + pixel(chord[1])))
         parts.append("</g>")
 
     try:
@@ -175,35 +188,24 @@ def render_svg(d: PlanarDiagram) -> str:
         chord = _clip_to_rect(axis, rect)
         if chord is not None:
             start = pixel(chord[0])
-            parts.append(line_tag(start, pixel(chord[1])))
-            parts.append(
-                f'<text x="{_beside(start[0], 4, width):.4f}" '
-                f'y="{_beside(start[1], -4, height):.4f}" stroke="none" fill="#000000">o</text>'
-            )
+            parts.append(_LINE % (start + pixel(chord[1])))
+            parts.append('<text x="%.4f" y="%.4f" stroke="none" fill="#000000">o</text>'
+                         % beside(start, 4))
         parts.append("</g>")
 
     parts.append('<g class="markers">')
     for point, members in affine_groups.items():
-        role = members[0][1]  # vertices, then O, then diagonal points; O is no vertex
-        color, radius = _MARKERS[role]
-        cx, cy = pixel(point.coords)
-        label = "=".join(m[0] for m in members)
-        parts.append(
-            f'<circle class="{role}" cx="{cx:.4f}" cy="{cy:.4f}" r="{radius}" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_beside(cx, 6, width):.4f}" y="{_beside(cy, -6, height):.4f}" '
-            f'fill="{color}">{label}</text>'
-        )
+        at = pixel(point)
+        # the first member's role: vertices, then O, then diagonal points; O is no vertex
+        parts.append(_MARKERS[_ROLES[members[0]]] % (*at, *beside(at, 6), "=".join(members)))
     parts.append("</g>")
 
     arrows: list[tuple[tuple[float, float], str]] = []
     for point, members in ideal_groups.items():
-        dx, dy = point.coords[0], -point.coords[1]
+        dx, dy = point[0], -point[1]
         # a component past 2**511 would overflow the squared norm: divide both by 2**k
         unit = 1 << max(max(abs(dx), abs(dy)).bit_length() - 511, 0)
-        label = "=".join(m[0] for m in members)
-        arrows.append(((dx / unit, dy / unit), label))
+        arrows.append(((dx / unit, dy / unit), "=".join(members)))
     if axis is not None and axis.is_ideal:
         arrows.append(((0.7071, -0.7071), "o"))
 
@@ -226,7 +228,7 @@ def render_svg(d: PlanarDiagram) -> str:
         head1 = (tip[0] - 8.0 * ux + 4.0 * px, tip[1] - 8.0 * uy + 4.0 * py)
         head2 = (tip[0] - 8.0 * ux - 4.0 * px, tip[1] - 8.0 * uy - 4.0 * py)
         parts.append('<g class="arrow">')
-        parts.extend(line_tag(start, tip) for start in (tail, head1, head2))
+        parts.extend(_LINE % (start + tip) for start in (tail, head1, head2))
         lx = _clamp(min(max(tail[0] - 10.0 * ux, 14.0), width - 14.0), width)
         ly = _clamp(min(max(tail[1] - 10.0 * uy, 14.0), height - 14.0), height)
         parts.append(

@@ -794,10 +794,8 @@ def test_render_matches_golden_svg(name):
     assert render_svg(d) == (DATA / f"{name}.svg").read_text()
 
 
-def test_render_outputs_are_frozen():
-    # sha256 of the SVGs of generated diagrams and both golden documents
-    # (ideal points, an ideal axis, merged labels); any change to a
-    # chord, a marker, a number's formatting or the layering moves it.
+def frozen_render_pool():
+    """The 402 diagrams whose SVGs test_render_outputs_are_frozen pins."""
     diagrams = [
         gen_general_position_diagram(seed, correct=correct)
         for seed in range(100)
@@ -810,7 +808,15 @@ def test_render_outputs_are_frozen():
             gen_degenerate_diagram(seed, kind=DegeneracyKind.TRIANGLE),
             gen_degenerate_diagram(seed, kind=DegeneracyKind.VERTEX),
         ]
-    diagrams += [parse_diagram(path.read_text()) for path in (DILATION, PERTURBED)]
+    return diagrams + [parse_diagram(path.read_text()) for path in (DILATION, PERTURBED)]
+
+
+def test_render_outputs_are_frozen():
+    # sha256 of the SVGs of generated diagrams and both golden documents
+    # (ideal points, an ideal axis, merged labels); any change to a
+    # chord, a marker, a number's formatting or the layering moves it.
+    diagrams = frozen_render_pool()
+    assert len(diagrams) == 402
     digest = hashlib.sha256()
     for d in diagrams:
         digest.update(render_svg(d).encode())

@@ -1,6 +1,7 @@
-"""SVG rendering: the chord clip against an independent reference, and frozen
-figures of projective images with an ideal center or an ideal vertex and of
-diagrams that are not vertex-perspective.
+"""SVG rendering: the chord clip and the bounding box against independent
+references, the joins one figure makes, and frozen figures of projective
+images with an ideal center or an ideal vertex and of diagrams that are not
+vertex-perspective.
 
 The reference clip collects every point where the line meets an edge of the
 rectangle and takes the lexicographically least and greatest; the package's
@@ -12,18 +13,20 @@ same cases), and on random lines across random rectangles.
 
 import hashlib
 from functools import cmp_to_key
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import quadshadow.render
-from quadshadow.kernel import Line2, Point2, join2
+from quadshadow.kernel import Line2, Point2, collinear2, join2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.checker import PlanarDiagram, decide_depiction
 from quadshadow.generators import gen_correct_diagram, gen_general_position_diagram
-from quadshadow.render import _clip_to_rect, render_svg
+from quadshadow.render import _clip_to_rect, _padded, _rectangle, render_svg
 
 from projective_images import IMAGES
+from test_cli_io import frozen_render_pool
 
 
 def _lex(p, q):
@@ -76,7 +79,48 @@ def off_rays(seed, correct):
 
 
 #: 200 diagrams that are not vertex-perspective, one to four vertices off their rays
-NON_PERSPECTIVE = tuple(off_rays(seed, correct) for seed in range(100) for correct in (True, False))
+NON_PERSPECTIVE = tuple(
+    off_rays(seed, correct) for seed in range(100) for correct in (True, False)
+)
+
+
+def reference_rectangle(points):
+    """The padded bounding box from the least and greatest point on each axis
+    by min and max, keyed on cross-multiplied comparisons."""
+    by_x = cmp_to_key(lambda p, q: p[0] * q[2] - q[0] * p[2])
+    by_y = cmp_to_key(lambda p, q: p[1] * q[2] - q[1] * p[2])
+    x0, x1, dx = _padded(min(points, key=by_x), max(points, key=by_x), 0)
+    y0, y1, dy = _padded(min(points, key=by_y), max(points, key=by_y), 1)
+    return x0 * dy, y0 * dx, x1 * dy, y1 * dx, dx * dy
+
+
+def boxed(diagrams):
+    """The point list of every bounding box render_svg takes while drawing the diagrams."""
+    seen = []
+
+    def recording(points):
+        seen.append(points)
+        return _rectangle(points)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadshadow.render, "_rectangle", recording)
+        for d in diagrams:
+            render_svg(d)
+    return seen
+
+
+def joins(d):
+    """How many times one render_svg of d calls join2."""
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return join2(p, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadshadow.render, "join2", counting)
+        render_svg(d)
+    return len(calls)
 
 
 def drawn(diagrams):
@@ -198,3 +242,43 @@ def test_non_perspective_figures_render_frozen():
     assert digest.hexdigest() == (
         "63c50fb9f392ce2191b3a411e140bf84882ad1fc4b135d824cf2bb36d054fa2a"
     )
+
+
+def test_the_bounding_box_agrees_with_the_reference_on_every_frozen_figure():
+    figures = [*frozen_render_pool(), *IMAGES, *NON_PERSPECTIVE]
+    point_lists = boxed(figures)
+    assert len(point_lists) == len(figures)
+    for points in point_lists:
+        assert _rectangle(points) == reference_rectangle(points), points
+
+
+def _canonical(x, y, w):
+    g = gcd(x, y, w)
+    return x // g, y // g, w // g
+
+
+# distinct affine points (x, y, w), w > 0, from a small range, so that many share an x or a y
+point_lists = st.lists(
+    st.builds(_canonical, small, small, st.integers(1, 4)), min_size=1, unique=True
+)
+
+
+@given(point_lists)
+@example(points=[(-1, 0, 3), (-2, 5, 6), (0, 1, 1), (3, 1, 3), (1, 1, 1)])  # ties in x
+@example(points=[(0, 1, 2), (1, 0, 1), (3, 2, 2), (1, 1, 1), (1, 0, 3)])  # ties in y
+def test_the_bounding_box_agrees_with_the_reference_on_tied_points(points):
+    assert _rectangle(points) == reference_rectangle(points)
+
+
+def test_render_joins_a_ray_of_quad2_only_off_the_rays_of_quad1():
+    # quad1's four rays and the six diagonal-triangle sides, then one ray for
+    # each quad2 vertex off the ray of its quad1 vertex
+    perspective = [gen_general_position_diagram(seed, correct=seed % 2 == 0) for seed in range(20)]
+    for d in perspective + list(IMAGES[:90]):
+        assert joins(d) == 10
+    off = set()
+    for d in NON_PERSPECTIVE:
+        k = sum(not collinear2(d.O, u, v) for u, v in zip(d.quad1.vertices, d.quad2.vertices))
+        assert joins(d) == 10 + k
+        off.add(k)
+    assert off == {1, 2, 3, 4}
