@@ -5,11 +5,11 @@ in one pass, and each line is clipped to it in one pass, as the interval of
 x (of y when vertical) it runs inside, its ends homogeneous integer points.
 A coordinate becomes a float only when written, as one correctly rounded
 integer quotient times the canvas scale, so it is the float of the exact
-rational, through one %-template per element.  Every figure is first
-rescaled exactly by a power of 2 to span between 1/2 and 2: that keeps the
-floats in range, and as a power of 2 commutes with correct rounding, it
-changes no written coordinate.  A quad2 vertex on the ray of its quad1
-vertex adds no ray, so a vertex-perspective figure joins four rays.
+rational; each element is written through one %-template.  Every figure
+is first rescaled exactly by a power of 2 to span between 1/2 and 2: that
+keeps the floats in range, and as a power of 2 commutes with correct
+rounding, it changes no written coordinate.  A quad2 vertex on the ray of
+its quad1 vertex adds no ray, so a vertex-perspective figure joins four rays.
 """
 
 from __future__ import annotations

@@ -94,45 +94,17 @@ def reference_rectangle(points):
     return x0 * dy, y0 * dx, x1 * dy, y1 * dx, dx * dy
 
 
-def boxed(diagrams):
-    """The point list of every bounding box render_svg takes while drawing the diagrams."""
-    seen = []
+def calls(name, diagrams):
+    """The arguments of every call render_svg makes to the render module's
+    `name` while drawing the diagrams: (line, rectangle) for "_clip_to_rect"."""
+    original, seen = getattr(quadshadow.render, name), []
 
-    def recording(points):
-        seen.append(points)
-        return _rectangle(points)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quadshadow.render, "_rectangle", recording)
-        for d in diagrams:
-            render_svg(d)
-    return seen
-
-
-def joins(d):
-    """How many times one render_svg of d calls join2."""
-    calls = []
-
-    def counting(p, q):
-        calls.append((p, q))
-        return join2(p, q)
+    def recording(*args):
+        seen.append(args)
+        return original(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quadshadow.render, "join2", counting)
-        render_svg(d)
-    return len(calls)
-
-
-def drawn(diagrams):
-    """Every (line, rectangle) render_svg clips while drawing the diagrams."""
-    seen = []
-
-    def recording(line, rect):
-        seen.append((line, rect))
-        return _clip_to_rect(line, rect)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quadshadow.render, "_clip_to_rect", recording)
+        patch.setattr(quadshadow.render, name, recording)
         for d in diagrams:
             render_svg(d)
     return seen
@@ -172,7 +144,7 @@ def test_the_clip_agrees_with_the_reference_on_every_drawn_line():
             gen_correct_diagram(seed)[1],
         )
     ]
-    cases = drawn(diagrams)
+    cases = calls("_clip_to_rect", diagrams)
     assert len(cases) > 10 * len(diagrams)
     chords = 0
     for line, rect in cases:
@@ -184,7 +156,7 @@ def test_the_clip_agrees_with_the_reference_on_every_drawn_line():
 
 def test_the_clip_agrees_with_the_reference_on_lines_placed_against_each_rectangle():
     diagrams = [gen_general_position_diagram(seed, correct=seed % 2 == 0) for seed in range(200)]
-    rects = {rect for _, rect in drawn(diagrams)}
+    rects = {rect for _, rect in calls("_clip_to_rect", diagrams)}
     assert len(rects) == len(diagrams)
     for rect in rects:
         for line, meets in constructed(rect):
@@ -246,9 +218,9 @@ def test_non_perspective_figures_render_frozen():
 
 def test_the_bounding_box_agrees_with_the_reference_on_every_frozen_figure():
     figures = [*frozen_render_pool(), *IMAGES, *NON_PERSPECTIVE]
-    point_lists = boxed(figures)
-    assert len(point_lists) == len(figures)
-    for points in point_lists:
+    boxes = calls("_rectangle", figures)
+    assert len(boxes) == len(figures)
+    for (points,) in boxes:
         assert _rectangle(points) == reference_rectangle(points), points
 
 
@@ -275,10 +247,10 @@ def test_render_joins_a_ray_of_quad2_only_off_the_rays_of_quad1():
     # each quad2 vertex off the ray of its quad1 vertex
     perspective = [gen_general_position_diagram(seed, correct=seed % 2 == 0) for seed in range(20)]
     for d in perspective + list(IMAGES[:90]):
-        assert joins(d) == 10
+        assert len(calls("join2", [d])) == 10
     off = set()
     for d in NON_PERSPECTIVE:
         k = sum(not collinear2(d.O, u, v) for u, v in zip(d.quad1.vertices, d.quad2.vertices))
-        assert joins(d) == 10 + k
+        assert len(calls("join2", [d])) == 10 + k
         off.add(k)
     assert off == {1, 2, 3, 4}
