@@ -7,7 +7,8 @@ realizable by an actual spatial quadrangle with its shadow, exactly when
 the two diagonal triangles are also perspective from O.  decide_depiction
 evaluates that criterion as seven integer determinants det(O, X1, X2) on raw
 side and diagonal crosses (a zero test ignores scale, so nothing is
-normalised); only verify_witness and render build diagonal triangles.
+normalised); verify_witness reads the raw diagonal crosses too, and only
+render builds a DiagonalTriangle.
 
 Degenerate pairs in which three of the four vertex pairs coincide come in
 two shapes, distinguished by which three homologous sides coincide: either

@@ -6,7 +6,9 @@ integer, never as a float, so exactness survives the trip through text.
 Emitters write canonical form (canonical integer coordinates, laid out
 byte for byte as json.dumps with an indent of 2 plus a trailing newline,
 ASCII only), and everything emitted re-parses to an equal value; for
-already-canonical input, parse followed by emit is byte-identical.
+already-canonical input, parse followed by emit is byte-identical.  The one
+exception is a verdict's "witness" reference: parse_verdict checks it and
+drops it, so the verdict re-emits with "witness": null.
 """
 
 from __future__ import annotations

@@ -4,25 +4,20 @@ Every criterion prints one ``ACCEPTANCE n: PASS/FAIL`` line (visible with
 ``pytest -s``) and enforces a wall-clock cap.  All comparisons are exact;
 there are no tolerances anywhere in this module.
 
-Expensive sample pools are built once and shared: criterion 3 builds the
-1000-diagram correct pool that criterion 4 consumes, and criterion 6
-builds the general-position pool reused by criteria 7, 9, and 11.  The
-pools are rebuilt on demand if a criterion is run in isolation.
+Expensive sample pools are built once and shared, from tests/figures.py:
+criterion 3 builds the 1000-diagram correct pool that criterion 4
+consumes, and criterion 6 builds the general-position pool reused by
+criteria 7, 9, and 11.  The pools are built on demand if a criterion is
+run in isolation.
 """
 
 import functools
 import time
-from fractions import Fraction as F
 
 import pytest
 
 from quadshadow.kernel import DRAWING_PLANE, Line2, Point2, collinear2, collinear3, embed_drawing, join2, meet2
-from quadshadow.quadrangle import (
-    SIDE_LABELS,
-    Quadrangle,
-    diagonal_triangle,
-    quadrangular_trace,
-)
+from quadshadow.quadrangle import SIDE_LABELS, diagonal_triangle, quadrangular_trace
 from quadshadow.perspectivity import (
     NoCommonAxis,
     common_axis,
@@ -30,12 +25,7 @@ from quadshadow.perspectivity import (
     perspective_collineation,
     side_axes,
 )
-from quadshadow.checker import (
-    DegeneracyKind,
-    PlanarDiagram,
-    classify_degeneracy,
-    decide_depiction,
-)
+from quadshadow.checker import DegeneracyKind, classify_degeneracy, decide_depiction
 from quadshadow.lift import (
     lift_collinear_centers,
     lift_via_axis,
@@ -47,31 +37,13 @@ from quadshadow.lift import (
 )
 from quadshadow.generators import (
     gen_axis_perspective_triangles,
-    gen_correct_diagram,
     gen_degenerate_diagram,
-    gen_general_position_diagram,
     gen_incorrect_diagram,
     gen_point_perspective_triangles,
 )
 from quadshadow.cli_io import emit_diagram
 
-A = Point2.affine
-
-_pools: dict[str, object] = {}
-
-
-def correct_pool():
-    if "correct" not in _pools:
-        _pools["correct"] = [gen_correct_diagram(seed) for seed in range(1000)]
-    return _pools["correct"]
-
-
-def gp_pool():
-    if "gp" not in _pools:
-        good = [gen_general_position_diagram(s, correct=True) for s in range(500)]
-        bad = [gen_general_position_diagram(s, correct=False) for s in range(500)]
-        _pools["gp"] = (good, bad)
-    return _pools["gp"]
+from figures import DIAGRAM, INCORRECT, O, PERTURBED, SQUARE, STANDARD, correct_pool, gp_pool
 
 
 def criterion(num: int, cap: float, label: str):
@@ -103,8 +75,7 @@ def criterion(num: int, cap: float, label: str):
 
 @criterion(1, 1.0, "standard quadrangle diagonal triangle")
 def test_criterion_01():
-    q = Quadrangle(Point2(1, 0, 0), Point2(0, 1, 0), Point2(0, 0, 1), Point2(1, 1, 1))
-    dt = diagonal_triangle(q)
+    dt = diagonal_triangle(STANDARD)
     # hand cross-product oracle: SP x QR etc., reduced
     assert dt.A == Point2(0, 1, 1)
     assert dt.B == Point2(1, 0, 1)
@@ -113,24 +84,20 @@ def test_criterion_01():
 
 @criterion(2, 1.0, "dilation correct, perturbed-Q fails the A-pair on x = -1")
 def test_criterion_02():
-    O = A(3, 0)
-    square = Quadrangle(A(1, 1), A(-1, 1), A(-1, -1), A(1, -1))
-    dilated = Quadrangle(A(-1, 2), A(-5, 2), A(-5, -2), A(-1, -2))
-    good = decide_depiction(PlanarDiagram(O=O, quad1=square, quad2=dilated))
+    good = decide_depiction(DIAGRAM)
     assert good.correct and good.diagonal_pairs == (True, True, True)
 
-    perturbed = Quadrangle(A(-1, 2), A(-9, 3), A(-5, -2), A(-1, -2))
-    bad = decide_depiction(PlanarDiagram(O=O, quad1=square, quad2=perturbed))
+    bad = decide_depiction(INCORRECT)
     assert not bad.correct and bad.applicable
     assert bad.diagonal_pairs[0] is False
-    a_line = join2(diagonal_triangle(square).A, diagonal_triangle(perturbed).A)
+    a_line = join2(diagonal_triangle(SQUARE).A, diagonal_triangle(PERTURBED).A)
     assert a_line == Line2(1, 0, 1)  # the affine line x = -1
     assert not a_line.contains(O)
 
 
 @criterion(3, 10.0, "necessity: 1000 constructed scenes all check correct")
 def test_criterion_03():
-    _pools.pop("correct", None)
+    correct_pool.cache_clear()
     pool = correct_pool()
     assert len(pool) == 1000
     assert all(decide_depiction(d).correct for _, d in pool)
@@ -161,7 +128,7 @@ def test_criterion_05():
 
 @criterion(6, 10.0, "one pair suffices: diagonal booleans always all-equal")
 def test_criterion_06():
-    _pools.pop("gp", None)
+    gp_pool.cache_clear()
     good, bad = gp_pool()
     trues = {0: 0, 3: 0}
     for d in good + bad:

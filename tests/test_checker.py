@@ -2,7 +2,6 @@
 
 from dataclasses import fields
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -20,12 +19,7 @@ from quadshadow.documents import parse_diagram
 from quadshadow.lift import lift_collinear_centers, verify_witness
 from quadshadow.render import render_svg
 
-A = Point2.affine
-
-O = A(3, 0)
-SQUARE = Quadrangle(A(1, 1), A(-1, 1), A(-1, -1), A(1, -1))
-DILATED = Quadrangle(A(-1, 2), A(-5, 2), A(-5, -2), A(-1, -2))
-PERTURBED = Quadrangle(A(-1, 2), A(-9, 3), A(-5, -2), A(-1, -2))
+from figures import A, DATA, DIAGRAM, DILATED, INCORRECT, O, OFF_RAY, ON_SIDE, PERTURBED, SQUARE
 
 
 def test_center_must_not_be_a_vertex():
@@ -47,7 +41,7 @@ def test_vertex_checks_compare_coordinates_with_the_same_messages(monkeypatch):
 
 
 def test_dilation_is_correct():
-    verdict = decide_depiction(PlanarDiagram(O=O, quad1=SQUARE, quad2=DILATED))
+    verdict = decide_depiction(DIAGRAM)
     assert verdict.applicable
     assert verdict.correct
     assert verdict.diagonal_pairs == (True, True, True)
@@ -57,7 +51,7 @@ def test_dilation_is_correct():
 
 
 def test_perturbed_q_is_incorrect_via_a_pair():
-    verdict = decide_depiction(PlanarDiagram(O=O, quad1=SQUARE, quad2=PERTURBED))
+    verdict = decide_depiction(INCORRECT)
     assert verdict.applicable
     assert not verdict.correct
     assert verdict.diagonal_pairs[0] is False
@@ -75,8 +69,7 @@ def test_perturbed_a_pair_line_misses_center():
 
 
 def test_not_perspective_diagram_inapplicable():
-    off_ray = Quadrangle(A(-1, 2), A(-9, 4), A(-5, -2), A(-1, -2))
-    verdict = decide_depiction(PlanarDiagram(O=O, quad1=SQUARE, quad2=off_ray))
+    verdict = decide_depiction(OFF_RAY)
     assert not verdict.applicable
     assert not verdict.correct
     assert verdict.diagonal_pairs is None
@@ -155,18 +148,12 @@ def test_vertex_case_ruled_incorrect():
 
 
 def test_note_when_center_on_a_side():
-    center = A(0, 1)  # on side PQ of the square (the line y = 1)
-    diagram = PlanarDiagram(
-        O=center,
-        quad1=SQUARE,
-        quad2=Quadrangle(A(2, 3), A(-2, 3), A(-2, -3), A(2, -3)),
-    )
-    verdict = decide_depiction(diagram)
-    assert verdict.notes == ("center O lies on side PQ of quadrangle 1",)
+    # O = (0, 1) is on side PQ of the square, the line y = 1
+    assert decide_depiction(ON_SIDE).notes == ("center O lies on side PQ of quadrangle 1",)
 
 
 def test_no_notes_for_center_off_all_sides():
-    verdict = decide_depiction(PlanarDiagram(O=O, quad1=SQUARE, quad2=DILATED))
+    verdict = decide_depiction(DIAGRAM)
     assert verdict.notes == ()
 
 
@@ -184,9 +171,8 @@ def test_the_verdict_is_decided_once_and_kept_off_the_fields():
 
 
 def test_the_verdict_builds_no_sides_or_diagonal_triangles():
-    data = Path(__file__).parent / "data"
     for name in ("perturbed", "vertex-degenerate", "dilation"):
-        d = parse_diagram((data / f"{name}.json").read_text())
+        d = parse_diagram((DATA / f"{name}.json").read_text())
         decide_depiction(d)
         for q in (d.quad1, d.quad2):
             assert "_crosses" in vars(q), name

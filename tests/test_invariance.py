@@ -28,8 +28,8 @@ from quadshadow.kernel import collinear2
 from quadshadow.lift import lift_collinear_centers, verify_witness
 from quadshadow.perspectivity import CenterIsVertex, common_axis, triangles_perspective_point
 from quadshadow.quadrangle import SIDE_LABELS, Quadrangle, diagonal_triangle
-from test_acceptance import correct_pool, gp_pool
-from test_checker import A, SQUARE
+
+from figures import A, SQUARE, correct_pool, gp_pool
 
 SEEDS = range(100)
 #: The vertex pairs joined by the two opposite sides through A, B and C.

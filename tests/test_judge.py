@@ -2,25 +2,16 @@
 only, from its canonical diagram document as seven determinants and notes."""
 
 import json
-from pathlib import Path
 
 from quadshadow import (
     DegeneracyKind, PlanarDiagram, Quadrangle, decide_depiction, emit_diagram, emit_verdict,
     Point2, generators as gen,
 )
-from test_checker import A, SQUARE
-from test_ray_meet import HAND_BUILT
+from figures import A, DATA, HAND_BUILT, OFF_RAY, ON_SIDE, SQUARE
 from projective_images import IMAGES
+from textbook import cross, dot
 
 SIDES = ("QR", "RP", "PQ", "SP", "SQ", "SR")
-
-
-def cross(u, v):
-    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def judge(diagram_text, verdict_text):
@@ -40,8 +31,8 @@ def judge(diagram_text, verdict_text):
 
 
 def test_judge_agrees_with_the_goldens_and_every_generated_and_special_verdict():
-    for golden in sorted(Path(__file__).parent.glob("data/*-verdict.json")):
-        judge(Path(str(golden).replace("-verdict", "")).read_text(), golden.read_text())
+    for golden in sorted(DATA.glob("*-verdict.json")):
+        judge(golden.with_name(golden.name.replace("-verdict", "")).read_text(), golden.read_text())
     pool = [d for s in range(200) for d in (
         gen.gen_correct_diagram(s)[1], gen.gen_incorrect_diagram(s),
         gen.gen_general_position_diagram(s), gen.gen_general_position_diagram(s, correct=False),
@@ -50,8 +41,7 @@ def test_judge_agrees_with_the_goldens_and_every_generated_and_special_verdict()
     # that is not correct, and last O off the rays of quad2
     pool += [*IMAGES, *HAND_BUILT.values(),
              PlanarDiagram(A(0, 1), SQUARE, Quadrangle(A(2, 1), A(-2, 1), A(-2, -3), A(2, -3))),
-             PlanarDiagram(A(0, 1), SQUARE, Quadrangle(A(2, 3), A(-2, 3), A(-2, -3), A(2, -3))),
-             PlanarDiagram(A(3, 0), SQUARE, Quadrangle(A(-1, 2), A(-9, 4), A(-5, -2), A(-1, -2)))]
+             ON_SIDE, OFF_RAY]
     for r, d in enumerate(map(gen.gen_degenerate_diagram, range(4))):  # one label alone off O
         q1, q2 = (Quadrangle(*(q.vertices * 2)[r + 1:r + 5]) for q in (d.quad1, d.quad2))
         pool.append(PlanarDiagram(Point2(*d.O.coords[:2], 2 * d.O.coords[2]), q1, q2))

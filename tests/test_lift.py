@@ -1,8 +1,8 @@
 """Witness construction, scene projection, and witness verification.
 
 The worked example lifts the square-dilation diagram with displacements
-(1, -1); expected spatial vertices are recomputed here with a parametric
-two-ray solver independent of the library's meet machinery.
+(1, -1); expected spatial vertices are recomputed here with the parametric
+line meet of tests/textbook.py, independent of the library's meet machinery.
 """
 
 import hashlib
@@ -64,34 +64,9 @@ from quadshadow.lift import (
     _triple_planes,
 )
 
+from figures import A, DIAGRAM, DILATED, INCORRECT, O, OFF_RAY, SQUARE
 from pluecker_oracle import line3_through, meet_line_plane, meet_lines3
-
-A = Point2.affine
-
-O = A(3, 0)
-SQUARE = Quadrangle(A(1, 1), A(-1, 1), A(-1, -1), A(1, -1))
-DILATED = Quadrangle(A(-1, 2), A(-5, 2), A(-5, -2), A(-1, -2))
-DIAGRAM = PlanarDiagram(O=O, quad1=SQUARE, quad2=DILATED)
-PERTURBED = PlanarDiagram(
-    O=O, quad1=SQUARE, quad2=Quadrangle(A(-1, 2), A(-9, 3), A(-5, -2), A(-1, -2))
-)
-
-
-def two_ray_meet(c1, p1, c2, p2):
-    """Intersect rays c1->p1 and c2->p2 (affine 3D tuples) by solving the
-    first two coordinates and checking the third."""
-    d1 = tuple(b - a for a, b in zip(c1, p1))
-    d2 = tuple(b - a for a, b in zip(c2, p2))
-    den = d1[0] * (-d2[1]) - d1[1] * (-d2[0])
-    if den == 0:
-        den = d1[0] * (-d2[2]) - d1[2] * (-d2[0])
-        rhs = (c2[0] - c1[0], c2[2] - c1[2])
-        t = F(rhs[0] * (-d2[2]) - rhs[1] * (-d2[0]), den)
-    else:
-        rhs = (c2[0] - c1[0], c2[1] - c1[1])
-        t = F(rhs[0] * (-d2[1]) - rhs[1] * (-d2[0]), den)
-    meet = tuple(a + t * d for a, d in zip(c1, d1))
-    return meet
+from textbook import line_meet
 
 
 # --- displaced centers ----------------------------------------------------
@@ -144,17 +119,17 @@ def test_barred_quadrangle_has_no_vertex_t():
 
 
 def test_lifted_vertices_match_two_ray_oracle():
-    c1, c2 = (F(3), F(0), F(1)), (F(3), F(0), F(-1))
+    c1, c2 = (3, 0, 1), (3, 0, -1)
     for lab in VERTEX_LABELS:
-        x1, y1 = SQUARE.vertex(lab).affine_coords
-        x2, y2 = DILATED.vertex(lab).affine_coords
-        oracle = two_ray_meet(c1, (x1, y1, F(0)), c2, (x2, y2, F(0)))
+        x1 = (*SQUARE.vertex(lab).affine_coords, 0)
+        t, _ = line_meet(c1, x1, c2, (*DILATED.vertex(lab).affine_coords, 0))
+        oracle = (c + t * (x - c) for c, x in zip(c1, x1))
         assert EXPECTED_BARRED[lab] == Point3.affine(*oracle)
 
 
 def test_lift_rejects_incorrect_diagram():
     with pytest.raises(NotCorrectDiagram):
-        lift_collinear_centers(PERTURBED)
+        lift_collinear_centers(INCORRECT)
 
 
 def test_lift_parameter_gates():
@@ -178,7 +153,7 @@ def test_certificate_zero_for_correct_diagram():
 
 
 def test_certificate_nonzero_for_incorrect_diagram():
-    cert = planarity_certificate(PERTURBED)
+    cert = planarity_certificate(INCORRECT)
     assert cert.determinant != 0
     assert isinstance(cert.determinant, int)
 
@@ -199,13 +174,8 @@ def test_lift_and_certificate_read_the_diagram_verdict(monkeypatch):
 
 
 def test_certificate_requires_vertex_perspective():
-    off_ray = PlanarDiagram(
-        O=O,
-        quad1=SQUARE,
-        quad2=Quadrangle(A(-1, 2), A(-9, 4), A(-5, -2), A(-1, -2)),
-    )
     with pytest.raises(NotCorrectDiagram):
-        planarity_certificate(off_ray)
+        planarity_certificate(OFF_RAY)
 
 
 # --- witness verification ----------------------------------------------------
@@ -720,7 +690,7 @@ def test_lift_via_axis_needs_general_position():
 
 def test_lift_via_axis_rejects_incorrect_diagram():
     with pytest.raises(NotCorrectDiagram):
-        lift_via_axis(PERTURBED)
+        lift_via_axis(INCORRECT)
 
 
 def test_lift_via_axis_produces_verified_witness():
@@ -784,10 +754,7 @@ def test_side_axes_that_fail_are_not_kept():
         quad1=Quadrangle(A(-1, -1), A(1, 1), A(2, -1), A(-1, 3)),
         quad2=Quadrangle(A(-2, -2), A(2, 2), A(4, -2), A(-2, 6)),
     )
-    off_ray = PlanarDiagram(
-        O=O, quad1=SQUARE, quad2=Quadrangle(A(-1, 2), A(-9, 4), A(-5, -2), A(-1, -2))
-    )
-    for d, error in ((centered, HomologousSidesEqual), (off_ray, NotPerspective)):
+    for d, error in ((centered, HomologousSidesEqual), (OFF_RAY, NotPerspective)):
         with pytest.raises(error) as first:
             side_axes(d.quad1, d.quad2)
         for _ in range(2):

@@ -1,15 +1,13 @@
 """Perspectivities, Desargues machinery, and perspective collineations."""
 
 import hashlib
-from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
 from quadshadow.checker import PlanarDiagram, decide_depiction
 from quadshadow.cli_io import parse_diagram
 from quadshadow.generators import gen_general_position_diagram
-from quadshadow.kernel import Line2, Point2, collinear2, join2, meet2
+from quadshadow.kernel import Line2, Point2, join2, meet2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.perspectivity import (
     AXIS_SIDES,
@@ -28,32 +26,13 @@ from quadshadow.perspectivity import (
     triangles_perspective_point,
 )
 
-O = Point2.affine(3, 0)
-SQUARE = Quadrangle(
-    Point2.affine(1, 1),
-    Point2.affine(-1, 1),
-    Point2.affine(-1, -1),
-    Point2.affine(1, -1),
-)
-DILATED = Quadrangle(
-    Point2.affine(-1, 2),
-    Point2.affine(-5, 2),
-    Point2.affine(-5, -2),
-    Point2.affine(-1, -2),
-)
+from figures import DATA, DILATED, O, PERTURBED, SQUARE
+from textbook import cross, det3
 
 # triangles perspective from the origin with ray ratios 2, 3, 4
 CENTER = Point2.affine(0, 0)
 T1 = (Point2.affine(1, 0), Point2.affine(0, 1), Point2.affine(-1, -1))
 T2 = (Point2.affine(2, 0), Point2.affine(0, 3), Point2.affine(-4, -4))
-
-
-def cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 # --- point perspectivity ------------------------------------------------
@@ -105,12 +84,7 @@ def test_desargues_axis_matches_cross_product_oracle():
         side2 = cross(T2[i].coords, T2[j].coords)
         meets.append(cross(side1, side2))
     # the three oracle meets are collinear: that is the theorem
-    det = (
-        meets[0][0] * (meets[1][1] * meets[2][2] - meets[1][2] * meets[2][1])
-        - meets[0][1] * (meets[1][0] * meets[2][2] - meets[1][2] * meets[2][0])
-        + meets[0][2] * (meets[1][0] * meets[2][1] - meets[1][1] * meets[2][0])
-    )
-    assert det == 0
+    assert det3(*meets) == 0
     axis = desargues_axis(T1, T2)
     for m in meets:
         assert axis.contains(Point2(*m))
@@ -168,14 +142,8 @@ def test_side_axes_defining_meets_lie_on_axis():
 
 
 def test_no_common_axis_for_perturbed_quad():
-    moved = Quadrangle(
-        Point2.affine(-1, 2),
-        Point2.affine(-9, 3),
-        Point2.affine(-5, -2),
-        Point2.affine(-1, -2),
-    )
     with pytest.raises(NoCommonAxis):
-        common_axis(SQUARE, moved)
+        common_axis(SQUARE, PERTURBED)
 
 
 def test_general_position_false_for_dilation():
@@ -233,7 +201,7 @@ def test_perspective_collineation_dilation_frozen_matrix():
 
 
 def test_perspective_collineation_golden_dilation_frozen_matrix():
-    d = parse_diagram((Path(__file__).parent / "data" / "dilation.json").read_text())
+    d = parse_diagram((DATA / "dilation.json").read_text())
     axis = common_axis(d.quad1, d.quad2)
     assert axis == Line2(0, 0, 1)
     h = perspective_collineation(d.O, axis, (d.quad1.P, d.quad2.P))

@@ -19,6 +19,7 @@ from quadshadow.kernel import (
 )
 
 from pluecker_oracle import line3_through, meet_lines3
+from textbook import det3
 
 coord = st.integers(min_value=-40, max_value=40)
 scale = st.builds(
@@ -157,11 +158,6 @@ def test_embed_chart_round_trip(t):
 
 def reference_coplanarity_det(a, b, c, d):
     """The 4x4 determinant of the rows a, b, c, d by Laplace expansion along a."""
-
-    def det3(r0, r1, r2):
-        (p, q, r), (s, t, u), (v, w, x) = r0, r1, r2
-        return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
-
     rest = (b.coords, c.coords, d.coords)
     return sum(
         (-1) ** j * x * det3(*(row[:j] + row[j + 1 :] for row in rest))

@@ -2,7 +2,6 @@
 
 import json
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 
@@ -21,18 +20,7 @@ from quadshadow.quadrangle import (
     sides,
 )
 
-DILATION = Path(__file__).parent / "data" / "dilation.json"
-
-STANDARD = Quadrangle(
-    Point2(1, 0, 0), Point2(0, 1, 0), Point2(0, 0, 1), Point2(1, 1, 1)
-)
-
-SQUARE = Quadrangle(
-    Point2.affine(1, 1),
-    Point2.affine(-1, 1),
-    Point2.affine(-1, -1),
-    Point2.affine(1, -1),
-)
+from figures import DATA, SQUARE, STANDARD
 
 
 def test_vertex_access_by_label():
@@ -113,7 +101,7 @@ def test_quadrangle_validation_texts_are_frozen(case):
     with pytest.raises(error) as info:
         Quadrangle(*_points(coords))
     assert str(info.value) == message
-    doc = json.loads(DILATION.read_text())
+    doc = json.loads((DATA / "dilation.json").read_text())
     doc["quad1"] = {lab: [str(c) for c in v.coords] for lab, v in zip(VERTEX_LABELS, _points(coords))}
     with pytest.raises(InvariantViolation) as info:
         parse_diagram(json.dumps(doc))
@@ -170,13 +158,6 @@ def test_each_side_contains_its_two_vertices():
 
 
 # --- diagonal triangle ---------------------------------------------------
-
-def test_standard_diagonal_triangle_frozen_values():
-    dt = diagonal_triangle(STANDARD)
-    assert dt.A == Point2(0, 1, 1)
-    assert dt.B == Point2(1, 0, 1)
-    assert dt.C == Point2(1, 1, 0)
-
 
 def test_square_diagonal_triangle_two_points_ideal():
     dt = diagonal_triangle(SQUARE)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from quadshadow.kernel import Point2, coplanarity_det, embed_drawing
-from quadshadow.quadrangle import VERTEX_LABELS, Quadrangle
-from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
+from quadshadow.quadrangle import VERTEX_LABELS
+from quadshadow.checker import DegeneracyKind, decide_depiction
 from quadshadow.lift import _ray_meet, displaced_centers, planarity_certificate
 from quadshadow.generators import (
     gen_correct_diagram,
@@ -21,6 +21,7 @@ from quadshadow.generators import (
     gen_incorrect_diagram,
 )
 
+from figures import HAND_BUILT
 from pluecker_oracle import line3_through, meet_lines3
 
 DISPLACEMENTS = [(1, -1), (F(3, 2), -7), (2, 5)]
@@ -91,45 +92,6 @@ def test_certificate_matches_the_pluecker_route_on_generated_diagrams(make, shar
         # a shared vertex X1 = X2 is where the relation has a = 0
         if shares is not None:
             assert sum(v == w for v, w in zip(d.quad1.vertices, d.quad2.vertices)) == shares
-
-
-A = Point2.affine
-SUN = Point2(1, 2, 0)
-BOX = Quadrangle(A(0, 0), A(3, 0), A(3, 2), A(0, 5))
-
-
-def _slid(quad, center, ts):
-    """Each vertex X of quad moved to X + t (center) along its ray, center ideal."""
-    return Quadrangle(
-        *(A(*(x + t * c for x, c in zip(v.affine_coords, center.coords[:2])))
-          for v, t in zip(quad.vertices, ts))
-    )
-
-
-def _stretched(quad, ts):
-    """Each vertex of quad scaled by its own factor about the origin."""
-    return Quadrangle(*(A(*(t * x for x in v.affine_coords)) for v, t in zip(quad.vertices, ts)))
-
-
-HAND_BUILT = {
-    "sunlight-incorrect": PlanarDiagram(SUN, BOX, _slid(BOX, SUN, (1, 2, -1, 3))),
-    "sunlight-translation": PlanarDiagram(SUN, BOX, _slid(BOX, SUN, (2, 2, 2, 2))),
-    "ideal-vertex": PlanarDiagram(
-        A(0, 0),
-        Quadrangle(Point2(1, 1, 0), A(1, 0), A(0, 1), A(3, 1)),
-        Quadrangle(A(2, 2), A(2, 0), A(0, -1), A(9, 3)),
-    ),
-    "ideal-vertex-shared": PlanarDiagram(
-        A(0, 0),
-        Quadrangle(Point2(1, 1, 0), A(1, 0), A(0, 1), A(3, 1)),
-        Quadrangle(Point2(1, 1, 0), A(2, 0), A(0, -1), A(9, 3)),
-    ),
-    "center-on-a-side": PlanarDiagram(
-        A(0, 0),
-        Quadrangle(A(-1, -1), A(1, 1), A(2, -1), A(-1, 3)),
-        _stretched(Quadrangle(A(-1, -1), A(1, 1), A(2, -1), A(-1, 3)), (2, -1, 3, F(1, 2))),
-    ),
-}
 
 
 @pytest.mark.parametrize("name", list(HAND_BUILT))

@@ -25,8 +25,8 @@ from quadshadow.checker import PlanarDiagram, decide_depiction
 from quadshadow.generators import gen_correct_diagram, gen_general_position_diagram
 from quadshadow.render import _clip_to_rect, _padded, _rectangle, render_svg
 
+from figures import frozen_render_pool
 from projective_images import IMAGES
-from test_cli_io import frozen_render_pool
 
 
 def _lex(p, q):
