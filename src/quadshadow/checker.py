@@ -21,10 +21,9 @@ nothing about such drawings forces a spatial reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .kernel import Point2, _det3, collinear2
+from .kernel import Point2, _det3, _Record, collinear2
 from .quadrangle import VERTEX_LABELS, Quadrangle, _once
 from .perspectivity import CenterIsVertex
 
@@ -46,8 +45,7 @@ class DegeneracyKind(Enum):
     IDENTICAL = "identical"
 
 
-@dataclass(frozen=True)
-class DegeneracyClass:
+class DegeneracyClass(_Record):
     """Kind of coincidence between two labeled quadrangles.
 
     ``coincident`` lists the labels whose vertices agree.  TRIANGLE and
@@ -91,8 +89,7 @@ _DEGENERACY_REASONS = {
 _DIAGONAL_REASONS = (Reason.DIAGONAL_A, Reason.DIAGONAL_B, Reason.DIAGONAL_C)
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(_Record):
     """Center plus two labeled quadrangles; O must not be a vertex.
 
     Its verdict is worked out once, on first use; it is not a field, so
@@ -106,8 +103,8 @@ class PlanarDiagram:
     def __post_init__(self) -> None:
         o, o_cls = self.O.coords, type(self.O)
         for which, q in (("quadrangle 1", self.quad1), ("quadrangle 2", self.quad2)):
-            for lab, v in q.labeled().items():
-                if v.coords == o and type(v) is o_cls:  # v == self.O, without the generated __eq__
+            for lab, v in zip(VERTEX_LABELS, q.vertices):
+                if v.coords == o and type(v) is o_cls:  # v == self.O, without calling __eq__
                     raise CenterIsVertex(f"center O equals vertex {lab} of {which}")
 
     @_once
@@ -126,8 +123,7 @@ class PlanarDiagram:
         return _ruling(pairs, degeneracy, notes)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Full outcome of the depiction decision.
 
     ``diagonal_pairs`` holds the perspectivity of the homologous diagonal

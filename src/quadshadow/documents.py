@@ -210,7 +210,7 @@ def _quadrangle(doc: dict, name: str) -> Quadrangle:
 def _barred(doc: dict) -> SpatialQuadrangle:
     """The barred quadrangle: its vertices under "quad", its plane under "plane"."""
     vertices = _vertices(doc, "quad", _BARRED, Point3)
-    return SpatialQuadrangle(*vertices, plane=_element(Plane3, doc["plane"], "plane"))
+    return SpatialQuadrangle(*vertices, _element(Plane3, doc["plane"], "plane"))
 
 
 def _barred_fields(quad: SpatialQuadrangle) -> list[tuple[str, str]]:
@@ -284,7 +284,7 @@ def emit_verdict(v: Verdict, witness_ref: str | None = None) -> str:
         _BOOL[v.correct],
         _members([("kind", _string(deg.kind.value)), ("coincident", coincident)], "  "),
         "null" if pairs is None
-        else _members(zip(DiagonalTriangle._LABELS, [_BOOL[p] for p in pairs]), "  "),
+        else _members(zip(DiagonalTriangle._FIELDS, [_BOOL[p] for p in pairs]), "  "),
         _string(v.reason.value),
         "null" if witness_ref is None else _string(witness_ref),
         _array([_string(n) for n in v.notes], "  "),
@@ -308,8 +308,8 @@ def parse_verdict(text: str) -> Verdict:
         raise ParseError("degeneracy.coincident: expected an array of labels")
     pairs = None
     if doc["diagonal_pairs"] is not None:
-        pobj = _object(doc["diagonal_pairs"], "diagonal_pairs", DiagonalTriangle._LABELS)
-        pairs = tuple(pobj[k] for k in DiagonalTriangle._LABELS)
+        pobj = _object(doc["diagonal_pairs"], "diagonal_pairs", DiagonalTriangle._FIELDS)
+        pairs = tuple(pobj[k] for k in DiagonalTriangle._FIELDS)
         if not all(isinstance(p, bool) for p in pairs):
             raise ParseError("diagonal_pairs: expected booleans")
     try:

@@ -25,7 +25,6 @@ its ray can, rarely, land back on a correct diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import (
@@ -35,6 +34,7 @@ from .kernel import (
     Point2,
     Point3,
     ZeroVector,
+    _Record,
     collinear2,
     join2,
     meet2,
@@ -85,8 +85,7 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Record):
     numerator_bound: int = 9
     denominator_bound: int = 9
     max_retries: int = 1000
@@ -122,13 +121,13 @@ def _point3(rng: SplitMix64, cfg: GenConfig) -> Point3:
     return Point3(n1 * d2 * d3, n2 * d1 * d3, n3 * d1 * d2, d1 * d2 * d3)
 
 
-def _retry(rng: SplitMix64, cfg: GenConfig | None, draw, what: str):
+def _retry(rng: SplitMix64, cfg: GenConfig | None, draw, what: str, default=GenConfig()):
     """The first of up to max_retries calls draw(rng, cfg) that succeeds.
 
     A draw fails by raising GeometryError or by returning None.  A missing
-    cfg means the default GenConfig.
+    cfg means the default GenConfig, built once, as it is frozen.
     """
-    cfg = cfg or GenConfig()
+    cfg = cfg or default
     for _ in range(cfg.max_retries):
         try:
             sample = draw(rng, cfg)
@@ -203,12 +202,8 @@ def gen_correct_diagram(
         if plane.contains(light) or DRAWING_PLANE.contains(light):
             return None
         # project_scene rejects a viewpoint on the drawing plane or at the light
-        scene = SpatialScene(
-            quad=SpatialQuadrangle(*verts, plane=plane),
-            light=light,
-            shadow_plane=DRAWING_PLANE,
-            viewpoint=_point3(rng, cfg),
-        )
+        quad = SpatialQuadrangle(*verts, plane)
+        scene = SpatialScene(quad, light, DRAWING_PLANE, _point3(rng, cfg))
         return scene, project_scene(scene)
 
     return _retry(SplitMix64(seed), cfg, draw, "valid scene")
@@ -231,7 +226,7 @@ def gen_incorrect_diagram(seed: int, cfg: GenConfig | None = None) -> PlanarDiag
             return None
         moved = (_toward(center, v, t) for v, t in zip(quad1.vertices, ratios))
         quad2 = Quadrangle(*moved)
-        diagram = PlanarDiagram(O=center, quad1=quad1, quad2=quad2)
+        diagram = PlanarDiagram(center, quad1, quad2)
         verdict = decide_depiction(diagram)
         return diagram if verdict.applicable and not verdict.correct else None
 
@@ -294,7 +289,7 @@ def gen_degenerate_diagram(
             if r2 == center:
                 return None
             quad2 = Quadrangle(p, q, r2, s)
-        diagram = PlanarDiagram(O=center, quad1=quad1, quad2=quad2)
+        diagram = PlanarDiagram(center, quad1, quad2)
         got = classify_degeneracy(diagram.quad1, diagram.quad2)
         _invariant(got.kind is kind, f"built {kind.value} but classified {got.kind.value}")
         return diagram

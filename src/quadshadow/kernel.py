@@ -31,12 +31,11 @@ the line through a and b, though no line is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from operator import attrgetter
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 __all__ = [
     "GeometryError",
@@ -132,13 +131,47 @@ def _fmt(coords: tuple[int, ...]) -> str:
     return ":".join(str(c) for c in coords)
 
 
-@dataclass(frozen=True)
-class _Element:
-    """Canonical homogeneous coordinates, three unless a subclass sets _ARITY.
+class _Record:
+    """Frozen record whose fields are its class's own annotations, in order."""
 
-    The generated equality compares classes first, so a point never equals
-    a line or plane with the same coordinates.
-    """
+    __post_init__ = None  # a class with a rule for its fields checks them here
+
+    def __init_subclass__(cls) -> None:
+        if names := tuple(cls.__annotations__):
+            cls._FIELDS, cls._key = names, attrgetter(*names)
+
+    def __init__(self, *args, **kw) -> None:
+        names = self._FIELDS
+        if kw or len(args) != len(names):  # defaults from the class; kw marks a field with none
+            args += tuple([kw.pop(n, getattr(type(self), n, kw)) for n in names[len(args):]])
+            if kw or len(args) != len(names) or id(kw) in map(id, args):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        values, i = {}, 0
+        for name in names:  # faster than zip for a few fields
+            values[name] = args[i]
+            i += 1
+        self.__dict__.update(values)
+        if self.__post_init__:
+            self.__post_init__()
+
+    def __eq__(self, other):  # within one class only, so Point2(1, 2, 3) != Line2(1, 2, 3)
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:  # of the tuple of the fields, which _key gives from two fields up
+        return hash(self._key(self) if self._FIELDS[1:] else (self._key(self),))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _Element(_Record):
+    """Canonical homogeneous coordinates, three unless a subclass sets _ARITY."""
 
     coords: tuple[int, ...]
     _ARITY = 3
@@ -146,9 +179,13 @@ class _Element:
     def __init__(self, *coords: Scalar):
         if len(coords) != self._ARITY:
             raise TypeError(
-                f"{type(self).__name__} takes exactly {self._ARITY} homogeneous coordinates"
-            )
+                f"{type(self).__name__} takes exactly {self._ARITY} homogeneous coordinates")
         object.__setattr__(self, "coords", normalize(coords))
+
+    def __eq__(self, other):  # the hot path, without the base's key lookups
+        return self.coords == other.coords if type(other) is type(self) else NotImplemented
+
+    __hash__ = _Record.__hash__
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({_fmt(self.coords)})"

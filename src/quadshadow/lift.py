@@ -35,7 +35,7 @@ raising, so broken witnesses can be described, not just rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .kernel import (
     DRAWING_PLANE,
@@ -51,6 +51,7 @@ from .kernel import (
     Scalar,
     _fmt,
     _pluecker,
+    _Record,
     _span,
     central_project,
     collinear3,
@@ -116,8 +117,7 @@ def _invariant(ok: bool, what: str) -> None:
         raise RuntimeError(f"invariant broken: {what}")
 
 
-@dataclass(frozen=True)
-class SpatialQuadrangle:
+class SpatialQuadrangle(_Record):
     """Four spatial points with the plane they are claimed to span.
 
     Construction does not validate: witnesses are claims, and
@@ -131,9 +131,7 @@ class SpatialQuadrangle:
     Sbar: Point3
     plane: Plane3
 
-    @property
-    def vertices(self) -> tuple[Point3, Point3, Point3, Point3]:
-        return (self.Pbar, self.Qbar, self.Rbar, self.Sbar)
+    vertices = property(attrgetter("Pbar", "Qbar", "Rbar", "Sbar"))
 
     def vertex(self, label: str) -> Point3:
         return self.labeled()[label]
@@ -142,8 +140,7 @@ class SpatialQuadrangle:
         return dict(zip(VERTEX_LABELS, self.vertices))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """Claimed spatial explanation of a planar diagram."""
 
     quad: SpatialQuadrangle
@@ -152,8 +149,7 @@ class Witness:
     drawing_plane: Plane3
 
 
-@dataclass(frozen=True)
-class SpatialScene:
+class SpatialScene(_Record):
     """A quadrangle in space, a light, a shadow plane, an optional viewpoint.
 
     Without a viewpoint the scene is reported in the shadow plane's own
@@ -167,8 +163,7 @@ class SpatialScene:
     viewpoint: Point3 | None = None
 
 
-@dataclass(frozen=True)
-class PlanarityCertificate:
+class PlanarityCertificate(_Record):
     """Attempted two-ray lift of a vertex-perspective diagram.
 
     ``determinant`` is the 4x4 coplanarity determinant of the four ray
@@ -181,15 +176,13 @@ class PlanarityCertificate:
     determinant: int
 
 
-@dataclass(frozen=True)
-class ClauseCheck:
+class ClauseCheck(_Record):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(_Record):
     """Outcome of verify_witness; one entry per clause, never an exception."""
 
     clauses: tuple[ClauseCheck, ...]
@@ -264,7 +257,7 @@ def planarity_certificate(
         _invariant(x is not None, "perspective rays cannot be skew")
         points[lab] = x
     det = coplanarity_det(*(points[lab] for lab in VERTEX_LABELS))
-    return PlanarityCertificate(O1=O1, O2=O2, points=points, determinant=det)
+    return PlanarityCertificate(O1, O2, points, det)
 
 
 def lift_collinear_centers(
@@ -278,8 +271,8 @@ def lift_collinear_centers(
     _invariant(cert.determinant == 0, "correct diagram lifted to non-coplanar points")
     plane = plane_through(cert.points["P"], cert.points["Q"], cert.points["R"])
     _invariant(plane != DRAWING_PLANE, "witness plane is the drawing plane")
-    quad = SpatialQuadrangle(*(cert.points[lab] for lab in VERTEX_LABELS), plane=plane)
-    return Witness(quad=quad, O1=cert.O1, O2=cert.O2, drawing_plane=DRAWING_PLANE)
+    quad = SpatialQuadrangle(*(cert.points[lab] for lab in VERTEX_LABELS), plane)
+    return Witness(quad, cert.O1, cert.O2, DRAWING_PLANE)
 
 
 #: Candidate first centers: against the witness plane (l0 : l1 : 0 : l2)
@@ -306,7 +299,7 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
     plane = Plane3(l0, l1, 0, l2)  # meets x2 = 0 in the embedded axis, and is never x2 = 0
     O1 = next(c for c in _CENTER_CANDIDATES if not plane.contains(c))
     barred = [central_project(O1, plane, embed_drawing(v)) for v in d.quad1.vertices]
-    quad = SpatialQuadrangle(*barred, plane=plane)
+    quad = SpatialQuadrangle(*barred, plane)
 
     drawn = [embed_drawing(v) for v in d.quad2.vertices]
     # The rays from the first two lifted vertices are the sides RP and SQ of
@@ -320,14 +313,12 @@ def lift_via_axis(d: PlanarDiagram) -> Witness:
         "second center is not common to all four rays",
     )
     _invariant(collinear3(O1, O2, embed_drawing(d.O)), "centers not collinear with O")
-    return Witness(quad=quad, O1=O1, O2=O2, drawing_plane=DRAWING_PLANE)
+    return Witness(quad, O1, O2, DRAWING_PLANE)
 
 
 def scene_from_witness(w: Witness) -> SpatialScene:
     """Read a witness as a scene: O1 is the light, O2 the viewpoint."""
-    return SpatialScene(
-        quad=w.quad, light=w.O1, shadow_plane=w.drawing_plane, viewpoint=w.O2
-    )
+    return SpatialScene(w.quad, w.O1, w.drawing_plane, w.O2)
 
 
 def project_scene(s: SpatialScene) -> PlanarDiagram:
@@ -372,7 +363,7 @@ def project_scene(s: SpatialScene) -> PlanarDiagram:
     try:
         shadow = [*chart(s.light, quad.vertices)]
         *seen_quad, seen_light = chart(viewpoint, (*quad.vertices, s.light))
-        return PlanarDiagram(O=seen_light, quad1=Quadrangle(*shadow), quad2=Quadrangle(*seen_quad))
+        return PlanarDiagram(seen_light, Quadrangle(*shadow), Quadrangle(*seen_quad))
     except GeometryError as e:
         raise DegenerateScene(f"scene is not depictable from this viewpoint: {e}") from e
 
@@ -500,7 +491,7 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
         points = _spatial_diagonals(vertices, planes)
         if points is None:
             return "opposite sides SP, QR are skew"
-        spatial = dict(zip(DiagonalTriangle._LABELS, points))
+        spatial = dict(zip(DiagonalTriangle._FIELDS, points))
         first = projects(w.O1, spatial, d.quad1._crosses[1], "diagonal point")
         return first or projects(w.O2, spatial, d.quad2._crosses[1], "diagonal point")
 
@@ -511,4 +502,4 @@ def verify_witness(d: PlanarDiagram, w: Witness) -> WitnessReport:
         _clause("centers collinear with embedded O", clause_centers),
         _clause("diagonal points correspond", clause_diagonals),
     )
-    return WitnessReport(clauses=clauses)
+    return WitnessReport(clauses)

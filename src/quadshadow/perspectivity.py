@@ -23,14 +23,13 @@ least one point; when all four are one line, that line is the common axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kernel import (
     GeometryError,
     Line2,
     Point2,
     _cross,
     _det3,
+    _Record,
     collinear2,
     join2,
     meet2,
@@ -161,7 +160,6 @@ AXIS_SIDES = {
 }
 
 
-@dataclass(frozen=True)
 class SideAxes(_Labeled):
     """The four Desargues axes of a quadrangle pair plus the six meets."""
 
@@ -175,8 +173,7 @@ class SideAxes(_Labeled):
     axis = _Labeled.__getitem__
 
     def defining_meets(self, name: str) -> tuple[Point2, Point2, Point2]:
-        a, b, c = AXIS_SIDES[name]
-        return (self.meets[a], self.meets[b], self.meets[c])
+        return tuple(self.meets[lab] for lab in AXIS_SIDES[name])
 
 
 def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
@@ -190,7 +187,7 @@ def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
         name: _line_through_all([meets[lab] for lab in labs])
         for name, labs in AXIS_SIDES.items()
     }
-    result = SideAxes(**axes, meets=meets)
+    result = SideAxes(*axes.values(), meets)
     object.__setattr__(q1, "_kept_axes", (q2, result))
     return result
 
@@ -220,8 +217,7 @@ def general_position(q1: Quadrangle, q2: Quadrangle) -> bool:
     return len(set(meets.values())) == len(meets)
 
 
-@dataclass(frozen=True)
-class Collineation:
+class Collineation(_Record):
     """Projective transformation of the plane, canonical 3x3 integer matrix.
 
     Acts on points by matrix multiplication and on lines by the cofactor

@@ -14,11 +14,11 @@ throughout this package: quadrangles are compared label by label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 
-from .kernel import GeometryError, Line2, Point2, _cross, meet2
+from .kernel import GeometryError, Line2, Point2, _cross, _Record, meet2
 
 __all__ = [
     "VERTEX_LABELS",
@@ -57,7 +57,7 @@ def _check_vertices(vertices, collinear) -> None:
     """Raise at a repeated vertex pair, then at the first of PQR, PQS, PRS, QRS flagged."""
     labeled = tuple(zip(VERTEX_LABELS, vertices))
     for (la, a), (lb, b) in combinations(labeled, 2):
-        if a.coords == b.coords and type(a) is type(b):  # a == b, without the generated __eq__
+        if a.coords == b.coords and type(a) is type(b):  # a == b, without calling __eq__
             raise RepeatedVertex(f"vertices {la} and {lb} coincide at {a!r}")
     for labels, flat in zip(combinations(VERTEX_LABELS, 3), collinear):
         if flat:
@@ -74,21 +74,18 @@ class _once(cached_property):
         return value
 
 
-class _Labeled:
-    """Lookup by label for a record with one field per label in _LABELS."""
+class _Labeled(_Record):
+    """A record with lookup by label, for one field per label in _LABELS."""
 
-    _LABELS: tuple[str, ...]
+    _LABELS = property(attrgetter("_FIELDS"))  # where a class does not name its labels
 
     def __getitem__(self, label: str):
-        if label not in self._LABELS:
-            raise KeyError(label)
-        return getattr(self, label)
+        return self.labeled()[label]
 
     def labeled(self) -> dict:
         return {lab: getattr(self, lab) for lab in self._LABELS}
 
 
-@dataclass(frozen=True)
 class Quadrangle(_Labeled):
     """Four labeled points, no three collinear.  Checked on construction.
 
@@ -102,7 +99,6 @@ class Quadrangle(_Labeled):
     R: Point2
     S: Point2
 
-    _LABELS = VERTEX_LABELS
     vertex = _Labeled.__getitem__
 
     def __post_init__(self) -> None:
@@ -125,18 +121,15 @@ class Quadrangle(_Labeled):
 
     @_once
     def _sides(self) -> SideSet:
-        return SideSet(**{lab: Line2(*c) for lab, c in self._crosses[0].items()})
+        return SideSet(*(Line2(*c) for c in self._crosses[0].values()))
 
     @_once
     def _diagonal_triangle(self) -> DiagonalTriangle:
         return DiagonalTriangle(*(Point2(*c) for c in self._crosses[1]))
 
-    @property
-    def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
-        return (self.P, self.Q, self.R, self.S)
+    vertices = property(attrgetter("P", "Q", "R", "S"))
 
 
-@dataclass(frozen=True)
 class SideSet(_Labeled):
     """The six sides of a quadrangle, keyed by vertex-pair label."""
 
@@ -147,15 +140,12 @@ class SideSet(_Labeled):
     SQ: Line2
     SR: Line2
 
-    _LABELS = SIDE_LABELS
-
 
 def sides(q: Quadrangle) -> SideSet:
     """All six sides; always defined for a valid quadrangle, built once."""
     return q._sides
 
 
-@dataclass(frozen=True)
 class DiagonalTriangle(_Labeled):
     """Diagonal points A = SP.QR, B = SQ.RP, C = SR.PQ."""
 
@@ -163,11 +153,7 @@ class DiagonalTriangle(_Labeled):
     B: Point2
     C: Point2
 
-    _LABELS = ("A", "B", "C")
-
-    @property
-    def points(self) -> tuple[Point2, Point2, Point2]:
-        return (self.A, self.B, self.C)
+    points = property(attrgetter("A", "B", "C"))
 
 
 def diagonal_triangle(q: Quadrangle) -> DiagonalTriangle:
@@ -180,7 +166,6 @@ def diagonal_triangle(q: Quadrangle) -> DiagonalTriangle:
     return q._diagonal_triangle
 
 
-@dataclass(frozen=True)
 class QuadrangularTrace(_Labeled):
     """The six labeled points cut out of a line by the sides of a quadrangle."""
 
@@ -206,4 +191,4 @@ def quadrangular_trace(q: Quadrangle, line: Line2) -> QuadrangularTrace:
         if line.contains(v):
             raise LineThroughVertex(f"trace line {line!r} passes through vertex {lab}")
     meets = {lab: meet2(side, line) for lab, side in sides(q).labeled().items()}
-    return QuadrangularTrace(line=line, **meets)
+    return QuadrangularTrace(line, *meets.values())

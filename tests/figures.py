@@ -5,7 +5,8 @@ shadow, the square dilated by 2 from O.  Moving the shadow's Q along its ray
 to (-9, 3) makes the diagram incorrect, and moving it off the ray to
 (-9, 4) makes it inapplicable.  HAND_BUILT holds diagrams in special
 position that no generator draws; the pools are generated from fixed seeds
-and built once per run.
+and built once per run.  ``replace`` copies a package record with some
+fields changed.
 """
 
 import functools
@@ -39,6 +40,11 @@ ON_SIDE = PlanarDiagram(A(0, 1), SQUARE, Quadrangle(A(2, 3), A(-2, 3), A(-2, -3)
 
 #: The standard quadrangle: the three base points and the unit point.
 STANDARD = Quadrangle(Point2(1, 0, 0), Point2(0, 1, 0), Point2(0, 0, 1), Point2(1, 1, 1))
+
+def replace(record, **changes):
+    """A new record of record's class, with its fields but for the changes."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._FIELDS}, **changes})
+
 
 SUN = Point2(1, 2, 0)
 BOX = Quadrangle(A(0, 0), A(3, 0), A(3, 2), A(0, 5))

@@ -1,6 +1,5 @@
 """Verdict machinery: applicability, diagonal criterion, degeneracies."""
 
-from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -165,7 +164,7 @@ def test_the_verdict_is_decided_once_and_kept_off_the_fields():
     assert decide_depiction(d) is verdict
     assert verdict.reason is Reason.DIAGONAL_A
     # deciding adds nothing to equality, hashing or repr
-    assert [f.name for f in fields(d)] == ["O", "quad1", "quad2"]
+    assert d._FIELDS == ("O", "quad1", "quad2")
     assert d == twin and (repr(d), hash(d)) == before == (repr(twin), hash(twin))
     assert decide_depiction(twin) == verdict
 

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import time
 import xml.dom.minidom
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -54,7 +53,7 @@ from quadshadow.cli_io import (
 )
 from quadshadow.documents import _element, emit_scene, parse_verdict, parse_witness
 
-from figures import A, DATA, correct_pool, frozen_render_pool, gp_pool
+from figures import A, DATA, correct_pool, frozen_render_pool, gp_pool, replace
 
 DILATION = DATA / "dilation.json"
 WITNESS = DATA / "witness.json"
@@ -1010,6 +1009,23 @@ def test_non_rational_cli_arguments_exit_sixty_four(argv):
 def test_integral_coordinates_parse_to_int(node):
     value = _rational(node, "x")
     assert type(value) is int and value == 4
+
+
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        ("1e314", "a 1044-bit rational exceeds the 1024-bit bound"),
+        ("1e315", "exponent 315 exceeds the 1024-bit bound"),
+        ("1e-315", "a 1047-bit rational exceeds the 1024-bit bound"),
+        ("1e-316", "exponent -316 exceeds the 1024-bit bound"),
+    ],
+    ids=["at-exponent-bound", "past-exponent-bound", "at-negative-bound", "past-negative-bound"],
+)
+def test_an_exponent_at_its_bound_fails_on_bits_and_one_past_on_the_exponent(node, message):
+    # the exponent bound is 309 + len(node): 314 for "1e314", 315 for "1e-315"
+    with pytest.raises(ParseError) as e:
+        _rational(node, "x")
+    assert str(e.value) == f"x: {message}"
 
 
 def test_non_integral_coordinate_stays_a_fraction():

@@ -6,12 +6,11 @@ with the widely circulated test vector (first output 0xe220a8397b1dcdaf).
 """
 
 import hashlib
-from fractions import Fraction
 
 import pytest
 
 from quadshadow.kernel import collinear2, join2, meet2
-from quadshadow.quadrangle import VERTEX_LABELS, diagonal_triangle, sides
+from quadshadow.quadrangle import VERTEX_LABELS, diagonal_triangle
 from quadshadow.perspectivity import (
     Collineation,
     desargues_axis,
@@ -33,7 +32,7 @@ from quadshadow.generators import (
     gen_point_perspective_triangles,
     gen_quadrangle,
 )
-from quadshadow.lift import project_scene, scene_from_witness  # noqa: F401
+from quadshadow.lift import project_scene
 
 
 # --- the stream -------------------------------------------------------------

@@ -44,7 +44,7 @@ from pluecker_oracle import (
     meet_line_plane,
     meet_lines3,
 )
-from textbook import cross, det3, dot, line_meet
+from textbook import cross, det3, det4, dot, line_meet
 
 
 # --- normalize ---------------------------------------------------------
@@ -310,12 +310,7 @@ def test_collinear3_and_coplanarity():
     pts = (a, b, Point3(0, 0, 1, 1), Point3(5, 1, -2, 1))
     square = coplanarity_det(*pts)
     assert isinstance(square, int)
-    rows = [p.coords for p in pts]
-    oracle = sum(
-        (-1) ** i * rows[i][0] * det3(*(r[1:] for j, r in enumerate(rows) if j != i))
-        for i in range(4)
-    )
-    assert square == oracle
+    assert square == det4(*(p.coords for p in pts))
 
 
 # --- central projection and the drawing plane --------------------------

@@ -6,7 +6,6 @@ line meet of tests/textbook.py, independent of the library's meet machinery.
 """
 
 import hashlib
-from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
 
@@ -64,7 +63,7 @@ from quadshadow.lift import (
     _triple_planes,
 )
 
-from figures import A, DIAGRAM, DILATED, INCORRECT, O, OFF_RAY, SQUARE
+from figures import A, DIAGRAM, DILATED, INCORRECT, O, OFF_RAY, SQUARE, replace
 from pluecker_oracle import line3_through, meet_line_plane, meet_lines3
 from textbook import line_meet
 

@@ -143,13 +143,17 @@ def test_every_public_name_resolves_and_star_import_binds_them_all(monkeypatch):
     assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 99
 
 
-#: Exit code and lazy modules loaded after each step (after the import, the modules only), as JSON.
+#: Per step as JSON: the exit code (but for the import), the lazy modules loaded
+#: and every module loaded since the child started.
 STARTUP = """
-import io, json, runpy, sys
+import sys
+started = set(sys.modules)
+import io, json, runpy
 from contextlib import redirect_stdout
 
 def loaded():
-    return [m for m in ("quadshadow.generators", "quadshadow.cli_io") if m in sys.modules]
+    lazy = [m for m in ("quadshadow.generators", "quadshadow.cli_io") if m in sys.modules]
+    return [lazy, sorted(set(sys.modules) - started)]
 
 import quadshadow
 path = sys.argv[1]
@@ -160,23 +164,35 @@ for command in ("check", "lift"):
         try:
             runpy.run_module("quadshadow.cli_io", run_name="__main__")
         except SystemExit as e:
-            steps[command] = [e.code, loaded()]
+            steps[command] = [e.code, *loaded()]
 code = quadshadow.run_cli(["fuzz", "--count", "3", "--seed", "0"], out=io.StringIO())
-steps["fuzz"] = [code, loaded()]
+steps["fuzz"] = [code, *loaded()]
 print(json.dumps(steps))
 """
 
 
-def test_check_and_lift_never_load_the_generators():
+def _startup() -> dict:
     src = str(Path(quadshadow.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", STARTUP, str(DILATION)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    assert json.loads(proc.stdout) == {
-        "import": [],
+    return json.loads(proc.stdout)
+
+
+def test_check_and_lift_never_load_the_generators():
+    steps = _startup()
+    assert {step: values[:-1] for step, values in steps.items()} == {
+        "import": [[]],
         "check": [0, []],
         "lift": [0, []],
         "fuzz": [0, ["quadshadow.generators", "quadshadow.cli_io"]],
     }
+
+
+def test_import_check_and_lift_load_neither_dataclasses_nor_inspect():
+    steps = _startup()
+    assert "argparse" in steps["check"][-1]  # loaded for the command line, so it is listed
+    for step in ("import", "check", "lift"):
+        assert not {"dataclasses", "inspect"} & set(steps[step][-1]), step

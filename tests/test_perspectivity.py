@@ -7,7 +7,7 @@ import pytest
 from quadshadow.checker import PlanarDiagram, decide_depiction
 from quadshadow.cli_io import parse_diagram
 from quadshadow.generators import gen_general_position_diagram
-from quadshadow.kernel import Line2, Point2, join2, meet2
+from quadshadow.kernel import Line2, Point2, collinear2, join2, meet2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.perspectivity import (
     AXIS_SIDES,
@@ -265,6 +265,17 @@ def test_perspective_collineation_invalid_pairs():
         perspective_collineation(
             O, axis, (Point2.affine(1, 1), Point2.affine(1, 2))
         )
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first-on-axis", "second-on-axis"])
+def test_perspective_collineation_rejects_one_pair_point_on_the_axis(first):
+    # O = (3 : 0 : 1), the ideal point (1 : 0 : 0) of the axis x2 = 0 and (5 : 0 : 1) are
+    # collinear, so the axis is the only check that the pair fails
+    axis, on, off = Line2(0, 0, 1), Point2(1, 0, 0), Point2(5, 0, 1)
+    assert O == Point2(3, 0, 1) and axis.contains(on) and not axis.contains(off)
+    assert collinear2(O, on, off)
+    with pytest.raises(InvalidPair, match="^pair points must be off the axis$"):
+        perspective_collineation(O, axis, (on, off) if first else (off, on))
 
 
 def test_elation_when_center_on_axis():

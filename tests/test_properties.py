@@ -19,7 +19,7 @@ from quadshadow.kernel import (
 )
 
 from pluecker_oracle import line3_through, meet_lines3
-from textbook import det3
+from textbook import det4
 
 coord = st.integers(min_value=-40, max_value=40)
 scale = st.builds(
@@ -156,18 +156,9 @@ def test_embed_chart_round_trip(t):
     assert x2 == 0 and Point2(x0, x1, x3) == p
 
 
-def reference_coplanarity_det(a, b, c, d):
-    """The 4x4 determinant of the rows a, b, c, d by Laplace expansion along a."""
-    rest = (b.coords, c.coords, d.coords)
-    return sum(
-        (-1) ** j * x * det3(*(row[:j] + row[j + 1 :] for row in rest))
-        for j, x in enumerate(a.coords)
-    )
-
-
 @given(quad_coord, quad_coord, quad_coord, quad_coord)
 @example(a=(1, 0, 0, 1), b=(0, 1, 0, 1), c=(0, 0, 1, 1), d=(1, 1, -1, 1))  # coplanar
 @example(a=(1, 0, 0, 0), b=(0, 1, 0, 0), c=(0, 0, 1, 0), d=(0, 0, 0, 1))  # det 1
 def test_coplanarity_det_matches_laplace_reference(a, b, c, d):
     points = [Point3(*t) for t in (a, b, c, d)]
-    assert coplanarity_det(*points) == reference_coplanarity_det(*points)
+    assert coplanarity_det(*points) == det4(*(p.coords for p in points))

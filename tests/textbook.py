@@ -1,5 +1,5 @@
 """Textbook arithmetic for the tests' oracles: cross and dot products, the
-3x3 determinant and the parametric meet of two lines.
+3x3 and 4x4 determinants and the parametric meet of two lines.
 
 These work on tuples of int or Fraction and import nothing from quadshadow,
 so a test that holds the package to them holds it to plain arithmetic.
@@ -20,6 +20,12 @@ def dot(u, v):
 def det3(r0, r1, r2):
     """The determinant of the rows r0, r1, r2, as the triple product."""
     return dot(r0, cross(r1, r2))
+
+
+def det4(r0, r1, r2, r3):
+    """The determinant of the rows r0, r1, r2, r3, by Laplace expansion along r0."""
+    rest = (r1, r2, r3)
+    return sum((-1) ** j * x * det3(*(r[:j] + r[j + 1:] for r in rest)) for j, x in enumerate(r0))
 
 
 def line_meet(p0, q0, p1, q1):
