@@ -142,7 +142,7 @@ class _Record:
 
     def __init__(self, *args, **kw) -> None:
         names = self._FIELDS
-        if kw or len(args) != len(names):  # defaults from the class; kw marks a field with none
+        if kw or len(args) != len(names):  # by keyword or default; kw stands in for a missing one
             args += tuple([kw.pop(n, getattr(type(self), n, kw)) for n in names[len(args):]])
             if kw or len(args) != len(names) or id(kw) in map(id, args):
                 raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
@@ -150,7 +150,7 @@ class _Record:
         for name in names:  # faster than zip for a few fields
             values[name] = args[i]
             i += 1
-        self.__dict__.update(values)
+        self.__dict__.update(values)  # at once: key by key, later reads of the fields are slower
         if self.__post_init__:
             self.__post_init__()
 
@@ -165,7 +165,7 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
 
