@@ -141,10 +141,9 @@ class _Record:
             cls._FIELDS, cls._key = names, attrgetter(*names)
 
     def __init__(self, *args, **kw) -> None:
-        names = self._FIELDS
-        if kw or len(args) != len(names):  # by keyword or default; kw stands in for a missing one
+        if len(args) != len(names := self._FIELDS) or kw:  # by keyword or default
             args += tuple([kw.pop(n, getattr(type(self), n, kw)) for n in names[len(args):]])
-            if kw or len(args) != len(names) or id(kw) in map(id, args):
+            if kw or len(args) != len(names) or id(kw) in map(id, args):  # kw marks a missing one
                 raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
         values, i = {}, 0
         for name in names:  # faster than zip for a few fields
@@ -185,7 +184,8 @@ class _Element(_Record):
     def __eq__(self, other):  # the hot path, without the base's key lookups
         return self.coords == other.coords if type(other) is type(self) else NotImplemented
 
-    __hash__ = _Record.__hash__
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({_fmt(self.coords)})"

@@ -80,7 +80,7 @@ class _Labeled(_Record):
     _LABELS = property(attrgetter("_FIELDS"))  # where a class does not name its labels
 
     def __getitem__(self, label: str):
-        return self.labeled()[label]
+        return getattr(self, label) if label in self._LABELS else self.labeled()[label]
 
     def labeled(self) -> dict:
         return {lab: getattr(self, lab) for lab in self._LABELS}
