@@ -41,6 +41,7 @@ ON_SIDE = PlanarDiagram(A(0, 1), SQUARE, Quadrangle(A(2, 3), A(-2, 3), A(-2, -3)
 #: The standard quadrangle: the three base points and the unit point.
 STANDARD = Quadrangle(Point2(1, 0, 0), Point2(0, 1, 0), Point2(0, 0, 1), Point2(1, 1, 1))
 
+
 def replace(record, **changes):
     """A new record of record's class, with its fields but for the changes."""
     return type(record)(**{**{name: getattr(record, name) for name in record._FIELDS}, **changes})

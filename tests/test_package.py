@@ -1,5 +1,6 @@
 """The package's public names, and what importing it loads."""
 
+import functools
 import importlib
 import json
 import os
@@ -171,6 +172,7 @@ print(json.dumps(steps))
 """
 
 
+@functools.cache
 def _startup() -> dict:
     src = str(Path(quadshadow.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
