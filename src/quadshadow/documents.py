@@ -16,11 +16,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any
+from typing import Any, Iterable
 
 from .kernel import GeometryError, Line2, Plane3, Point2, Point3
-from .quadrangle import VERTEX_LABELS, DiagonalTriangle, Quadrangle, quadrangular_trace
+from .quadrangle import (
+    SIDE_LABELS, VERTEX_LABELS, DiagonalTriangle, Quadrangle, quadrangular_trace)
 from .checker import DegeneracyClass, DegeneracyKind, PlanarDiagram, Reason, Verdict, _ruling
 from .lift import SpatialQuadrangle, SpatialScene, Witness
 
@@ -46,10 +48,10 @@ _MAX_COORD_DIGITS = len(str(1 << _MAX_COORD_BITS))
 #: The ASCII characters of every other spelling Fraction reads alike on
 #: every supported Python: no spaces, underscores or non-ASCII digits.
 _SPELLING = re.compile(r"[-+./0-9eE]+")
-#: By arity, an element's coordinates joined by ",", all plain ASCII integers of at most
-#: 308 digits: int() reads them, each below 10**308 < 2**1024 and far below the least
-#: int-to-str digit limit an interpreter may set (640), so no bound is checked.
-_PLAIN_ARRAY = {n: re.compile(",".join(["-?[0-9]{1,308}"] * n)) for n in (3, 4)}
+#: The coordinates of a diagram (27), an unviewed scene (28), a witness or a scene (32) joined
+#: by ",", one piece each (a comma inside one adds a piece): plain ASCII integers of at most 308
+#: digits, below 10**308 < 2**1024 and the least int-to-str digit limit (640), so int() reads them.
+_PLAIN = {n: re.compile(r"-?[0-9]{1,308}(?:,-?[0-9]{1,308}){%d}" % (n - 1)) for n in (27, 28, 32)}
 
 
 class ParseError(Exception):
@@ -68,7 +70,7 @@ def _rational(node: Any, path: str) -> int | Fraction:
     """A bounded rational, as an int when it is integral.
 
     A JSON integer is taken as it is and every string goes through Fraction;
-    an array of plain integer strings never comes here, as _element reads it.
+    a document of plain integer strings never comes here, as _plain reads it.
     """
     if type(node) is int:
         value, bits = node, node.bit_length()
@@ -131,7 +133,7 @@ def _load(text: str) -> Any:
         raise ParseError("arrays or objects are nested too deeply") from None
 
 
-def _fields(text: str, keys: tuple[str, ...]) -> dict:
+def _fields(text: str, keys: Iterable[str]) -> dict:
     """The document's object, once its keys and its version are checked."""
     doc = _object(_load(text), "document", ("version", *keys))
     version = doc["version"]
@@ -142,19 +144,53 @@ def _fields(text: str, keys: tuple[str, ...]) -> dict:
 
 def _element(cls, node: Any, path: str):
     """A kernel element (Point2, Point3, Plane3) from an array of rationals."""
-    arity = cls._ARITY
-    if not isinstance(node, list) or len(node) != arity:
-        raise ParseError(f"{path}: expected an array of {arity} rationals")
+    if not isinstance(node, list) or len(node) != cls._ARITY:
+        raise ParseError(f"{path}: expected an array of {cls._ARITY} rationals")
     try:
-        plain = _PLAIN_ARRAY[arity].fullmatch(",".join(node))
-    except TypeError:  # a coordinate that is not a string
-        plain = None
-    coords = (map(int, node) if plain
-              else [_rational(c, f"{path}[{i}]") for i, c in enumerate(node)])
-    try:
-        return cls(*coords)
+        return cls(*[_rational(c, f"{path}[{i}]") for i, c in enumerate(node)])
     except GeometryError as e:
         raise InvariantViolation(f"{path}: {e}") from None
+
+
+def _plain(doc: dict, form: dict) -> list | None:
+    """The document's elements in form order, or None unless every array is a list of its
+    element's arity, every coordinate a plain integer string and every element builds."""
+    arrays = []
+    for name, (labels, cls) in form.items():
+        node = doc[name]
+        if labels is None:
+            arrays.append((cls, node))
+        elif type(node) is dict and len(node) == len(labels):  # so with no other key
+            arrays += [(cls, node.get(lab)) for lab in labels]
+        else:
+            return None
+    if not all(type(a) is list and len(a) == cls._ARITY for cls, a in arrays):
+        return None
+    coords = [c for _, a in arrays for c in a]
+    try:
+        if _PLAIN[len(coords)].fullmatch(",".join(coords)):
+            return [cls(*map(int, a)) for cls, a in arrays]
+    except (TypeError, GeometryError):  # a coordinate that is not a string; a zero vector
+        pass
+    return None
+
+
+def _elements(doc: dict, form: dict):
+    """The document's elements in form order, read one at a time as they are taken: a
+    caller that builds from them as it goes raises the first error in document order."""
+    for name, (labels, cls) in form.items():
+        if labels is None:
+            yield _element(cls, doc[name], name)
+        else:
+            obj = _object(doc[name], name, labels)
+            yield from (_element(cls, obj[lab], f"{name}.{lab}") for lab in labels)
+
+
+def _quadrangle(name: str, vertices: Iterable[Point2]) -> Quadrangle:
+    try:
+        return Quadrangle(*vertices)
+    except GeometryError as e:
+        raise InvariantViolation(f"{name}: {e}") from None
 
 
 # The writer lays documents out byte for byte as json.dumps with an indent of
@@ -172,55 +208,43 @@ def _members(pairs, pad: str) -> str:
     return f'{{\n{pad}  "' + f',\n{pad}  "'.join(f'{k}": {v}' for k, v in pairs) + f"\n{pad}}}"
 
 
-#: The %-template of an element's array, by indentation and coordinate count.
-_ELEMENT = {(pad, n): _array(['"%d"'] * n, pad) for pad in ("  ", "    ") for n in (3, 4)}
-
-
-def _coords(element, pad: str = "  ") -> str:
-    return _ELEMENT[pad, len(element.coords)] % element.coords
-
-
-def _labeled(labels, elements) -> str:
-    return _members([(lab, _coords(e, "    ")) for lab, e in zip(labels, elements)], "  ")
-
-
 def _document(pairs) -> str:
     return _members([("version", str(DOCUMENT_VERSION)), *pairs], "") + "\n"
+
+
+def _layout(form: dict) -> list[tuple[str, str]]:
+    """The fields of a form, "%d" in the slot of every coordinate."""
+    return [(name, _array(['"%d"'] * cls._ARITY, "  ") if labels is None else _members(
+        [(lab, _array(['"%d"'] * cls._ARITY, "    ")) for lab in labels], "  "))
+        for name, (labels, cls) in form.items()]
+
+
+def _fill(template: str, elements) -> str:
+    return template % tuple([c for e in elements for c in e.coords])
 
 
 # ---------------------------------------------------------------------------
 # diagram, witness and scene documents
 
-_BARRED = ("Pbar", "Qbar", "Rbar", "Sbar")
-
-
-def _vertices(doc: dict, name: str, labels: tuple[str, ...], cls) -> list:
-    obj = _object(doc[name], name, labels)
-    return [_element(cls, obj[lab], f"{name}.{lab}") for lab in labels]
-
-
-def _quadrangle(doc: dict, name: str) -> Quadrangle:
-    vertices = _vertices(doc, name, VERTEX_LABELS, Point2)
-    try:
-        return Quadrangle(*vertices)
-    except GeometryError as e:
-        raise InvariantViolation(f"{name}: {e}") from None
-
-
-def _barred(doc: dict) -> SpatialQuadrangle:
-    """The barred quadrangle: its vertices under "quad", its plane under "plane"."""
-    vertices = _vertices(doc, "quad", _BARRED, Point3)
-    return SpatialQuadrangle(*vertices, _element(Plane3, doc["plane"], "plane"))
-
-
-def _barred_fields(quad: SpatialQuadrangle) -> list[tuple[str, str]]:
-    return [("quad", _labeled(_BARRED, quad.vertices)), ("plane", _coords(quad.plane))]
+#: The documents of a fixed shape, field by field in document order: the labels of an
+#: object of elements (None for one element) and the element class.
+_BARRED = {"quad": (("Pbar", "Qbar", "Rbar", "Sbar"), Point3), "plane": (None, Plane3)}
+_DIAGRAM = {"O": (None, Point2), **dict.fromkeys(("quad1", "quad2"), (VERTEX_LABELS, Point2))}
+_WITNESS = {"O1": (None, Point3), "O2": (None, Point3), **_BARRED, "drawing_plane": (None, Plane3)}
+_UNVIEWED = {**_BARRED, "light": (None, Point3), "shadow_plane": (None, Plane3)}
+_SCENE = {**_UNVIEWED, "viewpoint": (None, Point3)}
+#: Their %-templates, and those of the axis and qset traces.
+_DIAGRAM_DOC, _WITNESS_DOC, _SCENE_DOC = map(_document, map(_layout, (_DIAGRAM, _WITNESS, _SCENE)))
+_UNVIEWED_DOC = _document([*_layout(_UNVIEWED), ("viewpoint", "null")])
+_TRACES = {"quad1": (SIDE_LABELS, Point2), "quad2": (SIDE_LABELS, Point2)}
+_TRACES_DOC = {k: _document(_layout({k: (None, Line2), **_TRACES})) for k in ("axis", "line")}
 
 
 def parse_diagram(text: str) -> PlanarDiagram:
-    doc = _fields(text, ("O", "quad1", "quad2"))
-    O = _element(Point2, doc["O"], "O")
-    quad1, quad2 = _quadrangle(doc, "quad1"), _quadrangle(doc, "quad2")
+    doc = _fields(text, _DIAGRAM)
+    elements = iter(_plain(doc, _DIAGRAM) or _elements(doc, _DIAGRAM))
+    O, quad1 = next(elements), _quadrangle("quad1", islice(elements, 4))
+    quad2 = _quadrangle("quad2", elements)
     try:
         return PlanarDiagram(O, quad1, quad2)
     except GeometryError as e:
@@ -228,44 +252,37 @@ def parse_diagram(text: str) -> PlanarDiagram:
 
 
 def emit_diagram(d: PlanarDiagram) -> str:
-    quad1, quad2 = (_labeled(VERTEX_LABELS, q.vertices) for q in (d.quad1, d.quad2))
-    return _document([("O", _coords(d.O)), ("quad1", quad1), ("quad2", quad2)])
+    return _fill(_DIAGRAM_DOC, (d.O, *d.quad1.vertices, *d.quad2.vertices))
 
 
 def parse_witness(text: str) -> Witness:
-    doc = _fields(text, ("O1", "O2", "quad", "plane", "drawing_plane"))
-    O1, O2 = _element(Point3, doc["O1"], "O1"), _element(Point3, doc["O2"], "O2")
-    quad = _barred(doc)
-    return Witness(quad, O1, O2, _element(Plane3, doc["drawing_plane"], "drawing_plane"))
+    doc = _fields(text, _WITNESS)
+    O1, O2, *quad, drawing_plane = _plain(doc, _WITNESS) or _elements(doc, _WITNESS)
+    return Witness(SpatialQuadrangle(*quad), O1, O2, drawing_plane)
 
 
 def emit_witness(w: Witness) -> str:
-    head = [("O1", _coords(w.O1)), ("O2", _coords(w.O2)), *_barred_fields(w.quad)]
-    return _document([*head, ("drawing_plane", _coords(w.drawing_plane))])
+    return _fill(_WITNESS_DOC, (w.O1, w.O2, *w.quad.vertices, w.quad.plane, w.drawing_plane))
 
 
 def parse_scene(text: str) -> SpatialScene:
-    doc = _fields(text, ("quad", "plane", "light", "shadow_plane", "viewpoint"))
-    quad, light = _barred(doc), _element(Point3, doc["light"], "light")
-    shadow_plane = _element(Plane3, doc["shadow_plane"], "shadow_plane")
-    node = doc["viewpoint"]
-    viewpoint = None if node is None else _element(Point3, node, "viewpoint")
-    return SpatialScene(quad, light, shadow_plane, viewpoint)
+    doc = _fields(text, _SCENE)
+    form = _UNVIEWED if doc["viewpoint"] is None else _SCENE
+    elements = iter(_plain(doc, form) or _elements(doc, form))
+    return SpatialScene(SpatialQuadrangle(*islice(elements, 5)), *elements)
 
 
 def emit_scene(s: SpatialScene) -> str:
-    viewpoint = "null" if s.viewpoint is None else _coords(s.viewpoint)
-    tail = [("light", _coords(s.light)), ("shadow_plane", _coords(s.shadow_plane))]
-    return _document([*_barred_fields(s.quad), *tail, ("viewpoint", viewpoint)])
+    elements = (*s.quad.vertices, s.quad.plane, s.light, s.shadow_plane)
+    if s.viewpoint is None:
+        return _fill(_UNVIEWED_DOC, elements)
+    return _fill(_SCENE_DOC, (*elements, s.viewpoint))
 
 
 def _traces(key: str, line: Line2, d: PlanarDiagram) -> str:
     """The line under key, then its labeled traces on quad1 and quad2."""
-    pairs = [(key, _coords(line))]
-    for name, quad in (("quad1", d.quad1), ("quad2", d.quad2)):
-        trace = quadrangular_trace(quad, line).labeled()
-        pairs.append((name, _labeled(trace, trace.values())))
-    return _document(pairs)
+    traces = [quadrangular_trace(q, line).labeled().values() for q in (d.quad1, d.quad2)]
+    return _fill(_TRACES_DOC[key], (line, *traces[0], *traces[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +291,20 @@ def _traces(key: str, line: Line2, d: PlanarDiagram) -> str:
 #: The verdict document's fields after "version", in document order.
 _VERDICT = ("applicable", "correct", "degeneracy", "diagonal_pairs", "reason", "witness", "notes")
 _BOOL = {True: "true", False: "false"}
+#: The verdict's %-template, and that of its diagonal pairs when it has them.
+_VERDICT_DOC = _document((key, _members([("kind", "%s"), ("coincident", "%s")], "  ")
+                          if key == "degeneracy" else "%s") for key in _VERDICT)
+_PAIRS_DOC = _members([(key, "%s") for key in DiagonalTriangle._FIELDS], "  ")
 
 
 def emit_verdict(v: Verdict, witness_ref: str | None = None) -> str:
     deg, pairs = v.degeneracy, v.diagonal_pairs
-    coincident = _array([_string(lab) for lab in deg.coincident], "    ")
-    values = (
-        _BOOL[v.applicable],
-        _BOOL[v.correct],
-        _members([("kind", _string(deg.kind.value)), ("coincident", coincident)], "  "),
-        "null" if pairs is None
-        else _members(zip(DiagonalTriangle._FIELDS, [_BOOL[p] for p in pairs]), "  "),
-        _string(v.reason.value),
-        "null" if witness_ref is None else _string(witness_ref),
-        _array([_string(n) for n in v.notes], "  "),
-    )
-    return _document(zip(_VERDICT, values))
+    return _VERDICT_DOC % (
+        _BOOL[v.applicable], _BOOL[v.correct],
+        _string(deg.kind.value), _array([_string(lab) for lab in deg.coincident], "    "),
+        "null" if pairs is None else _PAIRS_DOC % tuple([_BOOL[p] for p in pairs]),
+        _string(v.reason.value), "null" if witness_ref is None else _string(witness_ref),
+        _array([_string(n) for n in v.notes], "  "))
 
 
 def parse_verdict(text: str) -> Verdict:

@@ -99,7 +99,9 @@ def frozen_render_pool():
             gen_degenerate_diagram(seed, kind=DegeneracyKind.TRIANGLE),
             gen_degenerate_diagram(seed, kind=DegeneracyKind.VERTEX),
         ]
-    goldens = [parse_diagram((DATA / f"{name}.json").read_text()) for name in ("dilation", "perturbed")]
+    goldens = [
+        parse_diagram((DATA / f"{name}.json").read_text()) for name in ("dilation", "perturbed")
+    ]
     return diagrams + goldens
 
 

@@ -16,7 +16,9 @@ import time
 
 import pytest
 
-from quadshadow.kernel import DRAWING_PLANE, Line2, Point2, collinear2, collinear3, embed_drawing, join2, meet2
+from quadshadow.kernel import (
+    DRAWING_PLANE, Line2, Point2, collinear2, collinear3, embed_drawing, join2, meet2
+)
 from quadshadow.quadrangle import SIDE_LABELS, diagonal_triangle, quadrangular_trace
 from quadshadow.perspectivity import (
     NoCommonAxis,

@@ -20,7 +20,7 @@ import quadshadow.cli_io
 import quadshadow.generators
 import quadshadow.lift
 import quadshadow.perspectivity
-from quadshadow.kernel import GeometryError, Point2, meet2
+from quadshadow.kernel import Point2, meet2
 from quadshadow.quadrangle import Quadrangle
 from quadshadow.perspectivity import common_axis, side_axes
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, Reason, decide_depiction
@@ -51,9 +51,9 @@ from quadshadow.cli_io import (
     render_svg,
     run_cli,
 )
-from quadshadow.documents import _element, emit_scene, parse_verdict, parse_witness
+from quadshadow.documents import emit_scene, parse_verdict, parse_witness
 
-from figures import A, DATA, correct_pool, frozen_render_pool, gp_pool, replace
+from figures import A, DATA, DIAGRAM, correct_pool, frozen_render_pool, gp_pool, replace
 
 DILATION = DATA / "dilation.json"
 WITNESS = DATA / "witness.json"
@@ -71,6 +71,7 @@ def run(*argv):
 
 def test_diagram_round_trip_is_byte_identical():
     text = DILATION.read_text()
+    assert parse_diagram(text) == DIAGRAM  # the golden is the worked figure
     assert emit_diagram(parse_diagram(text)) == text
 
 
@@ -478,7 +479,9 @@ def test_the_document_is_read_before_any_other_argument(tmp_path):
     scene = json.loads(SCENE.read_text())
     del scene["quad"]
     bad.write_text(json.dumps(scene))
-    assert run("project", str(bad)) == (2, "", "error: ParseError: document: missing field 'quad'\n")
+    assert run("project", str(bad)) == (
+        2, "", "error: ParseError: document: missing field 'quad'\n"
+    )
 
 
 def _python_m(module, *argv):
@@ -1093,38 +1096,113 @@ def _read(read, node):
 _BOUND_INTEGERS = [2**1024 - 1, 2**1024, -(2**1024 - 1), -(2**1024)]  # 1024 and 1025 bits
 
 
-def _read_element(read, node):
-    """An element O read coordinate by coordinate, the failing one named, as documents do."""
+def _outcome(read, text):
     try:
-        coords = [read(c, f"O[{i}]") for i, c in enumerate(node)]
+        return read(text)
+    except (ParseError, InvariantViolation) as e:
+        return type(e).__name__, str(e)
+
+
+def _reference(read, doc):
+    """The document read as the fraction reader reads it: every coordinate through
+    reference_rational, the first failing one named, then built from JSON integers
+    and "n/d" strings, which no integer shortcut reads."""
+    def value(node, path):
+        v = reference_rational(node, path)
+        return v if type(v) is int else f"{v.numerator}/{v.denominator}"
+
+    exact = {}
+    try:
+        for field, node in doc.items():
+            if isinstance(node, dict):
+                exact[field] = {
+                    lab: [value(c, f"{field}.{lab}[{i}]") for i, c in enumerate(array)]
+                    for lab, array in node.items()
+                }
+            elif isinstance(node, list):
+                exact[field] = [value(c, f"{field}[{i}]") for i, c in enumerate(node)]
+            else:
+                exact[field] = node
     except ParseError as e:
         return "ParseError", str(e)
-    try:
-        return Point2(*coords)
-    except GeometryError as e:
-        return "InvariantViolation", f"O: {e}"
+    return _outcome(read, json.dumps(exact))
+
+
+#: For each reader, where a coordinate is put: the document's first, a middle and its last.
+_PLACES = [
+    (parse_diagram, DILATION, [("O", None, 0), ("quad1", "R", 1), ("quad2", "S", 2)]),
+    (parse_witness, WITNESS, [("O1", None, 0), ("quad", "Qbar", 2), ("drawing_plane", None, 3)]),
+    (parse_scene, SCENE, [("quad", "Pbar", 0), ("plane", None, 1), ("viewpoint", None, 3)]),
+]
 
 
 def test_integer_shortcut_matches_the_fraction_reader():
-    # _rational takes JSON integers as they are and every string to Fraction;
-    # _element reads an array of plain ASCII integers of at most 308 digits with
-    # int in one step: both must read every spelling as the reference does
+    # _rational takes JSON integers as they are and every string to Fraction; a
+    # document whose coordinates are all plain ASCII integers of at most 308 digits
+    # is read with one match and int: wherever a spelling sits, each reader must
+    # give the value, or the error, that the reference gives
     corpus = [
         "+3", " 3", "3 ", "03", "-0", "0", "-12", "3_0", "\u0663", "\uff13", "6/2", "-6/2",
-        "1.5", "1e3", "1E3", "", "-", "--3", "3\n", "0x10", "1/0",
+        "1.5", "1e3", "1E3", "", "-", "--3", "3\n", "0x10", "1/0", "1,2", "3,",
         7, -7, 0, True, False, 1.5, None, [3],
         *_BOUND_INTEGERS,
         *(str(n) for n in _BOUND_INTEGERS),
-        "7" * 4301, "0" * 4300 + "7", "0" * 400 + "7",
+        "9" * 308, "9" * 309, "7" * 4301, "0" * 4300 + "7", "0" * 400 + "7",
     ]
     for node in corpus:
         assert _read(_rational, node) == _read(reference_rational, node), repr(node)[:40]
-        for array in ([node, "2", "1"], ["3", "0", node], [node, node, node]):
-            try:
-                got = _element(Point2, array, "O")
-            except (ParseError, InvariantViolation) as e:
-                got = type(e).__name__, str(e)
-            assert got == _read_element(reference_rational, array), repr(array)[:60]
+    for read, golden, places in _PLACES:
+        text = golden.read_text()
+        assert _outcome(read, text) == _reference(read, json.loads(text))
+        for field, label, i in places:
+            for node in corpus:
+                spelled = json.loads(text)
+                (spelled[field] if label is None else spelled[field][label])[i] = node
+                expected = _reference(read, spelled)
+                assert _outcome(read, json.dumps(spelled)) == expected, (field, label, i, node)
+
+
+def _dilation(**changes):
+    """The dilation with some elements replaced, each named "field" or "field_label"."""
+    doc = json.loads(DILATION.read_text())
+    for key, array in changes.items():
+        field, _, label = key.partition("_")
+        if label:
+            doc[field][label] = array
+        else:
+            doc[field] = array
+    return json.dumps(doc)
+
+
+def test_the_first_error_in_document_order_is_reported():
+    # a document the one-match reader cannot take whole is read element by element,
+    # each quadrangle built before the next field is read; the texts are those the
+    # diagram reader gave when every element was read on its own
+    cases = [
+        (
+            _dilation(O=["0", "0", "0"], quad1_P=["1", "1", "x"]),
+            ("InvariantViolation", "O: all homogeneous coordinates are zero"),
+        ),
+        (
+            _dilation(quad1_Q=["1", "1", "1"], quad2_P=["1", "x", "1"]),
+            ("InvariantViolation", "quad1: vertices P and Q coincide at Point2(1:1:1)"),
+        ),
+        (_dilation(O=["1,2", "3", "4"]), ("ParseError", "O[0]: not a rational: '1,2'")),
+        (
+            _dilation(quad2_S=["1", "2", "-1,1"]),
+            ("ParseError", "quad2.S[2]: not a rational: '-1,1'"),
+        ),
+        (
+            _dilation(O=[0, "0", 0], quad1_P=["1", "1", "x"]),
+            ("InvariantViolation", "O: all homogeneous coordinates are zero"),
+        ),
+    ]
+    for text, expected in cases:
+        assert _outcome(parse_diagram, text) == expected
+    # a JSON-integer coordinate reads as its string does
+    dilation = parse_diagram(DILATION.read_text())
+    assert parse_diagram(_dilation(O=[3, "0", "1"])) == dilation
+    assert parse_diagram(_dilation(quad2_S=["1", "2", -1])) == dilation
 
 
 def test_rationals_at_the_bound_lift_and_emit(tmp_path):
@@ -1140,7 +1218,9 @@ def test_broken_invariant_exits_seventy(monkeypatch):
     monkeypatch.setattr(quadshadow.lift, "_ray_meet", lambda O, O1, O2, X1, X2: None)
     code, out, err = run("lift", str(DILATION))
     assert (code, out) == (70, "")
-    assert err == "error: internal: RuntimeError: invariant broken: perspective rays cannot be skew\n"
+    assert err == (
+        "error: internal: RuntimeError: invariant broken: perspective rays cannot be skew\n"
+    )
 
 
 # --- parse errors, frozen -------------------------------------------------------
@@ -1189,7 +1269,9 @@ def _check(tmp_path, text):
     return run("check", str(p))
 
 
-@pytest.mark.parametrize("field, label, i", [(f, lab, i) for (f, lab), i in zip(_SLOTS, (0, 2, 1))])
+@pytest.mark.parametrize(
+    "field, label, i", [(f, lab, i) for (f, lab), i in zip(_SLOTS, (0, 2, 1))]
+)
 def test_coordinate_spellings_are_frozen(tmp_path, field, label, i):
     # wherever a coordinate sits, a spelling reads as its canonical integer does,
     # or fails with the reader's text and the coordinate's own path

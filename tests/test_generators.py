@@ -6,10 +6,11 @@ with the widely circulated test vector (first output 0xe220a8397b1dcdaf).
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
-from quadshadow.kernel import collinear2, join2, meet2
+from quadshadow.kernel import Point2, ZeroVector, collinear2, join2, meet2
 from quadshadow.quadrangle import VERTEX_LABELS, diagonal_triangle
 from quadshadow.perspectivity import (
     Collineation,
@@ -23,6 +24,7 @@ from quadshadow.generators import (
     GenConfig,
     RetriesExhausted,
     SplitMix64,
+    _toward,
     gen_axis_perspective_triangles,
     gen_collineation,
     gen_correct_diagram,
@@ -223,6 +225,27 @@ def test_gen_axis_perspective_triangles_contract():
             assert center is not None
             for v1, v2 in zip(t1, t2):
                 assert collinear2(center, v1, v2)
+
+
+def test_axis_perspective_triangles_at_small_bounds_are_frozen():
+    # with coordinates of at most 2 in numerator and denominator, x2 often falls on
+    # the axis or on a vertex of t1; such a draw is refused before its ratio is
+    # drawn, and the samples pin that: a later refusal would draw other samples
+    digest = hashlib.sha256()
+    for bound in (1, 2):
+        cfg = GenConfig(numerator_bound=bound, denominator_bound=bound)
+        for seed in range(40):
+            digest.update(repr(gen_axis_perspective_triangles(seed, cfg)).encode())
+    assert digest.hexdigest() == (
+        "187c7918fa7fb42bda8c80dea6b01481a1eb670b7c25f2e9a4c9a53f66cac94c"
+    )
+
+
+def test_toward_refuses_an_ideal_end_in_either_order():
+    ideal, affine = Point2(1, 2, 0), Point2(3, 4, 1)
+    for a, b in ((ideal, affine), (affine, ideal)):
+        with pytest.raises(ZeroVector, match="^ideal point among Point2"):
+            _toward(a, b, Fraction(1, 2))
 
 
 def _side_lines(t):

@@ -32,7 +32,8 @@ def judge(diagram_text, verdict_text):
 
 def test_judge_agrees_with_the_goldens_and_every_generated_and_special_verdict():
     for golden in sorted(DATA.glob("*-verdict.json")):
-        judge(golden.with_name(golden.name.replace("-verdict", "")).read_text(), golden.read_text())
+        diagram = golden.with_name(golden.name.replace("-verdict", ""))
+        judge(diagram.read_text(), golden.read_text())
     pool = [d for s in range(200) for d in (
         gen.gen_correct_diagram(s)[1], gen.gen_incorrect_diagram(s),
         gen.gen_general_position_diagram(s), gen.gen_general_position_diagram(s, correct=False),

@@ -451,7 +451,9 @@ def test_central_project_checks_the_center_before_the_point():
 @example((1, 2, 3, 0), (2, -1, 1, 0), (1, 1, -4, 0), 0, 0, "free")
 @example((1, 2, 3, 0), (2, -1, 1, 0), (1, 1, -4, 0), 3, -2, "on-line")  # on the ideal line
 @example((HUGE, 1, 1 - HUGE, 1), (1, HUGE, 1, -HUGE), (0, 0, 1, 0), 1, 1, "on-line")
-@example((HUGE, 1, 1 - HUGE, 1), (1, HUGE, 1, -HUGE), (HUGE + 1, HUGE + 1, 2, 1 - HUGE), 0, 0, "free")
+@example(
+    (HUGE, 1, 1 - HUGE, 1), (1, HUGE, 1, -HUGE), (HUGE + 1, HUGE + 1, 2, 1 - HUGE), 0, 0, "free"
+)
 @example((1, 2, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8), 0, 0, "a=b")
 @example((1, 2, 3, 4), (5, 6, 7, 8), (0, 0, 0, 1), 0, 0, "c=a")
 def test_collinear3_matches_the_pluecker_route(a, b, c, lam, mu, where):

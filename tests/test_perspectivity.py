@@ -5,7 +5,6 @@ import hashlib
 import pytest
 
 from quadshadow.checker import PlanarDiagram, decide_depiction
-from quadshadow.cli_io import parse_diagram
 from quadshadow.generators import gen_general_position_diagram
 from quadshadow.kernel import Line2, Point2, collinear2, join2, meet2
 from quadshadow.quadrangle import Quadrangle
@@ -26,7 +25,7 @@ from quadshadow.perspectivity import (
     triangles_perspective_point,
 )
 
-from figures import DATA, DILATED, O, PERTURBED, SQUARE
+from figures import DILATED, O, PERTURBED, SQUARE
 from textbook import cross, det3
 
 # triangles perspective from the origin with ray ratios 2, 3, 4
@@ -198,14 +197,6 @@ def test_perspective_collineation_dilation_frozen_matrix():
     assert h.matrix == ((2, 0, -3), (0, 2, 0), (0, 0, 1))
     assert h.apply(Point2.affine(-1, 1)) == Point2.affine(-5, 2)
     assert h.apply_quadrangle(SQUARE) == DILATED
-
-
-def test_perspective_collineation_golden_dilation_frozen_matrix():
-    d = parse_diagram((DATA / "dilation.json").read_text())
-    axis = common_axis(d.quad1, d.quad2)
-    assert axis == Line2(0, 0, 1)
-    h = perspective_collineation(d.O, axis, (d.quad1.P, d.quad2.P))
-    assert h.matrix == ((2, 0, -3), (0, 2, 0), (0, 0, 1))
 
 
 def test_perspective_collineation_generated_homology_frozen_matrix():

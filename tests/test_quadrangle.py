@@ -68,17 +68,20 @@ _INVALID = {
     "PQRS": ([(0, 0), (1, 0), (2, 0), (3, 0)], CollinearTriple, "vertices P, Q, R are collinear"),
     # R = S on the line PQR: the pair is reported before the triple
     "R=S, PQR": (
-        [(0, 0), (1, 0), (2, 0), (2, 0)], RepeatedVertex, "vertices R and S coincide at Point2(2:0:1)"
+        [(0, 0), (1, 0), (2, 0), (2, 0)], RepeatedVertex,
+        "vertices R and S coincide at Point2(2:0:1)",
     ),
     "P=Q, PQR": (
-        [(5, 5), (5, 5), (0, 1), (3, 2)], RepeatedVertex, "vertices P and Q coincide at Point2(5:5:1)"
+        [(5, 5), (5, 5), (0, 1), (3, 2)], RepeatedVertex,
+        "vertices P and Q coincide at Point2(5:5:1)",
     ),
     "ideal P=Q": (
         [(1, 0, 0), (-2, 0, 0), (0, 1), (1, 1)], RepeatedVertex,
         "vertices P and Q coincide at Point2(1:0:0)",
     ),
     "ideal PQR": (
-        [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0)], CollinearTriple, "vertices P, Q, R are collinear"
+        [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0)], CollinearTriple,
+        "vertices P, Q, R are collinear",
     ),
     "ideal PRS": (
         [(0, 0), (3, 1), (1, 0, 0), (2, 0)], CollinearTriple, "vertices P, R, S are collinear"
@@ -102,7 +105,8 @@ def test_quadrangle_validation_texts_are_frozen(case):
         Quadrangle(*_points(coords))
     assert str(info.value) == message
     doc = json.loads((DATA / "dilation.json").read_text())
-    doc["quad1"] = {lab: [str(c) for c in v.coords] for lab, v in zip(VERTEX_LABELS, _points(coords))}
+    points = zip(VERTEX_LABELS, _points(coords))
+    doc["quad1"] = {lab: [str(c) for c in v.coords] for lab, v in points}
     with pytest.raises(InvariantViolation) as info:
         parse_diagram(json.dumps(doc))
     assert str(info.value) == f"quad1: {message}"

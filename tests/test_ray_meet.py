@@ -55,7 +55,9 @@ triple = st.tuples(coord, coord, coord).filter(any)
 multiplier = st.integers(min_value=-4, max_value=4)
 
 
-@given(triple, triple, triple, multiplier, multiplier, st.booleans(), st.sampled_from(DISPLACEMENTS))
+@given(
+    triple, triple, triple, multiplier, multiplier, st.booleans(), st.sampled_from(DISPLACEMENTS)
+)
 @example((1, 2, 0), (0, 0, 1), (5, 0, 1), 1, 1, True, (1, -1))  # ideal O: sunlight
 @example((0, 0, 1), (1, 1, 0), (5, 0, 1), 2, 1, True, (F(3, 2), -7))  # ideal vertex
 @example((0, 0, 1), (1, 1, 0), (5, 0, 1), 0, 3, True, (2, 5))  # ideal vertex, shared
