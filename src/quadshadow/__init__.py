@@ -5,9 +5,10 @@ either can or cannot be the picture of a spatial quadrangle together
 with its shadow.  This package decides which, over exact rationals, and
 builds explicit spatial witness scenes for the diagrams that pass.
 
-The generators and the command line load on first use of one of their
-names, so that importing the package compiles only what checking and
-lifting need.
+Importing the package loads the modules that check, lift and render a
+diagram and read and write its documents.  The generators and the command
+line load on first use of one of their names, so no check or lift compiles
+the generators.
 """
 
 import sys
@@ -30,7 +31,7 @@ _LAZY = {
         ("SplitMix64", "GenConfig", "RetriesExhausted", "gen_quadrangle",
          "gen_correct_diagram", "gen_incorrect_diagram", "gen_general_position_diagram",
          "gen_degenerate_diagram", "gen_point_perspective_triangles",
-         "gen_axis_perspective_triangles", "gen_collineation"),
+         "gen_axis_perspective_triangles"),
         "quadshadow.generators",
     ),
     "run_cli": "quadshadow.cli_io",

@@ -11,11 +11,9 @@ defect of this program, reported as one line, never as a traceback).
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
-from contextlib import redirect_stdout
-from fractions import Fraction
-from typing import Sequence, TextIO
 
 from .kernel import GeometryError, Line2
 from .perspectivity import common_axis, desargues_axis, perspective_center
@@ -33,6 +31,11 @@ from .documents import (
     parse_diagram,
     parse_scene,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations: fractions is loaded where a non-integer is read
+    from fractions import Fraction
+    from typing import Sequence, TextIO
 
 __all__ = ["run_cli"]
 
@@ -78,8 +81,10 @@ def _build_parser() -> _Parser:
     p_qset = command("qset", _cmd_qset, "trace of a line on both quadrangles")
     p_qset.add_argument("line", help="line coordinates 'a,b,c' (rationals)")
     p_fuzz = command("fuzz", _cmd_fuzz, "run a seeded property suite", None)
-    p_fuzz.add_argument("--count", required=True, type=lambda t: _argument(t, "--count", int))
-    p_fuzz.add_argument("--seed", required=True, type=lambda t: _argument(t, "--seed", int))
+    p_fuzz.add_argument(
+        "--count", required=True, type=lambda t: _argument(t, "--count", integer=True))
+    p_fuzz.add_argument(
+        "--seed", required=True, type=lambda t: _argument(t, "--seed", integer=True))
     p_fuzz.add_argument("--mode", choices=tuple(_FUZZ), default="correct")
     p_render = command("render", _cmd_render, "SVG figure of a diagram")
     p_render.add_argument("--out", required=True, help="output SVG path")
@@ -94,9 +99,9 @@ def _read_text(path: str) -> str:
             raise ParseError(f"not UTF-8 text: {e.reason}") from None
 
 
-def _argument(text: str, name: str, kind: type = Fraction) -> int | Fraction:
-    """A rational (or, as kind=int, integer) argument, bounded like a coordinate."""
-    if kind is int and not re.fullmatch(r"[-+]?[0-9]+", text):  # int() takes "٣" and "1_0"
+def _argument(text: str, name: str, integer: bool = False) -> int | Fraction:
+    """A rational (or an integer) argument, bounded like a coordinate."""
+    if integer and not re.fullmatch(r"[-+]?[0-9]+", text):  # int() takes "٣" and "1_0"
         raise _UsageError(f"{name}: not an integer: {text!r}")
     try:
         return _rational(text, name)
@@ -206,8 +211,11 @@ def run_cli(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None =
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        with redirect_stdout(out):  # argparse prints --help to sys.stdout
+        stdout, sys.stdout = sys.stdout, out  # argparse prints --help to sys.stdout
+        try:
             args = _PARSER.parse_args(list(argv))
+        finally:
+            sys.stdout = stdout
         # The document is read before any other argument is looked at: its errors come first.
         read = {"diagram": parse_diagram, "scene": parse_scene}.get(args.document)
         return args.run(args, read and read(_read_text(args.input)), out)
@@ -228,7 +236,9 @@ def run_cli(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None =
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    gc.freeze()  # the process ends here: spare its final collections a walk over every object
+    sys.exit(code)
 
 
 if __name__ == "__main__":

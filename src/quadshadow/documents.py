@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any, Iterable
 
 from .kernel import GeometryError, Line2, Plane3, Point2, Point3
 from .quadrangle import (
     SIDE_LABELS, VERTEX_LABELS, DiagonalTriangle, Quadrangle, quadrangular_trace)
 from .checker import DegeneracyClass, DegeneracyKind, PlanarDiagram, Reason, Verdict, _ruling
 from .lift import SpatialQuadrangle, SpatialScene, Witness
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations: fractions is loaded where a non-integer is read
+    from fractions import Fraction
+    from typing import Any, Iterable
 
 __all__ = [
     "ParseError",
@@ -48,10 +51,21 @@ _MAX_COORD_DIGITS = len(str(1 << _MAX_COORD_BITS))
 #: The ASCII characters of every other spelling Fraction reads alike on
 #: every supported Python: no spaces, underscores or non-ASCII digits.
 _SPELLING = re.compile(r"[-+./0-9eE]+")
-#: The coordinates of a diagram (27), an unviewed scene (28), a witness or a scene (32) joined
-#: by ",", one piece each (a comma inside one adds a piece): plain ASCII integers of at most 308
-#: digits, below 10**308 < 2**1024 and the least int-to-str digit limit (640), so int() reads them.
-_PLAIN = {n: re.compile(r"-?[0-9]{1,308}(?:,-?[0-9]{1,308}){%d}" % (n - 1)) for n in (27, 28, 32)}
+
+
+class _Plain(dict):
+    """By n, the pattern of n coordinates joined by ",", one piece each (a comma inside one adds
+    a piece): plain ASCII integers of at most 308 digits, below 10**308 < 2**1024 and the least
+    int-to-str digit limit (640), so int() reads them.  Each is compiled on first use, as a
+    process reads a coordinate on its own (1) or a document shape or two: a diagram (27), an
+    unviewed scene (28), a witness or a scene (32)."""
+
+    def __missing__(self, n: int) -> re.Pattern:
+        pattern = self[n] = re.compile(r"-?[0-9]{1,308}(?:,-?[0-9]{1,308}){%d}" % (n - 1))
+        return pattern
+
+
+_PLAIN = _Plain()
 
 
 class ParseError(Exception):
@@ -69,11 +83,14 @@ class InvariantViolation(Exception):
 def _rational(node: Any, path: str) -> int | Fraction:
     """A bounded rational, as an int when it is integral.
 
-    A JSON integer is taken as it is and every string goes through Fraction;
-    a document of plain integer strings never comes here, as _plain reads it.
+    A JSON integer is taken as it is, a plain integer string is read by int
+    and every other string goes through Fraction; a document of plain integer
+    strings never comes here, as _plain reads it.
     """
     if type(node) is int:
         value, bits = node, node.bit_length()
+    elif type(node) is str and _PLAIN[1].fullmatch(node):
+        return int(node)  # below 10**308, inside the bound
     else:
         value = _fraction(node, path)
         bits = max(value.numerator.bit_length(), value.denominator.bit_length())
@@ -104,6 +121,8 @@ def _fraction(node: Any, path: str) -> Fraction:
         raise ParseError(f"{path}: exponent {exponent} exceeds the {_MAX_COORD_BITS}-bit bound")
     if not _SPELLING.fullmatch(node):
         raise ParseError(f"{path}: not a rational: {node!r}")
+    from fractions import Fraction
+
     try:
         return Fraction(node)
     except (ValueError, ZeroDivisionError):

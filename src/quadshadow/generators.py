@@ -1,4 +1,4 @@
-"""Seeded random instances: scenes, diagrams, triangle pairs, collineations.
+"""Seeded random instances: scenes, diagrams, triangle pairs.
 
 Everything here is deterministic in the seed.  The underlying stream is
 the splitmix64 recurrence (64-bit state s, output z):
@@ -41,9 +41,7 @@ from .kernel import (
     plane_through,
 )
 from .quadrangle import Quadrangle, _check_vertices
-from .perspectivity import (
-    Collineation, Triple, _homologous_meets, _triangle_sides, general_position
-)
+from .perspectivity import Triple, _homologous_meets, _triangle_sides, general_position
 from .checker import DegeneracyKind, PlanarDiagram, classify_degeneracy, decide_depiction
 from .lift import SpatialQuadrangle, SpatialScene, _invariant, _triple_planes, project_scene
 
@@ -58,7 +56,6 @@ __all__ = [
     "gen_degenerate_diagram",
     "gen_point_perspective_triangles",
     "gen_axis_perspective_triangles",
-    "gen_collineation",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -353,19 +350,3 @@ def gen_axis_perspective_triangles(
         return axis, t1, t2
 
     return _retry(SplitMix64(seed), cfg, draw, "axis-perspective triangle pair")
-
-
-def gen_collineation(seed: int, cfg: GenConfig | None = None) -> Collineation:
-    """A random invertible collineation with small integer entries."""
-
-    def draw(rng: SplitMix64, cfg: GenConfig) -> Collineation | None:
-        bound = cfg.numerator_bound
-        rows = tuple(
-            tuple(rng.below(2 * bound + 1) - bound for _ in range(3)) for _ in range(3)
-        )
-        try:
-            return Collineation(rows)
-        except ValueError:
-            return None
-
-    return _retry(SplitMix64(seed), cfg, draw, "invertible matrix")

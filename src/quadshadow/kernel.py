@@ -31,11 +31,15 @@ the line through a and b, though no line is ever built.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
 
-Scalar = int | Fraction
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations: fractions is loaded where a non-integer is built
+    from fractions import Fraction
+
+#: A coordinate as the constructors take it, spelled as a string so that naming it loads nothing.
+Scalar = "int | Fraction"
 
 __all__ = [
     "GeometryError",
@@ -108,6 +112,8 @@ def normalize(coords) -> tuple[int, ...]:
     """
     for c in coords:
         if type(c) is not int:
+            from fractions import Fraction
+
             fracs = []
             for x in coords:
                 if isinstance(x, float):
@@ -207,6 +213,8 @@ class Point2(_Element):
         x0, x1, x2 = self.coords
         if x2 == 0:
             raise ZeroVector(f"ideal point {self!r} has no affine coordinates")
+        from fractions import Fraction
+
         return Fraction(x0, x2), Fraction(x1, x2)
 
 

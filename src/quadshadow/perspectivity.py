@@ -170,10 +170,6 @@ class SideAxes(_Labeled):
     meets: dict[str, Point2]
 
     _LABELS = tuple(AXIS_SIDES)
-    axis = _Labeled.__getitem__
-
-    def defining_meets(self, name: str) -> tuple[Point2, Point2, Point2]:
-        return tuple(self.meets[lab] for lab in AXIS_SIDES[name])
 
 
 def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
@@ -220,8 +216,7 @@ def general_position(q1: Quadrangle, q2: Quadrangle) -> bool:
 class Collineation(_Record):
     """Projective transformation of the plane, canonical 3x3 integer matrix.
 
-    Acts on points by matrix multiplication and on lines by the cofactor
-    matrix (inverse-transpose up to scale), so incidence is preserved.
+    Acts on points by matrix multiplication.
     """
 
     matrix: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
@@ -236,36 +231,8 @@ class Collineation(_Record):
             raise ValueError("collineation matrix is singular")
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls) -> "Collineation":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def _cofactor(self) -> tuple[tuple[int, int, int], ...]:
-        """Cofactor matrix: row i is the cross product of rows i+1 and i+2 (mod 3)."""
-        m0, m1, m2 = self.matrix
-        return (_cross(m1, m2), _cross(m2, m0), _cross(m0, m1))
-
     def apply(self, p: Point2) -> Point2:
         return Point2(*(sum(r * c for r, c in zip(row, p.coords)) for row in self.matrix))
-
-    def apply_line(self, l: Line2) -> Line2:
-        cof = self._cofactor()
-        return Line2(*(sum(r * c for r, c in zip(row, l.coords)) for row in cof))
-
-    def apply_quadrangle(self, q: Quadrangle) -> Quadrangle:
-        return Quadrangle(*map(self.apply, q.vertices))
-
-    def compose(self, other: "Collineation") -> "Collineation":
-        """Matrix product: self after other."""
-        a, b = self.matrix, other.matrix
-        rows = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-        return Collineation(rows)
-
-    def inverse(self) -> "Collineation":
-        return Collineation(zip(*self._cofactor()))  # the adjugate
 
 
 def perspective_collineation(

@@ -11,11 +11,12 @@ from quadshadow.kernel import _cross
 from quadshadow.checker import PlanarDiagram
 from quadshadow.perspectivity import Collineation
 from quadshadow.generators import (
-    gen_collineation,
     gen_correct_diagram,
     gen_general_position_diagram,
     gen_incorrect_diagram,
 )
+
+from collineations import apply_quadrangle, gen_collineation
 
 
 def projective_images(seed):
@@ -35,7 +36,7 @@ def projective_images(seed):
     ):
         for x in (d.O, *d.quad1.vertices, *d.quad2.vertices):
             h = Collineation((*rows, _cross(x.coords, _cross(n, x.coords))))
-            quads = h.apply_quadrangle(d.quad1), h.apply_quadrangle(d.quad2)
+            quads = apply_quadrangle(h, d.quad1), apply_quadrangle(h, d.quad2)
             yield PlanarDiagram(h.apply(d.O), *quads)
 
 

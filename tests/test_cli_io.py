@@ -42,7 +42,9 @@ from quadshadow.lift import (
 from quadshadow.cli_io import (
     InvariantViolation,
     ParseError,
+    _argument,
     _rational,
+    _UsageError,
     emit_diagram,
     emit_verdict,
     emit_witness,
@@ -51,7 +53,7 @@ from quadshadow.cli_io import (
     render_svg,
     run_cli,
 )
-from quadshadow.documents import emit_scene, parse_verdict, parse_witness
+from quadshadow.documents import _fraction, emit_scene, parse_verdict, parse_witness
 
 from figures import A, DATA, DIAGRAM, correct_pool, frozen_render_pool, gp_pool, replace
 
@@ -484,15 +486,19 @@ def test_the_document_is_read_before_any_other_argument(tmp_path):
     )
 
 
-def _python_m(module, *argv):
-    """Run python -W error -m module with the package's source on the path."""
+def _python(*args):
+    """Run python -W error with the package's source on the path."""
     src = str(Path(quadshadow.lift.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", module, *argv],
+        [sys.executable, "-W", "error", *args],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _python_m(module, *argv):
+    return _python("-m", module, *argv)
 
 
 def test_python_dash_m_runs_the_command_line():
@@ -1037,6 +1043,53 @@ def test_non_integral_coordinate_stays_a_fraction():
 
 
 @pytest.mark.parametrize(
+    "text, by_int",
+    [
+        ("007", True), ("-0", True), ("+1", False), ("9" * 308, True), ("-" + "9" * 308, True),
+        ("9" * 309, False), ("1_0", False), ("\u0663", False),
+    ],
+    ids=["leading-zeros", "minus-zero", "plus", "308-digits", "minus-308-digits", "309-digits",
+         "underscore", "arabic-indic"],
+)
+def test_plain_integer_strings_read_as_fraction_reads_them(monkeypatch, text, by_int):
+    # ASCII digits after an optional "-", at most 308 of them, are read by int; "+1" and
+    # longer strings still go to the Fraction reader, which refuses "1_0" and "\u0663":
+    # a coordinate and an option give the value, or the error text, Fraction gives
+    read_by_fraction = []
+
+    def fraction(node, path):
+        read_by_fraction.append(node)
+        return _fraction(node, path)
+
+    monkeypatch.setattr(quadshadow.documents, "_fraction", fraction)
+    for path, read in [("x", _rational), ("--c1", _argument)]:
+        try:
+            value = read(text, path)
+        except (ParseError, _UsageError) as e:  # an option's is the coordinate's text
+            outcome = "ParseError", str(e)
+        else:
+            outcome = type(value), value
+        assert outcome == _read(reference_rational, text, path), path
+    assert read_by_fraction == ([] if by_int else [text, text])
+
+
+def test_a_rational_option_loads_fractions_when_it_is_read():
+    # integer options read no Fraction, so fractions is not loaded until --c1=1/2
+    code = (
+        "import io, sys\n"
+        "from quadshadow.cli_io import run_cli\n"
+        "for c1 in ('2', '1/2'):\n"
+        "    out = io.StringIO()\n"
+        "    code = run_cli(['lift', f'--c1={c1}', sys.argv[1]], out)\n"
+        "    print(code, 'fractions' in sys.modules)\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    proc = _python("-S", "-c", code, str(DILATION))  # -S: no site, which may load fractions
+    witness = emit_witness(lift_collinear_centers(DIAGRAM, F(1, 2), -1))
+    assert (proc.stdout.decode(), proc.stderr) == ("0 False\n0 True\n" + witness, b"")
+
+
+@pytest.mark.parametrize(
     "spelling", ["1_0", " 3", "3\n", "\u0663", "\uff13"],
     ids=["underscore", "space", "newline", "arabic-indic", "fullwidth"],
 )
@@ -1085,9 +1138,9 @@ def reference_rational(node, path):
     return value.numerator if value.denominator == 1 else value
 
 
-def _read(read, node):
+def _read(read, node, path="x"):
     try:
-        value = read(node, "x")
+        value = read(node, path)
     except ParseError as e:
         return "ParseError", str(e)
     return type(value), value

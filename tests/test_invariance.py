@@ -17,7 +17,6 @@ import pytest
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
 from quadshadow.generators import (
     _toward,
-    gen_collineation,
     gen_correct_diagram,
     gen_degenerate_diagram,
     gen_general_position_diagram,
@@ -29,6 +28,7 @@ from quadshadow.lift import lift_collinear_centers, verify_witness
 from quadshadow.perspectivity import CenterIsVertex, common_axis, triangles_perspective_point
 from quadshadow.quadrangle import SIDE_LABELS, Quadrangle, diagonal_triangle
 
+from collineations import apply_line, apply_quadrangle, gen_collineation
 from figures import A, SQUARE, correct_pool, gp_pool
 
 SEEDS = range(100)
@@ -109,7 +109,7 @@ def test_a_collineation_keeps_every_verdict_field_and_correct_images_verify():
         g = gen_collineation(seed)
         for n, d in enumerate(diagrams(seed)):
             image = PlanarDiagram(
-                g.apply(d.O), g.apply_quadrangle(d.quad1), g.apply_quadrangle(d.quad2)
+                g.apply(d.O), apply_quadrangle(g, d.quad1), apply_quadrangle(g, d.quad2)
             )
             verdict = decide_depiction(d)
             assert decide_depiction(image) == verdict, (seed, n)
@@ -120,7 +120,7 @@ def test_a_collineation_keeps_every_verdict_field_and_correct_images_verify():
                 assert verify_witness(image, lift_collinear_centers(image)).passed, (seed, n)
             if n == 1:  # a correct diagram in general position has a common axis
                 axis = common_axis(d.quad1, d.quad2)
-                assert common_axis(image.quad1, image.quad2) == g.apply_line(axis), seed
+                assert common_axis(image.quad1, image.quad2) == apply_line(g, axis), seed
 
 
 def test_a_relabelling_permutes_the_diagonal_pairs_and_the_swap_keeps_the_verdict():

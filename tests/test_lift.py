@@ -63,6 +63,7 @@ from quadshadow.lift import (
     _triple_planes,
 )
 
+from collineations import apply_quadrangle
 from figures import A, DIAGRAM, DILATED, INCORRECT, O, OFF_RAY, SQUARE, replace
 from pluecker_oracle import line3_through, meet_line_plane, meet_lines3
 from textbook import line_meet
@@ -679,7 +680,7 @@ def test_side_traces_and_second_centers_match_the_pluecker_route():
 def gp_diagram():
     axis = Line2(1, 1, 1)
     h = perspective_collineation(O, axis, (A(1, 1), A(-1, 2)))
-    return PlanarDiagram(O=O, quad1=SQUARE, quad2=h.apply_quadrangle(SQUARE)), axis
+    return PlanarDiagram(O=O, quad1=SQUARE, quad2=apply_quadrangle(h, SQUARE)), axis
 
 
 def test_lift_via_axis_needs_general_position():

@@ -81,7 +81,6 @@ PUBLIC_NAMES = [
     "emit_verdict",
     "emit_witness",
     "gen_axis_perspective_triangles",
-    "gen_collineation",
     "gen_correct_diagram",
     "gen_degenerate_diagram",
     "gen_general_position_diagram",
@@ -141,50 +140,62 @@ def test_every_public_name_resolves_and_star_import_binds_them_all(monkeypatch):
     namespace = {}
     exec("from quadshadow import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 99
+    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 98
 
 
 #: Per step as JSON: the exit code (but for the import), the lazy modules loaded
-#: and every module loaded since the child started.
+#: and every module loaded since the child had loaded its own; then, per step, how
+#: many objects the step froze out of the collector's reach (Python 3.12 starts
+#: with some frozen, so each step's count is a difference).
 STARTUP = """
-import sys
+import gc, io, json, runpy, sys
 started = set(sys.modules)
-import io, json, runpy
-from contextlib import redirect_stdout
 
 def loaded():
     lazy = [m for m in ("quadshadow.generators", "quadshadow.cli_io") if m in sys.modules]
     return [lazy, sorted(set(sys.modules) - started)]
 
+frozen = {}
+base = gc.get_freeze_count()
 import quadshadow
 path = sys.argv[1]
 steps = {"import": loaded()}
+frozen["import"] = gc.get_freeze_count() - base
 for command in ("check", "lift"):
     sys.argv = ["quadshadow", command, path]
-    with redirect_stdout(io.StringIO()):
-        try:
-            runpy.run_module("quadshadow.cli_io", run_name="__main__")
-        except SystemExit as e:
-            steps[command] = [e.code, *loaded()]
+    base = gc.get_freeze_count()
+    sys.stdout = io.StringIO()
+    try:
+        runpy.run_module("quadshadow.cli_io", run_name="__main__")
+    except SystemExit as e:
+        steps[command] = [e.code, *loaded()]
+    finally:
+        sys.stdout = sys.__stdout__
+    frozen[command] = gc.get_freeze_count() - base
+    gc.unfreeze()
+base = gc.get_freeze_count()
 code = quadshadow.run_cli(["fuzz", "--count", "3", "--seed", "0"], out=io.StringIO())
 steps["fuzz"] = [code, *loaded()]
-print(json.dumps(steps))
+frozen["fuzz"] = gc.get_freeze_count() - base
+print(json.dumps([steps, frozen]))
 """
 
 
 @functools.cache
-def _startup() -> dict:
+def _startup() -> tuple[dict, dict]:
+    # -S: no site module, so what site loads (on some machines contextlib and
+    # typing) is not taken for what the package loads
     src = str(Path(quadshadow.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", STARTUP, str(DILATION)],
+        [sys.executable, "-S", "-W", "error", "-c", STARTUP, str(DILATION)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    return json.loads(proc.stdout)
+    return tuple(json.loads(proc.stdout))
 
 
 def test_check_and_lift_never_load_the_generators():
-    steps = _startup()
+    steps, _ = _startup()
     assert {step: values[:-1] for step, values in steps.items()} == {
         "import": [[]],
         "check": [0, []],
@@ -194,7 +205,24 @@ def test_check_and_lift_never_load_the_generators():
 
 
 def test_import_check_and_lift_load_neither_dataclasses_nor_inspect():
-    steps = _startup()
+    steps, _ = _startup()
     assert "argparse" in steps["check"][-1]  # loaded for the command line, so it is listed
     for step in ("import", "check", "lift"):
         assert not {"dataclasses", "inspect"} & set(steps[step][-1]), step
+
+
+def test_import_check_and_lift_load_no_number_tower_and_no_contextlib():
+    # an integer document and lift's default displacements need no Fraction;
+    # run_cli swaps sys.stdout itself, without contextlib.redirect_stdout
+    steps, _ = _startup()
+    assert "quadshadow.documents" in steps["import"][-1]  # the package's loads are listed
+    for step in ("import", "check", "lift"):
+        assert not {"fractions", "decimal", "numbers", "contextlib"} & set(steps[step][-1]), step
+
+
+def test_only_the_entry_point_freezes_the_collector():
+    # main() freezes what the process holds just before it exits, so the
+    # interpreter's final collections skip it; run_cli in a process leaves it alone
+    _, frozen = _startup()
+    assert frozen["import"] == frozen["fuzz"] == 0
+    assert frozen["check"] > 0 and frozen["lift"] > 0

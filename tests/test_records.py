@@ -39,6 +39,7 @@ from quadshadow.lift import (
 )
 from quadshadow.generators import GenConfig
 
+from collineations import IDENTITY
 from figures import DIAGRAM, DILATED, O, SQUARE
 
 #: The records whose fields hold a dict, which makes them unhashable.
@@ -179,6 +180,6 @@ def test_repr_names_the_class_and_each_field_in_order():
         "DegeneracyClass(kind=<DegeneracyKind.NONE: 'none'>, coincident=())"
     )
     assert repr(ClauseCheck("c", False, "why")) == "ClauseCheck(name='c', ok=False, detail='why')"
-    assert repr(Collineation.identity()) == (
+    assert repr(IDENTITY) == (
         "Collineation(matrix=((1, 0, 0), (0, 1, 0), (0, 0, 1)))"
     )
