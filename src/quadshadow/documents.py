@@ -8,15 +8,18 @@ byte for byte as json.dumps with an indent of 2 plus a trailing newline,
 ASCII only), and everything emitted re-parses to an equal value; for
 already-canonical input, parse followed by emit is byte-identical.  The one
 exception is a verdict's "witness" reference: parse_verdict checks it and
-drops it, so the verdict re-emits with "witness": null.
+drops it, so the verdict re-emits with "witness": null.  A diagram, witness
+or scene text in the writer's exact layout is read against the writer's own
+template, with no JSON decode; any other text goes through json.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import islice
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _string
+from operator import itemgetter
 
 from .kernel import GeometryError, Line2, Plane3, Point2, Point3
 from .quadrangle import (
@@ -27,7 +30,7 @@ from .lift import SpatialQuadrangle, SpatialScene, Witness
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations: fractions is loaded where a non-integer is read
     from fractions import Fraction
-    from typing import Any, Iterable
+    from typing import Any, Iterable, Iterator
 
 __all__ = [
     "ParseError",
@@ -57,8 +60,8 @@ class _Plain(dict):
     """By n, the pattern of n coordinates joined by ",", one piece each (a comma inside one adds
     a piece): plain ASCII integers of at most 308 digits, below 10**308 < 2**1024 and the least
     int-to-str digit limit (640), so int() reads them.  Each is compiled on first use, as a
-    process reads a coordinate on its own (1) or a document shape or two: a diagram (27), an
-    unviewed scene (28), a witness or a scene (32)."""
+    process reads a coordinate on its own (1) or the slots of a template or two: a diagram
+    (27), an unviewed scene (28), a witness or a scene (32)."""
 
     def __missing__(self, n: int) -> re.Pattern:
         pattern = self[n] = re.compile(r"-?[0-9]{1,308}(?:,-?[0-9]{1,308}){%d}" % (n - 1))
@@ -84,8 +87,8 @@ def _rational(node: Any, path: str) -> int | Fraction:
     """A bounded rational, as an int when it is integral.
 
     A JSON integer is taken as it is, a plain integer string is read by int
-    and every other string goes through Fraction; a document of plain integer
-    strings never comes here, as _plain reads it.
+    and every other string goes through Fraction; a text in the writer's layout
+    comes here only when one of its elements does not build (see _canonical).
     """
     if type(node) is int:
         value, bits = node, node.bit_length()
@@ -171,29 +174,6 @@ def _element(cls, node: Any, path: str):
         raise InvariantViolation(f"{path}: {e}") from None
 
 
-def _plain(doc: dict, form: dict) -> list | None:
-    """The document's elements in form order, or None unless every array is a list of its
-    element's arity, every coordinate a plain integer string and every element builds."""
-    arrays = []
-    for name, (labels, cls) in form.items():
-        node = doc[name]
-        if labels is None:
-            arrays.append((cls, node))
-        elif type(node) is dict and len(node) == len(labels):  # so with no other key
-            arrays += [(cls, node.get(lab)) for lab in labels]
-        else:
-            return None
-    if not all(type(a) is list and len(a) == cls._ARITY for cls, a in arrays):
-        return None
-    coords = [c for _, a in arrays for c in a]
-    try:
-        if _PLAIN[len(coords)].fullmatch(",".join(coords)):
-            return [cls(*map(int, a)) for cls, a in arrays]
-    except (TypeError, GeometryError):  # a coordinate that is not a string; a zero vector
-        pass
-    return None
-
-
 def _elements(doc: dict, form: dict):
     """The document's elements in form order, read one at a time as they are taken: a
     caller that builds from them as it goes raises the first error in document order."""
@@ -242,6 +222,33 @@ def _fill(template: str, elements) -> str:
     return template % tuple([c for e in elements for c in e.coords])
 
 
+def _reader(template: str, form: dict) -> tuple:
+    """A template's pieces between quotes, and each element's class and span of slots."""
+    parts = template.split('"')
+    slots = [i for i, p in enumerate(parts) if p == "%d"]
+    fixed = itemgetter(*[i for i in range(len(parts)) if i not in slots])
+    classes = [cls for labels, cls in form.values() for _ in labels or (None,)]
+    spans = [(c, e - c._ARITY, e) for c, e in zip(classes, accumulate(c._ARITY for c in classes))]
+    return len(parts), fixed, fixed(parts), itemgetter(*slots), spans
+
+
+def _canonical(text: str, *readers) -> Iterator | None:
+    """The elements of a text in one reader's layout, as an iterator: split at its quotes (none
+    escaped), its fixed pieces are the template's and its slots plain integers.  None for any
+    other text, or one whose element does not build, for _elements to find its first error."""
+    parts = text.split('"')
+    for size, fixed, pieces, slots, spans in readers:
+        if len(parts) == size and fixed(parts) == pieces:
+            coords = slots(parts)
+            if _PLAIN[len(coords)].fullmatch(",".join(coords)):
+                values = [*map(int, coords)]
+                try:
+                    return iter([cls(*values[i:j]) for cls, i, j in spans])
+                except GeometryError:
+                    pass
+    return None
+
+
 # ---------------------------------------------------------------------------
 # diagram, witness and scene documents
 
@@ -255,13 +262,15 @@ _SCENE = {**_UNVIEWED, "viewpoint": (None, Point3)}
 #: Their %-templates, and those of the axis and qset traces.
 _DIAGRAM_DOC, _WITNESS_DOC, _SCENE_DOC = map(_document, map(_layout, (_DIAGRAM, _WITNESS, _SCENE)))
 _UNVIEWED_DOC = _document([*_layout(_UNVIEWED), ("viewpoint", "null")])
+_DIAGRAM_READ, _WITNESS_READ, _SCENE_READ, _UNVIEWED_READ = map(
+    _reader, (_DIAGRAM_DOC, _WITNESS_DOC, _SCENE_DOC, _UNVIEWED_DOC),
+    (_DIAGRAM, _WITNESS, _SCENE, _UNVIEWED))
 _TRACES = {"quad1": (SIDE_LABELS, Point2), "quad2": (SIDE_LABELS, Point2)}
 _TRACES_DOC = {k: _document(_layout({k: (None, Line2), **_TRACES})) for k in ("axis", "line")}
 
 
 def parse_diagram(text: str) -> PlanarDiagram:
-    doc = _fields(text, _DIAGRAM)
-    elements = iter(_plain(doc, _DIAGRAM) or _elements(doc, _DIAGRAM))
+    elements = _canonical(text, _DIAGRAM_READ) or _elements(_fields(text, _DIAGRAM), _DIAGRAM)
     O, quad1 = next(elements), _quadrangle("quad1", islice(elements, 4))
     quad2 = _quadrangle("quad2", elements)
     try:
@@ -275,8 +284,8 @@ def emit_diagram(d: PlanarDiagram) -> str:
 
 
 def parse_witness(text: str) -> Witness:
-    doc = _fields(text, _WITNESS)
-    O1, O2, *quad, drawing_plane = _plain(doc, _WITNESS) or _elements(doc, _WITNESS)
+    O1, O2, *quad, drawing_plane = (
+        _canonical(text, _WITNESS_READ) or _elements(_fields(text, _WITNESS), _WITNESS))
     return Witness(SpatialQuadrangle(*quad), O1, O2, drawing_plane)
 
 
@@ -285,9 +294,10 @@ def emit_witness(w: Witness) -> str:
 
 
 def parse_scene(text: str) -> SpatialScene:
-    doc = _fields(text, _SCENE)
-    form = _UNVIEWED if doc["viewpoint"] is None else _SCENE
-    elements = iter(_plain(doc, form) or _elements(doc, form))
+    elements = _canonical(text, _SCENE_READ, _UNVIEWED_READ)
+    if elements is None:
+        doc = _fields(text, _SCENE)
+        elements = _elements(doc, _UNVIEWED if doc["viewpoint"] is None else _SCENE)
     return SpatialScene(SpatialQuadrangle(*islice(elements, 5)), *elements)
 
 

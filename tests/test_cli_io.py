@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import quadshadow.cli_io
+import quadshadow.documents
 import quadshadow.generators
 import quadshadow.lift
 import quadshadow.perspectivity
@@ -1191,9 +1192,10 @@ _PLACES = [
 
 def test_integer_shortcut_matches_the_fraction_reader():
     # _rational takes JSON integers as they are and every string to Fraction; a
-    # document whose coordinates are all plain ASCII integers of at most 308 digits
-    # is read with one match and int: wherever a spelling sits, each reader must
-    # give the value, or the error, that the reference gives
+    # document in the writer's layout whose coordinates are all plain ASCII integers
+    # of at most 308 digits is read against the writer's template and with int:
+    # wherever a spelling sits, each reader must give the value, or the error, that
+    # the reference gives, for the document as compact JSON and in the writer's layout
     corpus = [
         "+3", " 3", "3 ", "03", "-0", "0", "-12", "3_0", "\u0663", "\uff13", "6/2", "-6/2",
         "1.5", "1e3", "1E3", "", "-", "--3", "3\n", "0x10", "1/0", "1,2", "3,",
@@ -1212,11 +1214,13 @@ def test_integer_shortcut_matches_the_fraction_reader():
                 spelled = json.loads(text)
                 (spelled[field] if label is None else spelled[field][label])[i] = node
                 expected = _reference(read, spelled)
-                assert _outcome(read, json.dumps(spelled)) == expected, (field, label, i, node)
+                for layout in (json.dumps(spelled), json.dumps(spelled, indent=2) + "\n"):
+                    assert _outcome(read, layout) == expected, (field, label, i, node, layout)
 
 
-def _dilation(**changes):
-    """The dilation with some elements replaced, each named "field" or "field_label"."""
+def _dilation(indent=None, **changes):
+    """The dilation with some elements replaced, each named "field" or "field_label", as
+    compact JSON or, with an indent of 2, in the writer's layout."""
     doc = json.loads(DILATION.read_text())
     for key, array in changes.items():
         field, _, label = key.partition("_")
@@ -1224,7 +1228,7 @@ def _dilation(**changes):
             doc[field][label] = array
         else:
             doc[field] = array
-    return json.dumps(doc)
+    return json.dumps(doc, indent=indent) + ("\n" if indent else "")
 
 
 def test_the_first_error_in_document_order_is_reported():
@@ -1252,10 +1256,74 @@ def test_the_first_error_in_document_order_is_reported():
     ]
     for text, expected in cases:
         assert _outcome(parse_diagram, text) == expected
+    # in the writer's layout with plain integers the template step reads the text; where
+    # an element does not build, it leaves the text to the element-by-element reader, so a
+    # quadrangle before that element still raises first
+    assert _dilation(indent=2) == DILATION.read_text()
+    zero, repeated = ["0", "0", "0"], ["1", "1", "1"]  # an all-zero vector; quad1.P again
+    cases = [
+        (_dilation(2, O=zero), "O: all homogeneous coordinates are zero"),
+        (_dilation(2, O=zero, quad1_Q=repeated), "O: all homogeneous coordinates are zero"),
+        (_dilation(2, quad1_Q=repeated), "quad1: vertices P and Q coincide at Point2(1:1:1)"),
+        (
+            _dilation(2, quad1_Q=repeated, quad2_P=zero),
+            "quad1: vertices P and Q coincide at Point2(1:1:1)",
+        ),
+        (_dilation(2, quad2_S=zero), "quad2.S: all homogeneous coordinates are zero"),
+    ]
+    for text, expected in cases:
+        assert _outcome(parse_diagram, text) == ("InvariantViolation", expected), text
     # a JSON-integer coordinate reads as its string does
     dilation = parse_diagram(DILATION.read_text())
     assert parse_diagram(_dilation(O=[3, "0", "1"])) == dilation
     assert parse_diagram(_dilation(quad2_S=["1", "2", -1])) == dilation
+
+
+def test_the_writer_layout_is_read_without_decoding_json(monkeypatch):
+    # every diagram, witness and scene golden, and a scene without its viewpoint, is read
+    # against the writer's template and never reaches json; a text one spelling or one
+    # byte off that layout goes through json and reads as it did before the template step
+    scene = parse_scene(SCENE.read_text())
+    texts = [
+        *((parse_diagram, (DATA / f"{name}.json").read_text())
+          for name in ("dilation", "perturbed", "vertex-degenerate", "general-axis")),
+        *((parse_witness, (DATA / f"{name}.json").read_text())
+          for name in ("witness", "general-axis-witness")),
+        (parse_scene, SCENE.read_text()),
+        (parse_scene, emit_scene(replace(scene, viewpoint=None))),
+    ]
+    values = [read(text) for read, text in texts]
+    load = quadshadow.documents._load
+
+    def refuse(text):
+        raise AssertionError("json decoded a text in the writer's layout")
+
+    monkeypatch.setattr(quadshadow.documents, "_load", refuse)
+    assert [read(text) for read, text in texts] == values
+    loaded = []
+
+    def record(text):
+        loaded.append(text)
+        return load(text)
+
+    monkeypatch.setattr(quadshadow.documents, "_load", record)
+    dilation, O = texts[0][1], '"3"'  # O's first coordinate
+    near = [
+        (parse_diagram, dilation.replace('"P"', '"\\u0050"', 1), values[0]),
+        (parse_diagram, dilation.replace(O, '"3\\""', 1), "O[0]: not a rational: '3\"'"),
+        (parse_diagram, dilation.replace('"version": 1', '"version": 2'),
+         "version: expected 1, got 2"),
+        (parse_diagram, dilation.replace(O, '"+3"', 1), values[0]),
+        (parse_diagram, dilation.replace(O, f'"{"9" * 309}"', 1),
+         "O[0]: a 1027-bit rational exceeds the 1024-bit bound"),
+        *((read, text[:-1], value) for (read, text), value in zip(texts, values)),
+        *((read, text.replace("\n", "\r\n"), value) for (read, text), value in zip(texts, values)),
+    ]
+    for read, text, expected in near:
+        loaded.clear()
+        outcome = _outcome(read, text)
+        assert outcome == (expected if type(expected) is not str else ("ParseError", expected))
+        assert loaded == [text]
 
 
 def test_rationals_at_the_bound_lift_and_emit(tmp_path):
