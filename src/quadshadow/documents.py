@@ -226,7 +226,7 @@ def _reader(template: str, form: dict) -> tuple:
     """A template's pieces between quotes, and each element's class and span of slots."""
     parts = template.split('"')
     slots = [i for i, p in enumerate(parts) if p == "%d"]
-    fixed = itemgetter(*[i for i in range(len(parts)) if i not in slots])
+    fixed = itemgetter(*[i for i, p in enumerate(parts) if p != "%d"])
     classes = [cls for labels, cls in form.values() for _ in labels or (None,)]
     spans = [(c, e - c._ARITY, e) for c, e in zip(classes, accumulate(c._ARITY for c in classes))]
     return len(parts), fixed, fixed(parts), itemgetter(*slots), spans
