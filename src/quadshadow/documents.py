@@ -236,7 +236,7 @@ def _canonical(text: str, *readers) -> Iterator | None:
     """The elements of a text in one reader's layout, as an iterator: split at its quotes (none
     escaped), its fixed pieces are the template's and its slots plain integers.  None for any
     other text, or one whose element does not build, for _elements to find its first error."""
-    parts = text.split('"')
+    parts = text.split('"') if type(text) is str else ()  # json.loads reads bytes too
     for size, fixed, pieces, slots, spans in readers:
         if len(parts) == size and fixed(parts) == pieces:
             coords = slots(parts)

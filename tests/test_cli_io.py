@@ -1316,6 +1316,7 @@ def test_the_writer_layout_is_read_without_decoding_json(monkeypatch):
         (parse_diagram, dilation.replace(O, '"+3"', 1), values[0]),
         (parse_diagram, dilation.replace(O, f'"{"9" * 309}"', 1),
          "O[0]: a 1027-bit rational exceeds the 1024-bit bound"),
+        (parse_diagram, dilation.encode(), values[0]),
         *((read, text[:-1], value) for (read, text), value in zip(texts, values)),
         *((read, text.replace("\n", "\r\n"), value) for (read, text), value in zip(texts, values)),
     ]
