@@ -1259,7 +1259,7 @@ def test_the_first_error_in_document_order_is_reported():
     # in the writer's layout with plain integers the template step reads the text; where
     # an element does not build, it leaves the text to the element-by-element reader, so a
     # quadrangle before that element still raises first
-    assert _dilation(indent=2) == DILATION.read_text()
+    assert _dilation(2) == DILATION.read_text()
     zero, repeated = ["0", "0", "0"], ["1", "1", "1"]  # an all-zero vector; quad1.P again
     cases = [
         (_dilation(2, O=zero), "O: all homogeneous coordinates are zero"),
@@ -1282,7 +1282,7 @@ def test_the_first_error_in_document_order_is_reported():
 def test_the_writer_layout_is_read_without_decoding_json(monkeypatch):
     # every diagram, witness and scene golden, and a scene without its viewpoint, is read
     # against the writer's template and never reaches json; a text one spelling or one
-    # byte off that layout goes through json and reads as it did before the template step
+    # byte off that layout goes through json once, to the value or error text json gives
     scene = parse_scene(SCENE.read_text())
     texts = [
         *((parse_diagram, (DATA / f"{name}.json").read_text())
@@ -1310,20 +1310,26 @@ def test_the_writer_layout_is_read_without_decoding_json(monkeypatch):
     dilation, O = texts[0][1], '"3"'  # O's first coordinate
     near = [
         (parse_diagram, dilation.replace('"P"', '"\\u0050"', 1), values[0]),
-        (parse_diagram, dilation.replace(O, '"3\\""', 1), "O[0]: not a rational: '3\"'"),
-        (parse_diagram, dilation.replace('"version": 1', '"version": 2'),
-         "version: expected 1, got 2"),
+        (
+            parse_diagram, dilation.replace(O, '"3\\""', 1),
+            ("ParseError", "O[0]: not a rational: '3\"'"),
+        ),
+        (
+            parse_diagram, dilation.replace('"version": 1', '"version": 2'),
+            ("ParseError", "version: expected 1, got 2"),
+        ),
         (parse_diagram, dilation.replace(O, '"+3"', 1), values[0]),
-        (parse_diagram, dilation.replace(O, f'"{"9" * 309}"', 1),
-         "O[0]: a 1027-bit rational exceeds the 1024-bit bound"),
+        (
+            parse_diagram, dilation.replace(O, f'"{"9" * 309}"', 1),
+            ("ParseError", "O[0]: a 1027-bit rational exceeds the 1024-bit bound"),
+        ),
         (parse_diagram, dilation.encode(), values[0]),
         *((read, text[:-1], value) for (read, text), value in zip(texts, values)),
         *((read, text.replace("\n", "\r\n"), value) for (read, text), value in zip(texts, values)),
     ]
     for read, text, expected in near:
         loaded.clear()
-        outcome = _outcome(read, text)
-        assert outcome == (expected if type(expected) is not str else ("ParseError", expected))
+        assert _outcome(read, text) == expected
         assert loaded == [text]
 
 
