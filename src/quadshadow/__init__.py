@@ -28,10 +28,9 @@ __version__ = "0.1.0"
 #: Public name -> module that defines it, for the modules loaded on first use.
 _LAZY = {
     **dict.fromkeys(
-        ("SplitMix64", "GenConfig", "RetriesExhausted", "gen_quadrangle",
-         "gen_correct_diagram", "gen_incorrect_diagram", "gen_general_position_diagram",
-         "gen_degenerate_diagram", "gen_point_perspective_triangles",
-         "gen_axis_perspective_triangles"),
+        ("SplitMix64", "GenConfig", "RetriesExhausted", "gen_correct_diagram",
+         "gen_incorrect_diagram", "gen_general_position_diagram", "gen_degenerate_diagram",
+         "gen_point_perspective_triangles", "gen_axis_perspective_triangles"),
         "quadshadow.generators",
     ),
     "run_cli": "quadshadow.cli_io",

@@ -7,8 +7,8 @@ Emitters write canonical form (canonical integer coordinates, laid out
 byte for byte as json.dumps with an indent of 2 plus a trailing newline,
 ASCII only), and everything emitted re-parses to an equal value; for
 already-canonical input, parse followed by emit is byte-identical.  The one
-exception is a verdict's "witness" reference: parse_verdict checks it and
-drops it, so the verdict re-emits with "witness": null.  A diagram, witness
+exception is a verdict's "witness" reference: the writer always writes null,
+and parse_verdict checks a reference and drops it.  A diagram, witness
 or scene text in the writer's exact layout is read against the writer's own
 template, with no JSON decode; any other text goes through json.
 """
@@ -320,20 +320,20 @@ def _traces(key: str, line: Line2, d: PlanarDiagram) -> str:
 #: The verdict document's fields after "version", in document order.
 _VERDICT = ("applicable", "correct", "degeneracy", "diagonal_pairs", "reason", "witness", "notes")
 _BOOL = {True: "true", False: "false"}
-#: The verdict's %-template, and that of its diagonal pairs when it has them.
-_VERDICT_DOC = _document((key, _members([("kind", "%s"), ("coincident", "%s")], "  ")
-                          if key == "degeneracy" else "%s") for key in _VERDICT)
+#: The verdict's %-template, its "witness" always null, and that of its diagonal pairs.
+_VERDICT_DOC = _document((key, {
+    "degeneracy": _members([("kind", "%s"), ("coincident", "%s")], "  "), "witness": "null",
+}.get(key, "%s")) for key in _VERDICT)
 _PAIRS_DOC = _members([(key, "%s") for key in DiagonalTriangle._FIELDS], "  ")
 
 
-def emit_verdict(v: Verdict, witness_ref: str | None = None) -> str:
+def emit_verdict(v: Verdict) -> str:
     deg, pairs = v.degeneracy, v.diagonal_pairs
     return _VERDICT_DOC % (
         _BOOL[v.applicable], _BOOL[v.correct],
         _string(deg.kind.value), _array([_string(lab) for lab in deg.coincident], "    "),
         "null" if pairs is None else _PAIRS_DOC % tuple([_BOOL[p] for p in pairs]),
-        _string(v.reason.value), "null" if witness_ref is None else _string(witness_ref),
-        _array([_string(n) for n in v.notes], "  "))
+        _string(v.reason.value), _array([_string(n) for n in v.notes], "  "))
 
 
 def parse_verdict(text: str) -> Verdict:

@@ -49,7 +49,6 @@ __all__ = [
     "SplitMix64",
     "GenConfig",
     "RetriesExhausted",
-    "gen_quadrangle",
     "gen_correct_diagram",
     "gen_incorrect_diagram",
     "gen_general_position_diagram",
@@ -154,11 +153,6 @@ def _quadrangle(rng: SplitMix64, cfg: GenConfig | None) -> Quadrangle:
         return Quadrangle(*(_point2(rng, cfg) for _ in range(4)))
 
     return _retry(rng, cfg, draw, "valid quadrangle")
-
-
-def gen_quadrangle(seed: int, cfg: GenConfig | None = None) -> Quadrangle:
-    """A random labeled quadrangle with small rational vertices."""
-    return _quadrangle(SplitMix64(seed), cfg)
 
 
 def _triangle(rng: SplitMix64, cfg: GenConfig) -> Triple:

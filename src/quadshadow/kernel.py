@@ -205,10 +205,6 @@ class Point2(_Element):
         return cls(x, y, 1)
 
     @property
-    def is_ideal(self) -> bool:
-        return self.coords[2] == 0
-
-    @property
     def affine_coords(self) -> tuple[Fraction, Fraction]:
         x0, x1, x2 = self.coords
         if x2 == 0:

@@ -133,9 +133,6 @@ class SpatialQuadrangle(_Record):
 
     vertices = property(attrgetter("Pbar", "Qbar", "Rbar", "Sbar"))
 
-    def vertex(self, label: str) -> Point3:
-        return self.labeled()[label]
-
     def labeled(self) -> dict[str, Point3]:
         return dict(zip(VERTEX_LABELS, self.vertices))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import isfinite
 
 from .kernel import GeometryError, Line2, _det3, join2
-from .quadrangle import diagonal_triangle, sides
+from .quadrangle import VERTEX_LABELS, DiagonalTriangle, diagonal_triangle, sides
 from .perspectivity import common_axis
 from .checker import PlanarDiagram
 
@@ -28,7 +28,8 @@ _CANVAS = 640.0
 #: An affine point (x/w, y/w) as integers (x, y, w) with w > 0.
 Homogeneous = tuple[int, int, int]
 #: Labels of the 15 labeled points (vertices, O, diagonal points), and each label's role.
-_LABELS = tuple("P1 Q1 R1 S1 P2 Q2 R2 S2 O A1 B1 C1 A2 B2 C2".split())
+_LABELS = (*[v + n for n in "12" for v in VERTEX_LABELS], "O",
+           *[d + n for n in "12" for d in DiagonalTriangle._FIELDS])
 _ROLES = dict(zip(_LABELS, ("vertex",) * 8 + ("center",) + ("diagonal",) * 6))
 #: Marker circle and label by role; a shared marker takes its first member's role.
 _MARKERS = {

@@ -313,7 +313,7 @@ def test_emitted_documents_match_json_dumps():
         plain = emit_verdict(v)
         _assert_as_json_dumps(plain)
         ref = "".join(rng.choices(_FREE_CHARS, k=rng.randrange(12)))
-        text = emit_verdict(v, witness_ref=ref)
+        text = plain.replace('"witness": null', f'"witness": {json.dumps(ref)}', 1)
         _assert_as_json_dumps(text)
         assert parse_verdict(text) == v and json.loads(text)["witness"] == ref
         # the reference is checked and dropped, so the verdict re-emits with a null witness
@@ -676,6 +676,22 @@ def test_fuzz_reports_the_first_wrong_verdict(monkeypatch):
     code, out, _ = run("fuzz", "--count", "6", "--seed", "0")
     assert code == 1
     assert out == "5/6 verdicts correct\nfirst failure: seed 4: verdict diagonal_pair_a\n"
+
+
+def test_fuzz_incorrect_reports_a_diagram_that_is_not_incorrect(monkeypatch):
+    # a correct diagram's rays meet in coplanar points; a diagram that is not
+    # vertex-perspective has no planarity certificate at all
+    def skew(seed):
+        d = gen_incorrect_diagram(seed)
+        return PlanarDiagram(d.O, d.quad1, gen_incorrect_diagram(seed + 1).quad2)
+
+    for generator, detail in [
+        (lambda seed: gen_correct_diagram(seed)[1], "coplanarity determinant vanished"),
+        (skew, "NotCorrectDiagram: diagram is not vertex-perspective; rays would be skew"),
+    ]:
+        monkeypatch.setattr(quadshadow.generators, "gen_incorrect_diagram", generator)
+        code, out, _ = run("fuzz", "--count", "2", "--seed", "0", "--mode", "incorrect")
+        assert (code, out) == (1, f"0/2 verdicts incorrect\nfirst failure: seed 0: {detail}\n")
 
 
 def test_fuzz_reports_a_raised_geometry_error(monkeypatch):

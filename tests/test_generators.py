@@ -23,6 +23,7 @@ from quadshadow.generators import (
     GenConfig,
     RetriesExhausted,
     SplitMix64,
+    _quadrangle,
     _toward,
     gen_axis_perspective_triangles,
     gen_correct_diagram,
@@ -30,7 +31,6 @@ from quadshadow.generators import (
     gen_general_position_diagram,
     gen_incorrect_diagram,
     gen_point_perspective_triangles,
-    gen_quadrangle,
 )
 from quadshadow.lift import project_scene
 
@@ -80,7 +80,7 @@ def test_below_rejects_nonpositive():
 # --- generic contracts --------------------------------------------------------
 
 def test_generators_are_deterministic():
-    assert gen_quadrangle(42) == gen_quadrangle(42)
+    assert _quadrangle(SplitMix64(42), None) == _quadrangle(SplitMix64(42), None)
     assert gen_correct_diagram(42) == gen_correct_diagram(42)
     assert gen_incorrect_diagram(42) == gen_incorrect_diagram(42)
     assert gen_point_perspective_triangles(42) == gen_point_perspective_triangles(42)
@@ -89,12 +89,12 @@ def test_generators_are_deterministic():
 
 
 def test_generator_outputs_are_frozen():
-    # sha256 of the repr of every public generator's output for seeds
+    # sha256 of the repr of every generator's output for seeds
     # 0-149; any change to a draw, its order or a retry test moves it.
     digest = hashlib.sha256()
     for seed in range(150):
         for out in (
-            gen_quadrangle(seed),
+            _quadrangle(SplitMix64(seed), None),
             gen_correct_diagram(seed),
             gen_incorrect_diagram(seed),
             gen_general_position_diagram(seed, correct=True),
@@ -112,12 +112,13 @@ def test_generator_outputs_are_frozen():
 
 
 def test_different_seeds_differ_somewhere():
-    assert any(gen_quadrangle(s) != gen_quadrangle(s + 1) for s in range(5))
+    assert any(_quadrangle(SplitMix64(s), None) != _quadrangle(SplitMix64(s + 1), None)
+               for s in range(5))
 
 
 def test_retries_exhausted_with_zero_budget():
     with pytest.raises(RetriesExhausted):
-        gen_quadrangle(0, GenConfig(max_retries=0))
+        _quadrangle(SplitMix64(0), GenConfig(max_retries=0))
     with pytest.raises(RetriesExhausted):
         gen_correct_diagram(0, GenConfig(max_retries=0))
 
@@ -125,7 +126,7 @@ def test_retries_exhausted_with_zero_budget():
 def test_bounds_are_respected():
     cfg = GenConfig(numerator_bound=2, denominator_bound=1)
     for seed in range(20):
-        q = gen_quadrangle(seed, cfg)
+        q = _quadrangle(SplitMix64(seed), cfg)
         for lab in VERTEX_LABELS:
             x, y = q.vertex(lab).affine_coords
             assert x.denominator == 1 and y.denominator == 1
@@ -136,7 +137,7 @@ def test_bounds_are_respected():
 
 def test_gen_quadrangle_valid_across_seeds():
     for seed in range(50):
-        q = gen_quadrangle(seed)
+        q = _quadrangle(SplitMix64(seed), None)
         diag = diagonal_triangle(q)  # would raise on a degenerate sample
         assert len({q.P, q.Q, q.R, q.S}) == 4
         assert len({diag.A, diag.B, diag.C}) == 3
@@ -258,7 +259,7 @@ def _side_lines(t):
 def test_gen_collineation_is_invertible():
     for seed in range(15):
         m = gen_collineation(seed)
-        q = gen_quadrangle(seed)
+        q = _quadrangle(SplitMix64(seed), None)
         assert apply_quadrangle(inverse(m), apply_quadrangle(m, q)) == q
 
 

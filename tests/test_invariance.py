@@ -16,12 +16,13 @@ import pytest
 
 from quadshadow.checker import DegeneracyKind, PlanarDiagram, decide_depiction
 from quadshadow.generators import (
+    SplitMix64,
+    _quadrangle,
     _toward,
     gen_correct_diagram,
     gen_degenerate_diagram,
     gen_general_position_diagram,
     gen_incorrect_diagram,
-    gen_quadrangle,
 )
 from quadshadow.kernel import collinear2
 from quadshadow.lift import lift_collinear_centers, verify_witness
@@ -46,10 +47,10 @@ ON_SIDE_PQ = (
 
 
 def center_on_side(seed):
-    """O on side PQ of gen_quadrangle(seed), other than P and Q, and each vertex
+    """O on side PQ of the seed's random quadrangle, other than P and Q, and each vertex
     moved along its ray from O: by equal ratios (correct) for even seeds, with
     one vertex moved by another ratio (incorrect) for odd ones."""
-    q = gen_quadrangle(seed)
+    q = _quadrangle(SplitMix64(seed), None)
     o = _toward(q.P, q.Q, (F(1, 3), F(-1, 2), F(3, 2))[seed % 3])
     ratios = [2, 2, 2, 2]
     if seed % 2:

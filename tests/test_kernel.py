@@ -100,7 +100,7 @@ def test_meet2_coincident_lines():
 
 def test_parallel_lines_meet_at_ideal_point():
     p = meet2(Line2(1, 1, 0), Line2(1, 1, -4))
-    assert p.is_ideal
+    assert p.coords[2] == 0
     assert p == Point2(1, -1, 0)
 
 

@@ -107,15 +107,9 @@ def test_lift_collinear_centers_frozen_values():
     assert w.O1 == Point3(3, 0, 1, 1)
     assert w.O2 == Point3(3, 0, -1, 1)
     for lab in VERTEX_LABELS:
-        assert w.quad.vertex(lab) == EXPECTED_BARRED[lab]
+        assert w.quad.labeled()[lab] == EXPECTED_BARRED[lab]
     assert w.quad.plane == Plane3(0, 0, 3, 1)
     assert w.drawing_plane == DRAWING_PLANE
-
-
-def test_barred_quadrangle_has_no_vertex_t():
-    w = lift_collinear_centers(DIAGRAM)
-    with pytest.raises(KeyError):
-        w.quad.vertex("T")
 
 
 def test_lifted_vertices_match_two_ray_oracle():
@@ -330,7 +324,7 @@ def _broken(seed, d, w):
     lab = VERTEX_LABELS[rng.below(4)]
     k = rng.below(9) + 1
     # still on its O1 ray, so only the second projection moves
-    slid = Point3(*(a + k * c for a, c in zip(w.quad.vertex(lab).coords, w.O1.coords)))
+    slid = Point3(*(a + k * c for a, c in zip(w.quad.labeled()[lab].coords, w.O1.coords)))
     return (
         replace(w, quad=replace(w.quad, **{lab + "bar": point()})),
         replace(w, O1=point()),
@@ -483,7 +477,7 @@ def test_project_scene_without_viewpoint_drops_the_chart_coordinate():
     assert d.quad1 == SQUARE
     # quad2 is the plain vertical flattening of the barred quadrangle
     for lab in VERTEX_LABELS:
-        x0, x1, _, x3 = w.quad.vertex(lab).coords
+        x0, x1, _, x3 = w.quad.labeled()[lab].coords
         assert d.quad2.vertex(lab) == Point2(x0, x1, x3)
     # the flattened light is the center
     assert d.O == O
@@ -666,7 +660,7 @@ def test_side_traces_and_second_centers_match_the_pluecker_route():
     # the dilation's traces are all ideal; the axis route's O2 is where the
     # rays from the lifted P and Q through their quad2 images meet
     dilation = lift_collinear_centers(DIAGRAM)
-    assert all(trace.is_ideal for trace in witness_side_traces(dilation).values())
+    assert all(trace.coords[2] == 0 for trace in witness_side_traces(dilation).values())
     for seed, d, w, route in [(None, DIAGRAM, dilation, "lift"), *_seeded_witnesses()]:
         assert witness_side_traces(w) == _oracle_traces(w), seed
         if route == "axis":

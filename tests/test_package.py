@@ -86,7 +86,6 @@ PUBLIC_NAMES = [
     "gen_general_position_diagram",
     "gen_incorrect_diagram",
     "gen_point_perspective_triangles",
-    "gen_quadrangle",
     "general_position",
     "join2",
     "lift_collinear_centers",
@@ -140,7 +139,7 @@ def test_every_public_name_resolves_and_star_import_binds_them_all(monkeypatch):
     namespace = {}
     exec("from quadshadow import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 98
+    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 97
 
 
 #: Per step as JSON: the exit code (but for the import), the lazy modules loaded

@@ -195,7 +195,7 @@ def test_projective_images_render_frozen():
     # sha256 of the SVGs of 810 images, 90 with an ideal center and 720 with an
     # ideal vertex; any change to a chord, an arrow or a marker moves it
     assert len(IMAGES) == 810
-    assert sum(image.O.is_ideal for image in IMAGES) == 90
+    assert sum(image.O.coords[2] == 0 for image in IMAGES) == 90
     digest = hashlib.sha256()
     for image in IMAGES:
         digest.update(render_svg(image).encode())

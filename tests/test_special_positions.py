@@ -57,7 +57,7 @@ def _axis_exists(d):
 def test_characterisations_agree_in_special_position(ideal_center, tally):
     counts = {"correct": 0, "incorrect": 0, "general": 0}
     for d in IMAGES:
-        if d.O.is_ideal != ideal_center:
+        if (d.O.coords[2] == 0) != ideal_center:
             continue
         verdict = decide_depiction(d)
         assert verdict.applicable
@@ -77,7 +77,7 @@ def test_characterisations_agree_in_special_position(ideal_center, tally):
 def _spans_both_axes(quad):
     """The affine vertices and diagonal points of quad take two x and two y values."""
     points = (*quad.vertices, *diagonal_triangle(quad).labeled().values())
-    xs, ys = zip(*(p.affine_coords for p in points if not p.is_ideal))
+    xs, ys = zip(*(p.affine_coords for p in points if p.coords[2]))
     return len(set(xs)) > 1 and len(set(ys)) > 1
 
 
