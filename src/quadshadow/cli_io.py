@@ -234,6 +234,13 @@ def run_cli(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None =
 
 
 def main() -> None:
+    """The entry point of the quadshadow command and of python -m.
+
+    It freezes the collector once the command has run.  The standard streams are
+    flushed before the interpreter's final collections, and every file a command
+    writes is closed by its with, so no output depends on them.  run_cli does not
+    freeze: a caller in process keeps its collector as it was.
+    """
     code = run_cli(sys.argv[1:])
     gc.freeze()  # the process ends here: spare its final collections a walk over every object
     sys.exit(code)

@@ -5,12 +5,22 @@ every coordinate travels as a rational string ("-7/3", "4") or a JSON
 integer, never as a float, so exactness survives the trip through text.
 Emitters write canonical form (canonical integer coordinates, laid out
 byte for byte as json.dumps with an indent of 2 plus a trailing newline,
-ASCII only), and everything emitted re-parses to an equal value; for
-already-canonical input, parse followed by emit is byte-identical.  The one
-exception is a verdict's "witness" reference: the writer always writes null,
-and parse_verdict checks a reference and drops it.  A diagram, witness
-or scene text in the writer's exact layout is read against the writer's own
-template, with no JSON decode; any other text goes through json.
+ASCII only).  A document whose coordinates are all within the readers'
+1024-bit bound re-parses to an equal value; for already-canonical input,
+parse followed by emit is byte-identical.  The one exception is a verdict's
+"witness" reference: the writer always writes null, and parse_verdict checks
+a reference and drops it.  The lifts and project_scene can write coordinates
+past the bound from inputs inside it (a witness's plane has about three times
+its diagram's bits), and the reader rejects such a document: see ROADMAP.md,
+item 11.  A diagram, witness or scene text in the writer's exact layout is
+read against the writer's own template, with no JSON decode; any other text
+goes through json.
+
+No command calls parse_witness, emit_scene or parse_verdict.  They are the
+other halves of the formats, and the tests use them as oracles: a written
+witness is read back and verified, emit_scene is parse_scene's round trip,
+and parse_verdict reads the goldens back and raises InvariantViolation for a
+verdict the checker could not have written.
 """
 
 from __future__ import annotations
@@ -234,8 +244,9 @@ def _reader(template: str, form: dict) -> tuple:
 
 def _canonical(text: str, *readers) -> Iterator | None:
     """The elements of a text in one reader's layout, as an iterator: split at its quotes (none
-    escaped), its fixed pieces are the template's and its slots plain integers.  None for any
-    other text, or one whose element does not build, for _elements to find its first error."""
+    escaped, as each follows a fixed piece or a digit), its fixed pieces are the template's and
+    its slots plain integers.  None for any other text, or one whose element does not build,
+    for _elements to find its first error."""
     parts = text.split('"') if type(text) is str else ()  # json.loads reads bytes too
     for size, fixed, pieces, slots, spans in readers:
         if len(parts) == size and fixed(parts) == pieces:

@@ -138,7 +138,11 @@ def _fmt(coords: tuple[int, ...]) -> str:
 
 
 class _Record:
-    """Frozen record whose fields are its class's own annotations, in order."""
+    """Frozen record whose fields are its class's own annotations, in order.
+
+    A plain base rather than dataclasses, so that importing the package loads
+    neither dataclasses nor the inspect, ast and dis that it imports.
+    """
 
     __post_init__ = None  # a class with a rule for its fields checks them here
 

@@ -357,7 +357,7 @@ def project_scene(s: SpatialScene) -> PlanarDiagram:
                 raise ProjectingCenter(f"cannot project the center {center!r} itself")
             yield Point2(u, v, w)
 
-    try:
+    try:  # every image is formed before a quadrangle is built: the first failing one is named
         shadow = [*chart(s.light, quad.vertices)]
         *seen_quad, seen_light = chart(viewpoint, (*quad.vertices, s.light))
         return PlanarDiagram(seen_light, Quadrangle(*shadow), Quadrangle(*seen_quad))
@@ -372,7 +372,8 @@ def witness_side_traces(w: Witness) -> dict[str, Point2]:
     For a valid witness of a general-position diagram these are the six
     homologous side intersections, labeled compatibly with the planar
     traces.  Side ab pierces x2 = 0 at b2 a - a2 b, which is zero exactly
-    when a and b both lie in it.
+    when a and b both lie in it: LineInPlane, as for a correct diagram whose
+    quadrangles share two vertices.
     """
     v = w.quad.labeled()
     traces = {}

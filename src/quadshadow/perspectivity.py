@@ -174,7 +174,8 @@ class SideAxes(_Labeled):
 
 def side_axes(q1: Quadrangle, q2: Quadrangle) -> SideAxes:
     """Compute s, r, q, p from the six homologous side intersections.  q1 keeps
-    them for this partner object, not for an equal one; a failure is not kept."""
+    them for this partner object, not for an equal one; a failure is not kept.
+    So common_axis, lift_via_axis and render share one computation."""
     kept = getattr(q1, "_kept_axes", None)
     if kept is not None and kept[0] is q2:
         return kept[1]

@@ -65,7 +65,11 @@ def _check_vertices(vertices, collinear) -> None:
 
 
 class _once(cached_property):
-    """cached_property without the lock that Python 3.11 takes on every first read."""
+    """cached_property without the lock that Python 3.11 takes on every first read.
+
+    Two threads racing on a first read may both compute the value; the values are
+    equal, and the one stored last is kept.
+    """
 
     def __get__(self, obj, cls=None):
         if obj is None:

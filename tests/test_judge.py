@@ -1,5 +1,8 @@
 """An independent judge: each verdict document recomputed, with json and int
-only, from its canonical diagram document as seven determinants and notes."""
+only, from its canonical diagram document as seven determinants and notes.
+
+The judge reads the verdict goldens and the generated, special-position and
+hand-built pools."""
 
 import json
 

@@ -1,4 +1,11 @@
-"""The package's public names, and what importing it loads."""
+"""The package's public names, and what importing it loads.
+
+Start-up is read in a child process started without the site module, so that what a
+machine's site loads is not counted.  import quadshadow loads neither generators nor
+cli_io, check and lift never load generators, and none of the three loads dataclasses,
+inspect, fractions, decimal, numbers or contextlib.  check and lift through main() leave
+the collector frozen, and run_cli in process leaves it alone.
+"""
 
 import functools
 import importlib

@@ -1,6 +1,13 @@
 """Rules on the source of the package and the tests, read with ast.
 
 Each file is parsed once, and each rule fails with every place that breaks it.
+
+The public-name rule reads each module's __all__.  A name that only its own tests would
+reach is left out of the package, and the tests spell it with what there is: a random
+quadrangle is the generators' private _quadrangle, a side axis is axes["s"], a point is
+ideal when p.coords[2] == 0, a lifted vertex is w.quad.labeled()[lab].  Four methods that
+no module under src/ reaches are conveniences for the tests and bench/: Point2.affine,
+Point3.affine, Point2.affine_coords and WitnessReport.passed.
 """
 
 import ast
