@@ -3,9 +3,10 @@
 Each command reads a document (see documents), runs one step of the
 pipeline and writes a document.  Exit codes: 0 the diagram is correct (or
 the requested object was produced), 1 incorrect verdict or a domain
-failure (no witness, no axis, degenerate scene), 2 invalid or inapplicable
-input document, 64 usage errors, 66 file errors, 70 internal errors (a
-defect of this program, reported as one line, never as a traceback).
+failure (no witness, no axis, degenerate scene), 2 an invalid input document
+or check's verdict on an inapplicable diagram (lift and axis exit 1 on one),
+64 usage errors, 66 file errors, 70 internal errors (a defect of this
+program, reported as one line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _cmd_qset(args, diagram, out: TextIO) -> int:
     pieces = args.line.split(",")
     if len(pieces) != 3:
         raise _UsageError(f"line must be 'a,b,c', got {args.line!r}")
-    coeffs = [_argument(p.strip(), f"line[{i}]") for i, p in enumerate(pieces)]
+    coeffs = [_argument(p, f"line[{i}]") for i, p in enumerate(pieces)]
     try:
         line = Line2(*coeffs)
     except GeometryError as e:

@@ -12,9 +12,9 @@ parse followed by emit is byte-identical.  The one exception is a verdict's
 a reference and drops it.  The lifts and project_scene can write coordinates
 past the bound from inputs inside it (a witness's plane has about three times
 its diagram's bits), and the reader rejects such a document: see ROADMAP.md,
-item 11.  A diagram, witness or scene text in the writer's exact layout is
-read against the writer's own template, with no JSON decode; any other text
-goes through json.
+item 11.  A diagram text in the writer's exact layout is read against the
+writer's own template, with no JSON decode: every workload reads diagrams.
+Every other text, and every witness, scene or verdict, goes through json.
 
 No command calls parse_witness, emit_scene or parse_verdict.  They are the
 other halves of the formats, and the tests use them as oracles: a written
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import accumulate, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 
@@ -70,8 +70,7 @@ class _Plain(dict):
     """By n, the pattern of n coordinates joined by ",", one piece each (a comma inside one adds
     a piece): plain ASCII integers of at most 308 digits, below 10**308 < 2**1024 and the least
     int-to-str digit limit (640), so int() reads them.  Each is compiled on first use, as a
-    process reads a coordinate on its own (1) or the slots of a template or two: a diagram
-    (27), an unviewed scene (28), a witness or a scene (32)."""
+    process reads a coordinate on its own (1) or the slots of the diagram template (27)."""
 
     def __missing__(self, n: int) -> re.Pattern:
         pattern = self[n] = re.compile(r"-?[0-9]{1,308}(?:,-?[0-9]{1,308}){%d}" % (n - 1))
@@ -97,8 +96,8 @@ def _rational(node: Any, path: str) -> int | Fraction:
     """A bounded rational, as an int when it is integral.
 
     A JSON integer is taken as it is, a plain integer string is read by int
-    and every other string goes through Fraction; a text in the writer's layout
-    comes here only when one of its elements does not build (see _canonical).
+    and every other string goes through Fraction; a diagram in the writer's layout
+    comes here only when one of its points does not build (see _canonical).
     """
     if type(node) is int:
         value, bits = node, node.bit_length()
@@ -232,34 +231,6 @@ def _fill(template: str, elements) -> str:
     return template % tuple([c for e in elements for c in e.coords])
 
 
-def _reader(template: str, form: dict) -> tuple:
-    """A template's pieces between quotes, and each element's class and span of slots."""
-    parts = template.split('"')
-    slots = [i for i, p in enumerate(parts) if p == "%d"]
-    fixed = itemgetter(*[i for i, p in enumerate(parts) if p != "%d"])
-    classes = [cls for labels, cls in form.values() for _ in labels or (None,)]
-    spans = [(c, e - c._ARITY, e) for c, e in zip(classes, accumulate(c._ARITY for c in classes))]
-    return len(parts), fixed, fixed(parts), itemgetter(*slots), spans
-
-
-def _canonical(text: str, *readers) -> Iterator | None:
-    """The elements of a text in one reader's layout, as an iterator: split at its quotes (none
-    escaped, as each follows a fixed piece or a digit), its fixed pieces are the template's and
-    its slots plain integers.  None for any other text, or one whose element does not build,
-    for _elements to find its first error."""
-    parts = text.split('"') if type(text) is str else ()  # json.loads reads bytes too
-    for size, fixed, pieces, slots, spans in readers:
-        if len(parts) == size and fixed(parts) == pieces:
-            coords = slots(parts)
-            if _PLAIN[len(coords)].fullmatch(",".join(coords)):
-                values = [*map(int, coords)]
-                try:
-                    return iter([cls(*values[i:j]) for cls, i, j in spans])
-                except GeometryError:
-                    pass
-    return None
-
-
 # ---------------------------------------------------------------------------
 # diagram, witness and scene documents
 
@@ -273,15 +244,34 @@ _SCENE = {**_UNVIEWED, "viewpoint": (None, Point3)}
 #: Their %-templates, and those of the axis and qset traces.
 _DIAGRAM_DOC, _WITNESS_DOC, _SCENE_DOC = map(_document, map(_layout, (_DIAGRAM, _WITNESS, _SCENE)))
 _UNVIEWED_DOC = _document([*_layout(_UNVIEWED), ("viewpoint", "null")])
-_DIAGRAM_READ, _WITNESS_READ, _SCENE_READ, _UNVIEWED_READ = map(
-    _reader, (_DIAGRAM_DOC, _WITNESS_DOC, _SCENE_DOC, _UNVIEWED_DOC),
-    (_DIAGRAM, _WITNESS, _SCENE, _UNVIEWED))
 _TRACES = {"quad1": (SIDE_LABELS, Point2), "quad2": (SIDE_LABELS, Point2)}
 _TRACES_DOC = {k: _document(_layout({k: (None, Line2), **_TRACES})) for k in ("axis", "line")}
+#: The diagram template's pieces between quotes: the fixed ones, and its 27 slots.
+_PARTS = _DIAGRAM_DOC.split('"')
+_FIXED = itemgetter(*[i for i, p in enumerate(_PARTS) if p != "%d"])
+_SLOTS = itemgetter(*[i for i, p in enumerate(_PARTS) if p == "%d"])
+_PIECES = _FIXED(_PARTS)
+
+
+def _canonical(text: str) -> Iterator | None:
+    """The nine points of a diagram text in the writer's layout, as an iterator: split at its
+    quotes (none escaped, as each follows a fixed piece or a digit), its fixed pieces are the
+    template's and its slots plain integers.  None for any other text, or one whose point does
+    not build, for _elements to find its first error."""
+    parts = text.split('"') if type(text) is str else ()  # json.loads reads bytes too
+    if len(parts) == len(_PARTS) and _FIXED(parts) == _PIECES:
+        coords = _SLOTS(parts)
+        if _PLAIN[27].fullmatch(",".join(coords)):
+            values = [*map(int, coords)]
+            try:
+                return iter([Point2(*values[i:i + 3]) for i in range(0, 27, 3)])
+            except GeometryError:
+                pass
+    return None
 
 
 def parse_diagram(text: str) -> PlanarDiagram:
-    elements = _canonical(text, _DIAGRAM_READ) or _elements(_fields(text, _DIAGRAM), _DIAGRAM)
+    elements = _canonical(text) or _elements(_fields(text, _DIAGRAM), _DIAGRAM)
     O, quad1 = next(elements), _quadrangle("quad1", islice(elements, 4))
     quad2 = _quadrangle("quad2", elements)
     try:
@@ -295,8 +285,7 @@ def emit_diagram(d: PlanarDiagram) -> str:
 
 
 def parse_witness(text: str) -> Witness:
-    O1, O2, *quad, drawing_plane = (
-        _canonical(text, _WITNESS_READ) or _elements(_fields(text, _WITNESS), _WITNESS))
+    O1, O2, *quad, drawing_plane = _elements(_fields(text, _WITNESS), _WITNESS)
     return Witness(SpatialQuadrangle(*quad), O1, O2, drawing_plane)
 
 
@@ -305,10 +294,8 @@ def emit_witness(w: Witness) -> str:
 
 
 def parse_scene(text: str) -> SpatialScene:
-    elements = _canonical(text, _SCENE_READ, _UNVIEWED_READ)
-    if elements is None:
-        doc = _fields(text, _SCENE)
-        elements = _elements(doc, _UNVIEWED if doc["viewpoint"] is None else _SCENE)
+    doc = _fields(text, _SCENE)
+    elements = _elements(doc, _UNVIEWED if doc["viewpoint"] is None else _SCENE)
     return SpatialScene(SpatialQuadrangle(*islice(elements, 5)), *elements)
 
 

@@ -4,10 +4,11 @@ Every reader is held to reference_rational, the fraction reader: a corpus of spe
 (plain, signed, padded, fractional, exponent, non-ASCII and out-of-bound integers, JSON
 integers, booleans, arrays) sits at the first, a middle and the last coordinate of a
 diagram, a witness and a scene, each read as compact JSON and in the writer's layout, and
-every value or error text must be the fraction reader's.  The writer's layout is read
-without json.loads, a text one byte or one spelling off it goes through json once, and the
-error raised is the first in document order either way.  Every emitter is held to
-json.dumps with an indent of 2, and the golden files in tests/data pin the bytes.
+every value or error text must be the fraction reader's.  A diagram in the writer's layout
+is read without json.loads; a diagram one byte or one spelling off it, and every witness or
+scene, goes through json once, and the error raised is the first in document order either
+way.  Every emitter is held to json.dumps with an indent of 2, and the golden files in
+tests/data pin the bytes; test_readme holds the README's command lines to most of them.
 """
 
 import argparse
@@ -367,8 +368,9 @@ def test_axis_and_qset_documents_match_json_dumps(tmp_path):
 )
 def test_check_matches_golden_verdict(name, status):
     expected = (DATA / f"{name}-verdict.json").read_text()
-    assert run("check", str(DATA / f"{name}.json")) == (status, expected, "")
     assert emit_verdict(parse_verdict(expected)) == expected  # the golden reads back
+    if name == "vertex-degenerate":  # the README runs check on the other two
+        assert run("check", str(DATA / f"{name}.json")) == (status, expected, "")
 
 
 def test_vertex_degenerate_golden_is_generated():
@@ -378,16 +380,32 @@ def test_vertex_degenerate_golden_is_generated():
     assert v.degeneracy.coincident and len(v.notes) == 2
 
 
-def test_check_inapplicable_diagram_exits_two(tmp_path):
+def _off_ray(tmp_path):
+    """The dilation with quad2's Q moved off the ray through O and Q1: inapplicable."""
     doc = json.loads(DILATION.read_text())
-    doc["quad2"]["Q"] = ["-9", "4", "1"]  # off the ray through O and Q1
+    doc["quad2"]["Q"] = ["-9", "4", "1"]
     p = tmp_path / "off.json"
     p.write_text(json.dumps(doc))
-    code, out, _ = run("check", str(p))
+    return str(p)
+
+
+def test_check_inapplicable_diagram_exits_two(tmp_path):
+    code, out, _ = run("check", _off_ray(tmp_path))
     assert code == 2
     parsed = json.loads(out)
     assert parsed["applicable"] is False
     assert parsed["diagonal_pairs"] is None
+
+
+def test_lift_and_axis_exit_one_on_an_inapplicable_diagram(tmp_path):
+    # only check exits 2 for an inapplicable diagram: to lift and axis it is a domain failure
+    off = _off_ray(tmp_path)
+    for method in ("centers", "axis"):
+        assert run("lift", off, f"--method={method}") == (
+            1, "", "error: NotCorrectDiagram: diagram is not correct (not_perspective)\n")
+    code, out, err = run("axis", off)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NotPerspective: ")
 
 
 def test_invalid_document_exits_two(tmp_path):
@@ -553,17 +571,9 @@ def test_domain_failure_exits_one():
 
 # --- subcommand behavior --------------------------------------------------------------
 
-def test_lift_matches_stored_witness():
-    code, out, _ = run("lift", str(DILATION))
-    assert code == 0
-    assert out == WITNESS.read_text()
-
-
 def test_axis_lift_matches_stored_witness():
+    # the README lifts general-axis.json by the axis route to general-axis-witness.json
     assert GENERAL.read_text() == emit_diagram(gen_general_position_diagram(0, correct=True))
-    code, out, _ = run("lift", "--method", "axis", str(GENERAL))
-    assert code == 0
-    assert out == (DATA / "general-axis-witness.json").read_text()
 
 
 def test_lift_rejects_equal_displacements():
@@ -600,17 +610,9 @@ def test_lift_degenerate_displacements_are_usage_errors(tmp_path, method, option
         quadshadow.lift.lift_collinear_centers(parse_diagram(DILATION.read_text()), c1, c2)
 
 
-def test_project_reproduces_the_diagram():
-    code, out, _ = run("project", str(SCENE))
-    assert code == 0
-    assert out == DILATION.read_text()
-
-
 def test_axis_document_frozen():
-    code, out, _ = run("axis", str(DILATION))
-    assert code == 0
-    assert out == (DATA / "dilation-axis.json").read_text()
-    doc = json.loads(out)
+    # the README writes this golden with axis on the dilation
+    doc = json.loads((DATA / "dilation-axis.json").read_text())
     assert doc["axis"] == ["0", "0", "1"]
     assert doc["quad1"]["QR"] == ["0", "1", "0"]
     assert doc["quad1"] == doc["quad2"]
@@ -622,10 +624,8 @@ def test_axis_fails_for_incorrect_diagram():
 
 
 def test_qset_traces_both_quadrangles():
-    code, out, _ = run("qset", str(DILATION), "0,0,1")
-    assert code == 0
-    assert out == (DATA / "dilation-qset.json").read_text()
-    doc = json.loads(out)
+    # the README writes this golden with qset on the dilation and the line 0,0,1
+    doc = json.loads((DATA / "dilation-qset.json").read_text())
     assert doc["line"] == ["0", "0", "1"]
     assert doc["quad1"]["PQ"] == ["1", "0", "0"]
     assert doc["quad1"]["SQ"] == ["1", "-1", "0"]
@@ -792,7 +792,7 @@ def test_render_merges_coincident_labels():
     assert svg.count(">B2</text>") == 1
 
 
-@pytest.mark.parametrize("name", ["dilation", "perturbed"])
+@pytest.mark.parametrize("name", ["perturbed"])  # the README renders the dilation
 def test_render_matches_golden_svg(name):
     d = parse_diagram((DATA / f"{name}.json").read_text())
     assert render_svg(d) == (DATA / f"{name}.svg").read_text()
@@ -1027,20 +1027,23 @@ def test_oversized_cli_rationals_exit_sixty_four_quickly(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("lift", "--c1", "nope"),
-        ("lift", "--c2=1/0"),
-        ("qset", "1,x,1"),
-        ("lift", "--method", "axis", "--c1", "nope"),
+        (("lift", "--c1", "nope"), "--c1: not a rational: 'nope'"),
+        (("lift", "--c2=1/0"), "--c2: not a rational: '1/0'"),
+        (("qset", "1,x,1"), "line[1]: not a rational: 'x'"),
+        (("lift", "--method", "axis", "--c1", "nope"), "--c1: not a rational: 'nope'"),
+        # each qset coefficient is spelled as a document coordinate is: no whitespace
+        (("qset", "0, 0, 1"), "line[1]: not a rational: ' 0'"),
+        (("qset", " 0,0,1"), "line[0]: not a rational: ' 0'"),
+        (("qset", "0,0,1\n"), "line[2]: not a rational: '1\\n'"),
     ],
-    ids=["c1-word", "c2-zero-denominator", "qset-word", "axis-c1-word"],
+    ids=["c1-word", "c2-zero-denominator", "qset-word", "axis-c1-word",
+         "qset-space-after-comma", "qset-leading-space", "qset-trailing-newline"],
 )
-def test_non_rational_cli_arguments_exit_sixty_four(argv):
+def test_non_rational_cli_arguments_exit_sixty_four(argv, message):
     command, *rest = argv
-    code, out, err = run(command, str(DILATION), *rest)
-    assert (code, out) == (64, "")
-    assert err.startswith("error: usage: ") and "not a rational" in err
+    assert run(command, str(DILATION), *rest) == (64, "", f"error: usage: {message}\n")
 
 
 @pytest.mark.parametrize("node", ["4", "8/2", 4], ids=["string", "reducible", "json-integer"])
@@ -1308,26 +1311,27 @@ def test_the_first_error_in_document_order_is_reported():
 
 
 def test_the_writer_layout_is_read_without_decoding_json(monkeypatch):
-    # every diagram, witness and scene golden, and a scene without its viewpoint, is read
-    # against the writer's template and never reaches json; a text one spelling or one
-    # byte off that layout goes through json once, to the value or error text json gives
+    # every diagram golden is read against the writer's template and never reaches json;
+    # every witness and scene golden, a scene without its viewpoint, and a diagram one
+    # spelling or one byte off the writer's layout go through json once, to the value or
+    # error text json gives
     scene = parse_scene(SCENE.read_text())
-    texts = [
-        *((parse_diagram, (DATA / f"{name}.json").read_text())
-          for name in ("dilation", "perturbed", "vertex-degenerate", "general-axis")),
+    diagrams = [(parse_diagram, (DATA / f"{name}.json").read_text())
+                for name in ("dilation", "perturbed", "vertex-degenerate", "general-axis")]
+    others = [
         *((parse_witness, (DATA / f"{name}.json").read_text())
           for name in ("witness", "general-axis-witness")),
         (parse_scene, SCENE.read_text()),
         (parse_scene, emit_scene(replace(scene, viewpoint=None))),
     ]
-    values = [read(text) for read, text in texts]
+    values = [read(text) for read, text in diagrams]
     load = quadshadow.documents._load
 
     def refuse(text):
-        raise AssertionError("json decoded a text in the writer's layout")
+        raise AssertionError("json decoded a diagram in the writer's layout")
 
     monkeypatch.setattr(quadshadow.documents, "_load", refuse)
-    assert [read(text) for read, text in texts] == values
+    assert [read(text) for read, text in diagrams] == values
     loaded = []
 
     def record(text):
@@ -1335,7 +1339,12 @@ def test_the_writer_layout_is_read_without_decoding_json(monkeypatch):
         return load(text)
 
     monkeypatch.setattr(quadshadow.documents, "_load", record)
-    dilation, O = texts[0][1], '"3"'  # O's first coordinate
+    emit = {parse_witness: emit_witness, parse_scene: emit_scene}
+    for read, text in others:
+        loaded.clear()
+        assert emit[read](read(text)) == text  # the value the golden holds
+        assert loaded == [text]
+    dilation, O = diagrams[0][1], '"3"'  # O's first coordinate
     near = [
         (parse_diagram, dilation.replace('"P"', '"\\u0050"', 1), values[0]),
         (
@@ -1352,8 +1361,9 @@ def test_the_writer_layout_is_read_without_decoding_json(monkeypatch):
             ("ParseError", "O[0]: a 1027-bit rational exceeds the 1024-bit bound"),
         ),
         (parse_diagram, dilation.encode(), values[0]),
-        *((read, text[:-1], value) for (read, text), value in zip(texts, values)),
-        *((read, text.replace("\n", "\r\n"), value) for (read, text), value in zip(texts, values)),
+        *((read, text[:-1], value) for (read, text), value in zip(diagrams, values)),
+        *((read, text.replace("\n", "\r\n"), value)
+          for (read, text), value in zip(diagrams, values)),
     ]
     for read, text, expected in near:
         loaded.clear()
