@@ -5,22 +5,20 @@ every coordinate travels as a rational string ("-7/3", "4") or a JSON
 integer, never as a float, so exactness survives the trip through text.
 Emitters write canonical form (canonical integer coordinates, laid out
 byte for byte as json.dumps with an indent of 2 plus a trailing newline,
-ASCII only).  A document whose coordinates are all within the readers'
-1024-bit bound re-parses to an equal value; for already-canonical input,
-parse followed by emit is byte-identical.  The one exception is a verdict's
-"witness" reference: the writer always writes null, and parse_verdict checks
-a reference and drops it.  The lifts and project_scene can write coordinates
-past the bound from inputs inside it (a witness's plane has about three times
-its diagram's bits), and the reader rejects such a document: see ROADMAP.md,
-item 11.  A diagram text in the writer's exact layout is read against the
-writer's own template, with no JSON decode: every workload reads diagrams.
-Every other text, and every witness, scene or verdict, goes through json.
+ASCII only).  A diagram, witness or scene whose coordinates are all within
+the readers' 1024-bit bound re-parses to an equal value; for already-canonical
+input, parse followed by emit is byte-identical.  The lifts and project_scene
+can write coordinates past the bound from inputs inside it (a witness's plane
+has about three times its diagram's bits), and the reader rejects such a
+document: see ROADMAP.md, item 11.  A diagram text in the writer's exact layout
+is read against the writer's own template, with no JSON decode: every workload
+reads diagrams.  Every other text, and every witness or scene, goes through
+json, and an object with a repeated key is rejected.
 
-No command calls parse_witness, emit_scene or parse_verdict.  They are the
-other halves of the formats, and the tests use them as oracles: a written
-witness is read back and verified, emit_scene is parse_scene's round trip,
-and parse_verdict reads the goldens back and raises InvariantViolation for a
-verdict the checker could not have written.
+A verdict is written and never read; its "witness" is always null.  No command
+calls parse_witness or emit_scene.  They are the other halves of their formats,
+and the tests use them as oracles: a written witness is read back and verified,
+and emit_scene is parse_scene's round trip.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from operator import itemgetter
 from .kernel import GeometryError, Line2, Plane3, Point2, Point3
 from .quadrangle import (
     SIDE_LABELS, VERTEX_LABELS, DiagonalTriangle, Quadrangle, quadrangular_trace)
-from .checker import DegeneracyClass, DegeneracyKind, PlanarDiagram, Reason, Verdict, _ruling
+from .checker import PlanarDiagram, Verdict
 from .lift import SpatialQuadrangle, SpatialScene, Witness
 
 TYPE_CHECKING = False
@@ -51,7 +49,6 @@ __all__ = [
     "emit_witness",
     "parse_scene",
     "emit_scene",
-    "parse_verdict",
     "emit_verdict",
 ]
 
@@ -65,19 +62,12 @@ _MAX_COORD_DIGITS = len(str(1 << _MAX_COORD_BITS))
 #: every supported Python: no spaces, underscores or non-ASCII digits.
 _SPELLING = re.compile(r"[-+./0-9eE]+")
 
-
-class _Plain(dict):
-    """By n, the pattern of n coordinates joined by ",", one piece each (a comma inside one adds
-    a piece): plain ASCII integers of at most 308 digits, below 10**308 < 2**1024 and the least
-    int-to-str digit limit (640), so int() reads them.  Each is compiled on first use, as a
-    process reads a coordinate on its own (1) or the slots of the diagram template (27)."""
-
-    def __missing__(self, n: int) -> re.Pattern:
-        pattern = self[n] = re.compile(r"-?[0-9]{1,308}(?:,-?[0-9]{1,308}){%d}" % (n - 1))
-        return pattern
-
-
-_PLAIN = _Plain()
+#: A plain ASCII integer of at most 308 digits, below 10**308 < 2**1024 and the least
+#: int-to-str digit limit (640), so int() reads it.  Kept as text, re compiles it on the
+#: first coordinate string read, which a diagram in the writer's layout never reaches.
+_INTEGER = r"-?[0-9]{1,308}"
+#: The 27 slots of the diagram template, joined by "," (a comma inside one adds a slot).
+_INTEGERS = re.compile(r"%s(?:,%s){26}" % (_INTEGER, _INTEGER))
 
 
 class ParseError(Exception):
@@ -101,7 +91,7 @@ def _rational(node: Any, path: str) -> int | Fraction:
     """
     if type(node) is int:
         value, bits = node, node.bit_length()
-    elif type(node) is str and _PLAIN[1].fullmatch(node):
+    elif type(node) is str and re.fullmatch(_INTEGER, node):
         return int(node)  # below 10**308, inside the bound
     else:
         value = _fraction(node, path)
@@ -144,6 +134,8 @@ def _fraction(node: Any, path: str) -> Fraction:
 def _object(node: Any, path: str, keys: tuple[str, ...]) -> dict:
     if not isinstance(node, dict):
         raise ParseError(f"{path}: expected an object")
+    if None in node:
+        raise ParseError(f"{path}: repeated field {node[None]!r}")
     missing = [k for k in keys if k not in node]
     if missing:
         raise ParseError(f"{path}: missing field {missing[0]!r}")
@@ -153,9 +145,19 @@ def _object(node: Any, path: str, keys: tuple[str, ...]) -> dict:
     return node
 
 
+def _pairs(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object; one with a repeated key keeps the first key read twice under None."""
+    node = {}
+    for key, value in pairs:
+        if key in node and None not in node:
+            node[None] = key
+        node[key] = value
+    return node
+
+
 def _load(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_pairs)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except ValueError:  # an integer past the interpreter's int-to-str digit limit
@@ -261,7 +263,7 @@ def _canonical(text: str) -> Iterator | None:
     parts = text.split('"') if type(text) is str else ()  # json.loads reads bytes too
     if len(parts) == len(_PARTS) and _FIXED(parts) == _PIECES:
         coords = _SLOTS(parts)
-        if _PLAIN[27].fullmatch(",".join(coords)):
+        if _INTEGERS.fullmatch(",".join(coords)):
             values = [*map(int, coords)]
             try:
                 return iter([Point2(*values[i:i + 3]) for i in range(0, 27, 3)])
@@ -333,40 +335,3 @@ def emit_verdict(v: Verdict) -> str:
         "null" if pairs is None else _PAIRS_DOC % tuple([_BOOL[p] for p in pairs]),
         _string(v.reason.value), _array([_string(n) for n in v.notes], "  "))
 
-
-def parse_verdict(text: str) -> Verdict:
-    doc = _fields(text, _VERDICT)
-    for key in ("applicable", "correct"):
-        if not isinstance(doc[key], bool):
-            raise ParseError(f"{key}: expected a boolean")
-    deg = _object(doc["degeneracy"], "degeneracy", ("kind", "coincident"))
-    try:
-        kind = DegeneracyKind(deg["kind"])
-    except ValueError:
-        raise ParseError(f"degeneracy.kind: unknown kind {deg['kind']!r}") from None
-    coincident = deg["coincident"]
-    shared = [v for v in VERTEX_LABELS if isinstance(coincident, list) and v in coincident]
-    if coincident != shared:  # distinct vertex labels in label order, as emitted
-        raise ParseError("degeneracy.coincident: expected an array of labels")
-    pairs = None
-    if doc["diagonal_pairs"] is not None:
-        pobj = _object(doc["diagonal_pairs"], "diagonal_pairs", DiagonalTriangle._FIELDS)
-        pairs = tuple(pobj[k] for k in DiagonalTriangle._FIELDS)
-        if not all(isinstance(p, bool) for p in pairs):
-            raise ParseError("diagonal_pairs: expected booleans")
-    try:
-        reason = Reason(doc["reason"])
-    except ValueError:
-        raise ParseError(f"reason: unknown reason {doc['reason']!r}") from None
-    if doc["witness"] is not None and not isinstance(doc["witness"], str):
-        raise ParseError("witness: expected a string or null")
-    notes = doc["notes"]
-    if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
-        raise ParseError("notes: expected an array of strings")
-    allowed = {3: ("triangle", "vertex"), 4: ("identical",)}.get(len(shared), ("none",))
-    if kind.value not in allowed:
-        raise InvariantViolation(f"degeneracy: {len(shared)} coincident labels for {kind.value}")
-    v = _ruling(pairs, DegeneracyClass(kind, tuple(coincident)), tuple(notes))
-    if (v.applicable, v.correct, v.reason) != (doc["applicable"], doc["correct"], reason):
-        raise InvariantViolation("applicable, correct, reason: contradict the diagonal pairs")
-    return v

@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -65,9 +64,9 @@ from quadshadow.cli_io import (
     render_svg,
     run_cli,
 )
-from quadshadow.documents import _fraction, emit_scene, parse_verdict, parse_witness
+from quadshadow.documents import _fraction, emit_scene, parse_witness
 
-from figures import A, DATA, DIAGRAM, correct_pool, frozen_render_pool, gp_pool, replace
+from figures import A, DATA, DIAGRAM, frozen_render_pool, replace
 
 DILATION = DATA / "dilation.json"
 WITNESS = DATA / "witness.json"
@@ -143,20 +142,10 @@ def test_parse_rejects_wrong_version():
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 @pytest.mark.parametrize(
-    "parse, path",
-    [
-        (parse_diagram, DILATION),
-        (parse_witness, WITNESS),
-        (parse_scene, SCENE),
-        (parse_verdict, None),
-    ],
+    "parse, path", [(parse_diagram, DILATION), (parse_witness, WITNESS), (parse_scene, SCENE)]
 )
 def test_parse_rejects_a_version_that_is_not_the_integer_one(parse, path, version):
-    if path is None:
-        text = emit_verdict(decide_depiction(parse_diagram(DILATION.read_text())))
-    else:
-        text = path.read_text()
-    doc = json.loads(text)
+    doc = json.loads(path.read_text())
     doc["version"] = version
     with pytest.raises(ParseError) as exc:
         parse(json.dumps(doc))
@@ -199,67 +188,6 @@ def test_parse_rejects_geometric_invariant_violations():
         parse_diagram(json.dumps(doc))
 
 
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("reason", "because", "reason: unknown reason 'because'"),
-        ("degeneracy", {"kind": "square", "coincident": []}, "degeneracy.kind: unknown kind"),
-        ("diagonal_pairs", {"A": True, "B": 1, "C": True}, "diagonal_pairs: expected booleans"),
-        ("notes", ["ok", 7], "notes: expected an array of strings"),
-        ("witness", 5, "witness: expected a string or null"),
-        ("witness", {}, "witness: expected a string or null"),
-        ("applicable", 1, "applicable: expected a boolean"),
-        *(
-            (
-                "degeneracy",
-                {"kind": "none", "coincident": coincident},
-                "degeneracy.coincident: expected an array of labels",
-            )
-            # anything but distinct vertex labels in label order, as emit_verdict writes them
-            for coincident in (
-                ["P", 7], ["X"], ["P", "P", "P"], ["S", "R", "Q"], ["p"], ["P", "Q", "R", "S", "T"]
-            )
-        ),
-    ],
-)
-def test_parse_verdict_rejects_bad_fields(field, value, message):
-    doc = json.loads(emit_verdict(decide_depiction(parse_diagram(DILATION.read_text()))))
-    doc[field] = value
-    with pytest.raises(ParseError, match=message):
-        parse_verdict(json.dumps(doc))
-
-
-@pytest.mark.parametrize(
-    "patch",
-    [
-        {"applicable": False},
-        {"correct": False},
-        {"diagonal_pairs": None},
-        {"reason": "not_perspective"},
-        {"diagonal_pairs": {"A": True, "B": False, "C": True}},
-        {"degeneracy": {"kind": "identical", "coincident": []}},
-        {"degeneracy": {"kind": "none", "coincident": ["P", "Q", "R"]}},
-    ],
-    ids=[
-        "not-applicable-but-correct", "incorrect-with-every-pair", "applicable-without-pairs",
-        "correct-not-perspective", "correct-with-a-failed-pair", "correct-identical",
-        "none-with-three-shared",
-    ],
-)
-def test_parse_verdict_rejects_a_verdict_the_checker_contradicts(patch):
-    doc = json.loads((DATA / "dilation-verdict.json").read_text())
-    doc.update(patch)
-    with pytest.raises(InvariantViolation):
-        parse_verdict(json.dumps(doc))
-
-
-def test_every_acceptance_pool_verdict_reads_back_equal():
-    good, bad = gp_pool()
-    for d in [d for _, d in correct_pool()] + good + bad:
-        v = decide_depiction(d)
-        assert parse_verdict(emit_verdict(v)) == v
-
-
 @pytest.mark.parametrize("i", [0, 1, 2])
 @pytest.mark.parametrize(
     "bad, message",
@@ -287,15 +215,9 @@ def _assert_as_json_dumps(text):
     assert text.isascii()
 
 
-#: Strings a witness reference may hold: quotes, backslashes, every control
-#: character, DEL and non-ASCII text (inside and beyond the BMP, a lone surrogate).
-_FREE_CHARS = '"\\/ aZ09' + "".join(map(chr, range(32))) + "\x7f\xe9\u20ac\U0001f600\ud800"
-
-
 def test_emitted_documents_match_json_dumps():
     # diagrams from every diagram generator, verdicts of every reason,
     # witnesses of both lift routes and scenes with and without a viewpoint
-    rng = random.Random(20141)
     verdicts = []
     for seed in range(30):
         scene, d = gen_correct_diagram(seed)
@@ -321,14 +243,7 @@ def test_emitted_documents_match_json_dumps():
             _assert_as_json_dumps(emit_witness(w))
             _assert_as_json_dumps(emit_scene(scene_from_witness(w)))
     for v in verdicts:
-        plain = emit_verdict(v)
-        _assert_as_json_dumps(plain)
-        ref = "".join(rng.choices(_FREE_CHARS, k=rng.randrange(12)))
-        text = plain.replace('"witness": null', f'"witness": {json.dumps(ref)}', 1)
-        _assert_as_json_dumps(text)
-        assert parse_verdict(text) == v and json.loads(text)["witness"] == ref
-        # the reference is checked and dropped, so the verdict re-emits with a null witness
-        assert emit_verdict(parse_verdict(text)) == plain
+        _assert_as_json_dumps(emit_verdict(v))
     # every shape of verdict was written: no diagonal pairs, coincident
     # labels and notes, and every reason (a generated incorrect diagram
     # fails its A pair, so the B and C reasons never come first)
@@ -363,14 +278,10 @@ def test_axis_and_qset_documents_match_json_dumps(tmp_path):
 
 # --- exit codes -------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "name, status", [("dilation", 0), ("perturbed", 1), ("vertex-degenerate", 1)]
-)
+@pytest.mark.parametrize("name, status", [("vertex-degenerate", 1)])  # the README checks the rest
 def test_check_matches_golden_verdict(name, status):
     expected = (DATA / f"{name}-verdict.json").read_text()
-    assert emit_verdict(parse_verdict(expected)) == expected  # the golden reads back
-    if name == "vertex-degenerate":  # the README runs check on the other two
-        assert run("check", str(DATA / f"{name}.json")) == (status, expected, "")
+    assert run("check", str(DATA / f"{name}.json")) == (status, expected, "")
 
 
 def test_vertex_degenerate_golden_is_generated():
@@ -420,6 +331,11 @@ _UTF16 = ("\ufeff" + DILATION.read_text()).encode("utf-16-le")  # starts with by
 _VERSION_TRUE = json.dumps({**json.loads(DILATION.read_text()), "version": True})
 _QUAD1_ARRAY = json.dumps({**json.loads(DILATION.read_text()), "quad1": [["0", "0", "1"]]})
 _O_STRING = json.dumps({**json.loads(DILATION.read_text()), "O": "0"})
+#: json.loads keeps the last of two equal keys; the reader rejects the text instead.
+_REPEATED_O = '{"O": ["9", "9", "1"], ' + DILATION.read_text()[1:]
+_O_REPEATED_AFTER = DILATION.read_text().rstrip()[:-1] + ', "O": ["9", "9", "1"]}'
+_VERSION_TWO_THEN_ONE = '{"version": 2, ' + DILATION.read_text()[1:]
+_REPEATED_P = DILATION.read_text().replace('"P": [', '"P": ["9", "9", "1"], "P": [', 1)
 
 
 @pytest.mark.parametrize(
@@ -433,8 +349,13 @@ _O_STRING = json.dumps({**json.loads(DILATION.read_text()), "O": "0"})
         (_VERSION_TRUE.encode(), "version: expected 1, got True"),
         (_QUAD1_ARRAY.encode(), "quad1: expected an object"),
         (_O_STRING.encode(), "O: expected an array of 3 rationals"),
+        (_REPEATED_O.encode(), "document: repeated field 'O'"),
+        (_O_REPEATED_AFTER.encode(), "document: repeated field 'O'"),
+        (_VERSION_TWO_THEN_ONE.encode(), "document: repeated field 'version'"),
+        (_REPEATED_P.encode(), "quad1: repeated field 'P'"),
     ],
-    ids=["utf-16", "20000-deep", "100000-deep", "version-true", "quad1-array", "O-string"],
+    ids=["utf-16", "20000-deep", "100000-deep", "version-true", "quad1-array", "O-string",
+         "O-before-O", "O-after-O", "version-2-then-1", "quad1-P-repeated"],
 )
 def test_malformed_file_exits_two(tmp_path, content, message):
     p = tmp_path / "bad.json"

@@ -190,6 +190,11 @@ def test_gen_degenerate_vertex_case():
         assert c.kind is DegeneracyKind.VERTEX
         v = decide_depiction(d)
         assert v.applicable and not v.correct
+    for kind in ("NONE", "IDENTICAL"):  # no other kind is generated
+        with pytest.raises(ValueError) as info:
+            gen_degenerate_diagram(0, kind=DegeneracyKind[kind])
+        message = f"can only generate triangle or vertex kinds, got DegeneracyKind.{kind}"
+        assert str(info.value) == message
 
 
 # --- perspective triangle pairs -----------------------------------------------------

@@ -101,7 +101,6 @@ PUBLIC_NAMES = [
     "normalize",
     "parse_diagram",
     "parse_scene",
-    "parse_verdict",
     "parse_witness",
     "perspective_center",
     "perspective_collineation",
@@ -146,7 +145,7 @@ def test_every_public_name_resolves_and_star_import_binds_them_all(monkeypatch):
     namespace = {}
     exec("from quadshadow import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 97
+    assert sorted(namespace) == PUBLIC_NAMES and len(namespace) == 96
 
 
 #: Per step as JSON: the exit code (but for the import), the lazy modules loaded

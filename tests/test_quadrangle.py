@@ -133,6 +133,7 @@ def test_sides_and_diagonal_triangle_are_built_once():
     q = Quadrangle(*SQUARE.vertices)
     assert sides(q) is sides(q)
     assert diagonal_triangle(q) is diagonal_triangle(q)
+    assert Quadrangle._crosses is vars(Quadrangle)["_crosses"]  # the class gets the descriptor
 
 
 @pytest.mark.parametrize("first", [sides, diagonal_triangle])
