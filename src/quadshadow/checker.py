@@ -118,9 +118,13 @@ class PlanarDiagram(_Record):
             if l0 * o[0] + l1 * o[1] + l2 * o[2] == 0
         )
         vertex_pairs = zip(self.quad1.vertices, self.quad2.vertices)
-        applicable = all(_det3(o, x1.coords, x2.coords) == 0 for x1, x2 in vertex_pairs)
-        pairs = tuple(_det3(o, x1, x2) == 0 for x1, x2 in zip(d1, d2)) if applicable else None
-        return _ruling(pairs, degeneracy, notes)
+        if not all(_det3(o, x1.coords, x2.coords) == 0 for x1, x2 in vertex_pairs):
+            return Verdict(False, None, degeneracy, False, Reason.NOT_PERSPECTIVE, notes)
+        pairs = tuple(_det3(o, x1, x2) == 0 for x1, x2 in zip(d1, d2))
+        failed = (r for r, ok in zip(_DIAGONAL_REASONS, pairs) if not ok)
+        reason = _DEGENERACY_REASONS.get(degeneracy.kind) or next(failed, Reason.CORRECT)
+        correct = all(pairs) and degeneracy.kind is not DegeneracyKind.IDENTICAL
+        return Verdict(True, pairs, degeneracy, correct, reason, notes)
 
 
 class Verdict(_Record):
@@ -139,18 +143,6 @@ class Verdict(_Record):
     correct: bool
     reason: Reason
     notes: tuple[str, ...] = ()
-
-
-def _ruling(
-    pairs: tuple[bool, ...] | None, degeneracy: DegeneracyClass, notes: tuple[str, ...]
-) -> Verdict:
-    """The verdict on diagonal pairs (None when not applicable) and a degeneracy."""
-    if pairs is None:
-        return Verdict(False, None, degeneracy, False, Reason.NOT_PERSPECTIVE, notes)
-    failed = (r for r, ok in zip(_DIAGONAL_REASONS, pairs) if not ok)
-    reason = _DEGENERACY_REASONS.get(degeneracy.kind) or next(failed, Reason.CORRECT)
-    correct = all(pairs) and degeneracy.kind is not DegeneracyKind.IDENTICAL
-    return Verdict(True, pairs, degeneracy, correct, reason, notes)
 
 
 def decide_depiction(d: PlanarDiagram) -> Verdict:

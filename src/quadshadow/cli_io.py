@@ -3,10 +3,12 @@
 Each command reads a document (see documents), runs one step of the
 pipeline and writes a document.  Exit codes: 0 the diagram is correct (or
 the requested object was produced), 1 incorrect verdict or a domain
-failure (no witness, no axis, degenerate scene), 2 an invalid input document
-or check's verdict on an inapplicable diagram (lift and axis exit 1 on one),
-64 usage errors, 66 file errors, 70 internal errors (a defect of this
-program, reported as one line, never as a traceback).
+failure (no witness, no axis, degenerate scene, or a witness or diagram past
+the coordinate bound, which lift and project find by reading their document
+back), 2 an invalid input document or check's verdict on an inapplicable
+diagram (lift and axis exit 1 on one), 64 usage errors, 66 file errors,
+70 internal errors (a defect of this program, reported as one line, never as
+a traceback).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .documents import (
     emit_witness,
     parse_diagram,
     parse_scene,
+    parse_witness,
 )
 
 TYPE_CHECKING = False
@@ -43,6 +46,10 @@ __all__ = ["run_cli"]
 
 class _UsageError(Exception):
     pass
+
+
+class _Unreadable(Exception):
+    """A result that its format's reader refuses, from a valid input: a domain failure."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,6 +117,15 @@ def _argument(text: str, name: str, integer: bool = False) -> int | Fraction:
         raise _UsageError(str(e)) from None
 
 
+def _read_back(text: str, read) -> str:
+    """The text, once its format's reader takes it: a result can pass the coordinate bound."""
+    try:
+        read(text)
+    except ParseError as e:
+        raise _Unreadable(str(e)) from None
+    return text
+
+
 def _cmd_check(args, diagram, out: TextIO) -> int:
     verdict = decide_depiction(diagram)
     out.write(emit_verdict(verdict))
@@ -122,12 +138,12 @@ def _cmd_lift(args, diagram, out: TextIO) -> int:
         raise _UsageError(f"--c1 {c1} and --c2 {c2} must be distinct and nonzero")
     axis = args.method == "axis"
     witness = lift_via_axis(diagram) if axis else lift_collinear_centers(diagram, c1, c2)
-    out.write(emit_witness(witness))
+    out.write(_read_back(emit_witness(witness), parse_witness))
     return 0
 
 
 def _cmd_project(args, scene, out: TextIO) -> int:
-    out.write(emit_diagram(project_scene(scene)))
+    out.write(_read_back(emit_diagram(project_scene(scene)), parse_diagram))
     return 0
 
 
@@ -221,6 +237,9 @@ def run_cli(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None =
     except _UsageError as e:
         err.write(f"error: usage: {e}\n")
         return 64
+    except _Unreadable as e:
+        err.write(f"error: unreadable output: {e}\n")
+        return 1
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
     except OSError as e:

@@ -8,17 +8,16 @@ byte for byte as json.dumps with an indent of 2 plus a trailing newline,
 ASCII only).  A diagram, witness or scene whose coordinates are all within
 the readers' 1024-bit bound re-parses to an equal value; for already-canonical
 input, parse followed by emit is byte-identical.  The lifts and project_scene
-can write coordinates past the bound from inputs inside it (a witness's plane
-has about three times its diagram's bits), and the reader rejects such a
-document: see ROADMAP.md, item 11.  A diagram text in the writer's exact layout
-is read against the writer's own template, with no JSON decode: every workload
-reads diagrams.  Every other text, and every witness or scene, goes through
-json, and an object with a repeated key is rejected.
+can reach coordinates past the bound from inputs inside it (a witness's plane
+has about three times its diagram's bits), so the lift and project commands
+read what they write back and refuse such a document.  A diagram text in the
+writer's exact layout is read against the writer's own template, with no JSON
+decode: every workload reads diagrams.  Every other text, and every witness or
+scene, goes through json, and an object with a repeated key is rejected.
 
 A verdict is written and never read; its "witness" is always null.  No command
-calls parse_witness or emit_scene.  They are the other halves of their formats,
-and the tests use them as oracles: a written witness is read back and verified,
-and emit_scene is parse_scene's round trip.
+calls emit_scene, the other half of the scene format: the tests use it as an
+oracle, for parse_scene's round trip.
 """
 
 from __future__ import annotations
@@ -64,7 +63,8 @@ _SPELLING = re.compile(r"[-+./0-9eE]+")
 
 #: A plain ASCII integer of at most 308 digits, below 10**308 < 2**1024 and the least
 #: int-to-str digit limit (640), so int() reads it.  Kept as text, re compiles it on the
-#: first coordinate string read, which a diagram in the writer's layout never reaches.
+#: first coordinate string read: lift's --c1 and --c2 and the witness it reads back, never
+#: a diagram in the writer's layout.
 _INTEGER = r"-?[0-9]{1,308}"
 #: The 27 slots of the diagram template, joined by "," (a comma inside one adds a slot).
 _INTEGERS = re.compile(r"%s(?:,%s){26}" % (_INTEGER, _INTEGER))

@@ -2,13 +2,15 @@
 only, from its canonical diagram document as seven determinants, coordinate lists and notes.
 
 The judge reads the three verdict goldens and the generated, special-position and hand-built
-pools, and it must see every degeneracy kind and every reason those pools can reach."""
+pools, and it must see every degeneracy kind and every reason those pools can reach; the one
+reason no pooled diagram reaches, diagonal_pair_c, is held to its string.  tests/test_checker.py
+keeps only what a verdict's fields do not show."""
 
 import json
 
 from quadshadow import (
-    DegeneracyKind, PlanarDiagram, Quadrangle, decide_depiction, emit_diagram, emit_verdict,
-    Point2, generators as gen,
+    DegeneracyKind, PlanarDiagram, Quadrangle, Reason, decide_depiction, emit_diagram,
+    emit_verdict, Point2, generators as gen,
 )
 from figures import A, DATA, HAND_BUILT, OFF_RAY, ON_SIDE, SQUARE
 from projective_images import IMAGES
@@ -76,3 +78,4 @@ def test_judge_agrees_with_the_goldens_and_every_generated_and_special_verdict()
     assert {v["reason"] for v in seen} == {
         "correct", "not_perspective", "identical", "triangle_degeneracy", "vertex_degeneracy",
         "diagonal_pair_a", "diagonal_pair_b"}
+    assert {r.value for r in Reason} - {v["reason"] for v in seen} == {"diagonal_pair_c"}

@@ -102,16 +102,6 @@ EXPECTED_BARRED = {
 }
 
 
-def test_lift_collinear_centers_frozen_values():
-    w = lift_collinear_centers(DIAGRAM)
-    assert w.O1 == Point3(3, 0, 1, 1)
-    assert w.O2 == Point3(3, 0, -1, 1)
-    for lab in VERTEX_LABELS:
-        assert w.quad.labeled()[lab] == EXPECTED_BARRED[lab]
-    assert w.quad.plane == Plane3(0, 0, 3, 1)
-    assert w.drawing_plane == DRAWING_PLANE
-
-
 def test_lifted_vertices_match_two_ray_oracle():
     c1, c2 = (3, 0, 1), (3, 0, -1)
     for lab in VERTEX_LABELS:
@@ -140,18 +130,6 @@ def test_lift_custom_displacements():
 
 # --- planarity certificate --------------------------------------------------
 
-def test_certificate_zero_for_correct_diagram():
-    cert = planarity_certificate(DIAGRAM)
-    assert cert.determinant == 0
-    assert set(cert.points) == set(VERTEX_LABELS)
-
-
-def test_certificate_nonzero_for_incorrect_diagram():
-    cert = planarity_certificate(INCORRECT)
-    assert cert.determinant != 0
-    assert isinstance(cert.determinant, int)
-
-
 def test_lift_and_certificate_read_the_diagram_verdict(monkeypatch):
     d = gen_correct_diagram(0)[1]
     decide_depiction(d)
@@ -173,14 +151,6 @@ def test_certificate_requires_vertex_perspective():
 
 
 # --- witness verification ----------------------------------------------------
-
-def test_verify_witness_passes_for_genuine_lift():
-    w = lift_collinear_centers(DIAGRAM)
-    report = verify_witness(DIAGRAM, w)
-    assert report.passed
-    assert len(report.clauses) == 5
-    assert all(c.ok for c in report.clauses)
-
 
 def test_verify_witness_detects_vertex_off_plane():
     w = lift_collinear_centers(DIAGRAM)

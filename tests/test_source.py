@@ -21,7 +21,7 @@ PACKAGE = sorted(INIT.parent.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 #: Public names that a test uses as an independent oracle (see the README), and the version.
-ORACLES = {"triangles_perspective_point", "witness_side_traces", "parse_witness", "emit_scene",
+ORACLES = {"triangles_perspective_point", "witness_side_traces", "emit_scene",
            "__version__"}
 
 
