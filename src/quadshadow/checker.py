@@ -17,6 +17,14 @@ shared three) or they run through one shared vertex (the moved vertex slid
 along a side through that vertex).  Both shapes always break the diagonal
 criterion, and fully identical quadrangles are ruled incorrect by fiat:
 nothing about such drawings forces a spatial reading.
+
+A vertex-perspective diagram that is neither correct nor identical has
+no planar lift, so its opposite spatial sides are skew; the transversals
+from O1 and O2 to two skew sides meet only where the line O1O2 meets one
+of them, which is where O lies on that side's drawing.  So a diagonal
+pair is perspective exactly when O lies on one of its two sides in either
+quadrangle, and as sides of two different pairs share a vertex, at most
+one pair is: no verdict fails first at C.
 """
 
 from __future__ import annotations
@@ -27,15 +35,8 @@ from .kernel import Point2, _det3, _Record, collinear2
 from .quadrangle import VERTEX_LABELS, Quadrangle, _once
 from .perspectivity import CenterIsVertex
 
-__all__ = [
-    "DegeneracyKind",
-    "DegeneracyClass",
-    "Reason",
-    "PlanarDiagram",
-    "Verdict",
-    "classify_degeneracy",
-    "decide_depiction",
-]
+__all__ = ["DegeneracyKind", "DegeneracyClass", "Reason", "PlanarDiagram", "Verdict",
+           "classify_degeneracy", "decide_depiction"]
 
 
 class DegeneracyKind(Enum):
@@ -60,12 +61,12 @@ class DegeneracyClass(_Record):
 
 def classify_degeneracy(q1: Quadrangle, q2: Quadrangle) -> DegeneracyClass:
     pairs = zip(VERTEX_LABELS, q1.vertices, q2.vertices)
-    shared = tuple(lab for lab, a, b in pairs if a.coords == b.coords and type(a) is type(b))
+    shared = tuple([lab for lab, a, b in pairs if a.coords == b.coords and type(a) is type(b)])
     kind = DegeneracyKind.IDENTICAL if len(shared) == 4 else DegeneracyKind.NONE
     if len(shared) == 3:
         (moved,) = set(VERTEX_LABELS).difference(shared)
         w1, w2 = q1.vertex(moved), q2.vertex(moved)
-        through = any(collinear2(q1.vertex(lab), w1, w2) for lab in shared)
+        through = [lab for lab in shared if collinear2(q1.vertex(lab), w1, w2)]
         kind = DegeneracyKind.VERTEX if through else DegeneracyKind.TRIANGLE
     return DegeneracyClass(kind, shared)
 
@@ -111,18 +112,15 @@ class PlanarDiagram(_Record):
     def _verdict(self) -> Verdict:
         degeneracy = classify_degeneracy(self.quad1, self.quad2)
         o, (s1, d1), (s2, d2) = self.O.coords, self.quad1._crosses, self.quad2._crosses
-        notes = tuple(
-            f"center O lies on side {lab} of quadrangle {n}"
-            for n, sides in enumerate((s1, s2), 1)
-            for lab, (l0, l1, l2) in sides.items()
-            if l0 * o[0] + l1 * o[1] + l2 * o[2] == 0
-        )
-        vertex_pairs = zip(self.quad1.vertices, self.quad2.vertices)
-        if not all(_det3(o, x1.coords, x2.coords) == 0 for x1, x2 in vertex_pairs):
-            return Verdict(False, None, degeneracy, False, Reason.NOT_PERSPECTIVE, notes)
-        pairs = tuple(_det3(o, x1, x2) == 0 for x1, x2 in zip(d1, d2))
-        failed = (r for r, ok in zip(_DIAGONAL_REASONS, pairs) if not ok)
-        reason = _DEGENERACY_REASONS.get(degeneracy.kind) or next(failed, Reason.CORRECT)
+        notes = tuple([f"center O lies on side {lab} of quadrangle {n}"
+                       for n, sides in ((1, s1), (2, s2)) for lab, (l0, l1, l2) in sides.items()
+                       if l0 * o[0] + l1 * o[1] + l2 * o[2] == 0])
+        for x1, x2 in zip(self.quad1.vertices, self.quad2.vertices):
+            if _det3(o, x1.coords, x2.coords):
+                return Verdict(False, None, degeneracy, False, Reason.NOT_PERSPECTIVE, notes)
+        pairs = tuple([_det3(o, x1, x2) == 0 for x1, x2 in zip(d1, d2)])
+        failed = [r for r, ok in zip(_DIAGONAL_REASONS, pairs) if not ok]
+        reason = _DEGENERACY_REASONS.get(degeneracy.kind) or [*failed, Reason.CORRECT][0]
         correct = all(pairs) and degeneracy.kind is not DegeneracyKind.IDENTICAL
         return Verdict(True, pairs, degeneracy, correct, reason, notes)
 

@@ -11,7 +11,10 @@ the splitmix64 recurrence (64-bit state s, output z):
 so identical seeds give identical objects on any platform.  Coordinates
 are small rationals drawn inside the bounds of a ``GenConfig``; samples
 that hit a degenerate configuration are redrawn, up to
-``max_retries`` attempts before ``RetriesExhausted``.
+``max_retries`` attempts before ``RetriesExhausted``.  Every rational is
+drawn as an integer pair (numerator, positive denominator) and used as
+one, unreduced, so nothing here builds a Fraction and ``fuzz`` loads no
+``fractions``.
 
 The constructions guarantee their advertised property instead of
 filtering for it wherever a guarantee is possible: ``gen_correct_diagram``
@@ -24,8 +27,6 @@ its ray can, rarely, land back on a correct diagram.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .kernel import (
     DRAWING_PLANE,
@@ -92,17 +93,30 @@ class RetriesExhausted(GeometryError):
 
 
 def _ratio(rng: SplitMix64, cfg: GenConfig) -> tuple[int, int]:
-    """A numerator and a positive denominator inside cfg's bounds."""
-    num = rng.below(2 * cfg.numerator_bound + 1) - cfg.numerator_bound
-    den = rng.below(cfg.denominator_bound) + 1
-    return num, den
+    """A numerator and a positive denominator inside cfg's bounds, as below would draw them.
+
+    A bound that leaves no value raises below's ValueError before either draw.
+    """
+    nums, dens = 2 * cfg.numerator_bound + 1, cfg.denominator_bound  # how many values of each
+    if nums <= 0 or dens <= 0:
+        raise ValueError(f"need a positive bound, got {nums if nums <= 0 else dens}")
+    return rng.next_u64() % nums - cfg.numerator_bound, rng.next_u64() % dens + 1
 
 
-def _nonzero_fraction(rng: SplitMix64, cfg: GenConfig) -> Fraction:
+def _nonzero_ratio(rng: SplitMix64, cfg: GenConfig) -> tuple[int, int]:
     while True:
         num, den = _ratio(rng, cfg)
-        if num != 0:
-            return Fraction(num, den)
+        if num:
+            return num, den
+
+
+def _one_ratio(ratios: list[tuple[int, int]]) -> bool:
+    """Whether the pairs (p, q), each q nonzero, all stand for one rational p/q."""
+    (p0, q0), *rest = ratios
+    for p, q in rest:
+        if p * q0 != p0 * q:
+            return False
+    return True
 
 
 def _point2(rng: SplitMix64, cfg: GenConfig) -> Point2:
@@ -134,30 +148,31 @@ def _retry(rng: SplitMix64, cfg: GenConfig | None, draw, what: str, default=GenC
     raise RetriesExhausted(f"no {what} within the retry budget")
 
 
-def _toward(a: Point2, b: Point2, t: Fraction) -> Point2:
-    """The affine point a + t (b - a).
+def _toward(a: Point2, b: Point2, p: int, q: int) -> Point2:
+    """The affine point a + (p/q) (b - a), for q nonzero.
 
-    With t = p/q and last coordinates a2, b2 it is (q - p) b2 a + p a2 b,
-    all integers.  An ideal a or b has no affine coordinates: ZeroVector.
+    With last coordinates a2, b2 it is (q - p) b2 a + p a2 b, all integers;
+    p and q need not be in lowest terms, as any nonzero multiple of them gives
+    the same canonical point.  An ideal a or b has no affine coordinates:
+    ZeroVector.
     """
-    a2, b2 = a.coords[2], b.coords[2]
+    (a0, a1, a2), (b0, b1, b2) = a.coords, b.coords
     if a2 == 0 or b2 == 0:
         raise ZeroVector(f"ideal point among {a!r}, {b!r} has no affine coordinates")
-    p, q = t.numerator, t.denominator
     u, v = (q - p) * b2, p * a2
-    return Point2(*[u * ai + v * bi for ai, bi in zip(a.coords, b.coords)])
+    return Point2(u * a0 + v * b0, u * a1 + v * b1, u * a2 + v * b2)
 
 
 def _quadrangle(rng: SplitMix64, cfg: GenConfig | None) -> Quadrangle:
     def draw(rng: SplitMix64, cfg: GenConfig) -> Quadrangle:
-        return Quadrangle(*(_point2(rng, cfg) for _ in range(4)))
+        return Quadrangle(*[_point2(rng, cfg) for _ in range(4)])
 
     return _retry(rng, cfg, draw, "valid quadrangle")
 
 
 def _triangle(rng: SplitMix64, cfg: GenConfig) -> Triple:
     def draw(rng: SplitMix64, cfg: GenConfig) -> Triple | None:
-        t = tuple(_point2(rng, cfg) for _ in range(3))
+        t = tuple([_point2(rng, cfg) for _ in range(3)])
         return None if collinear2(*t) else t
 
     return _retry(rng, cfg, draw, "valid triangle")
@@ -174,7 +189,7 @@ def gen_correct_diagram(
     """
 
     def draw(rng: SplitMix64, cfg: GenConfig):
-        u, v, w = (_point3(rng, cfg) for _ in range(3))
+        u, v, w = [_point3(rng, cfg) for _ in range(3)]
         plane = plane_through(u, v, w)
         if plane == DRAWING_PLANE:
             return None
@@ -188,7 +203,7 @@ def gen_correct_diagram(
             kw = r * q * u3 * v3
             coords = zip(u.coords, v.coords, w.coords)
             verts.append(Point3(*[ku * x + kv * y + kw * z for x, y, z in coords]))
-        _check_vertices(verts, (not any(t) for t in _triple_planes(*(v.coords for v in verts))))
+        _check_vertices(verts, [not any(t) for t in _triple_planes(*[v.coords for v in verts])])
         light = _point3(rng, cfg)
         if plane.contains(light) or DRAWING_PLANE.contains(light):
             return None
@@ -212,10 +227,10 @@ def gen_incorrect_diagram(seed: int, cfg: GenConfig | None = None) -> PlanarDiag
     def draw(rng: SplitMix64, cfg: GenConfig) -> PlanarDiagram | None:
         center = _point2(rng, cfg)
         quad1 = _quadrangle(rng, cfg)
-        ratios = [_nonzero_fraction(rng, cfg) for _ in range(4)]
-        if len(set(ratios)) == 1:
+        ratios = [_nonzero_ratio(rng, cfg) for _ in range(4)]
+        if _one_ratio(ratios):
             return None
-        moved = (_toward(center, v, t) for v, t in zip(quad1.vertices, ratios))
+        moved = [_toward(center, v, p, q) for v, (p, q) in zip(quad1.vertices, ratios)]
         quad2 = Quadrangle(*moved)
         diagram = PlanarDiagram(center, quad1, quad2)
         verdict = decide_depiction(diagram)
@@ -264,19 +279,19 @@ def gen_degenerate_diagram(
             ray = join2(center, s)
             if any(ray.contains(x) for x in (p, q, r)):
                 return None
-            t = _nonzero_fraction(rng, cfg)
-            if t == 1:
+            num, den = _nonzero_ratio(rng, cfg)
+            if num == den:  # a ratio of 1 (den is positive) would leave S where it is
                 return None
-            quad2 = Quadrangle(p, q, r, _toward(center, s, t))
+            quad2 = Quadrangle(p, q, r, _toward(center, s, num, den))
         else:
-            a = _nonzero_fraction(rng, cfg)
-            if a == 1:
+            num, den = _nonzero_ratio(rng, cfg)
+            if num == den:
                 return None
-            center = _toward(r, s, a)
-            b = _nonzero_fraction(rng, cfg)
-            if b == 1:
+            center = _toward(r, s, num, den)
+            num, den = _nonzero_ratio(rng, cfg)
+            if num == den:
                 return None
-            r2 = _toward(r, s, b)
+            r2 = _toward(r, s, num, den)
             if r2 == center:
                 return None
             quad2 = Quadrangle(p, q, r2, s)
@@ -299,7 +314,7 @@ def gen_point_perspective_triangles(
         t1 = _triangle(rng, cfg)
         if center in t1:
             return None
-        t2 = tuple(_toward(center, v, _nonzero_fraction(rng, cfg)) for v in t1)
+        t2 = tuple([_toward(center, v, *_nonzero_ratio(rng, cfg)) for v in t1])
         if collinear2(*t2):
             return None
         meets = _homologous_meets(_triangle_sides(t1), _triangle_sides(t2))
@@ -329,7 +344,7 @@ def gen_axis_perspective_triangles(
         if axis.contains(x2) or x2 in t1:
             return None
         # an ideal m_c has no affine coordinates: _toward raises ZeroVector
-        y2 = _toward(x2, m_c, _nonzero_fraction(rng, cfg))
+        y2 = _toward(x2, m_c, *_nonzero_ratio(rng, cfg))
         if y2 == m_c:
             return None
         line_b = join2(x2, m_b)

@@ -121,7 +121,7 @@ class Quadrangle(_Labeled):
         p, q, r, s = self.P.coords, self.Q.coords, self.R.coords, self.S.coords
         pq, sp, qr = self._kept_sides
         side = dict(QR=qr, RP=_cross(r, p), PQ=pq, SP=sp, SQ=_cross(s, q), SR=_cross(s, r))
-        return side, tuple(_cross(side[b], side[a]) for a, b in OPPOSITE_SIDES)
+        return side, tuple([_cross(side[b], side[a]) for a, b in OPPOSITE_SIDES])
 
     @_once
     def _sides(self) -> SideSet:

@@ -23,7 +23,9 @@ from quadshadow.generators import (
     GenConfig,
     RetriesExhausted,
     SplitMix64,
+    _one_ratio,
     _quadrangle,
+    _ratio,
     _toward,
     gen_axis_perspective_triangles,
     gen_correct_diagram,
@@ -67,6 +69,7 @@ def test_below_range_and_determinism():
     draws = [rng.below(10) for _ in range(8)]
     assert draws == [8, 4, 3, 9, 1, 6, 9, 5]
     assert all(0 <= d < 10 for d in draws)
+    assert [rng.below(1) for _ in range(3)] == [0, 0, 0]
 
 
 def test_below_rejects_nonpositive():
@@ -108,6 +111,18 @@ def test_generator_outputs_are_frozen():
             digest.update(repr(out).encode())
     assert digest.hexdigest() == (
         "e2f9c93a49798580a402615ae08aae62e0790aedc6aec6853e22f50468c99d67"
+    )
+
+
+def test_incorrect_diagrams_drawn_again_are_frozen():
+    # the first draw of seed 1028 puts a moved vertex on O, of seed 7209 makes three moved
+    # vertices collinear, and of seed 12461 has four equal ratios (a dilation, so correct);
+    # each is drawn again from the rest of its stream, so one draw more or less moves it
+    digest = hashlib.sha256()
+    for seed in (1028, 7209, 12461):
+        digest.update(repr(gen_incorrect_diagram(seed)).encode())
+    assert digest.hexdigest() == (
+        "a636536454c2f63cdea0fd92545feee5f9a2a0c002afe3eeb13f3ce10f32a69d"
     )
 
 
@@ -251,7 +266,45 @@ def test_toward_refuses_an_ideal_end_in_either_order():
     ideal, affine = Point2(1, 2, 0), Point2(3, 4, 1)
     for a, b in ((ideal, affine), (affine, ideal)):
         with pytest.raises(ZeroVector, match="^ideal point among Point2"):
-            _toward(a, b, Fraction(1, 2))
+            _toward(a, b, 1, 2)
+
+
+def test_a_ratio_pair_gives_the_point_and_the_equality_of_its_fraction():
+    # Fraction arithmetic is the oracle: a + t (b - a) on affine coordinates, and t1 == t2
+    a, b = Point2(3, -4, 2), Point2(-5, 1, 3)
+    (ax, ay), (bx, by) = a.affine_coords, b.affine_coords
+    pairs = [(p, q) for p in range(-4, 5) if p for q in range(1, 5)]
+    for p, q in pairs:
+        t = Fraction(p, q)
+        point = Point2(ax + t * (bx - ax), ay + t * (by - ay), 1)
+        assert [_toward(a, b, k * p, k * q) for k in (1, 3, -1, -2)] == [point] * 4
+        for r, s in pairs:  # as gen_incorrect_diagram rejects four equal ratios
+            same = t == Fraction(r, s)
+            assert _one_ratio([(p, q), (r, s)]) is same
+            assert _one_ratio([(p, q), (2 * p, 2 * q), (-p, -q), (r, s)]) is same
+    assert _one_ratio([(1, 2), (2, 4), (3, 6), (-4, -8)])
+    assert not _one_ratio([(1, 2), (2, 4), (3, 6), (4, 7)])
+
+
+def test_a_bound_that_leaves_no_value_raises_before_any_draw():
+    # the numerator takes one of 2 numerator_bound + 1 values, the denominator one of
+    # denominator_bound; every generator draws its ratios through _ratio
+    for cfg, n in ((GenConfig(numerator_bound=-1), -1), (GenConfig(numerator_bound=-4), -7),
+                   (GenConfig(denominator_bound=0), 0), (GenConfig(denominator_bound=-2), -2),
+                   (GenConfig(numerator_bound=0, denominator_bound=0), 0)):
+        message = f"^need a positive bound, got {n}$"
+        rng = SplitMix64(0)
+        with pytest.raises(ValueError, match=message):
+            _ratio(rng, cfg)
+        assert rng.next_u64() == SplitMix64(0).next_u64()
+        for generate in (gen_correct_diagram, gen_incorrect_diagram, gen_degenerate_diagram,
+                         gen_point_perspective_triangles, gen_axis_perspective_triangles):
+            with pytest.raises(ValueError, match=message):
+                generate(0, cfg)
+    # bounds of 0 and 1 leave one value each, and both are drawn
+    rng, stream = SplitMix64(0), SplitMix64(0)
+    assert _ratio(rng, GenConfig(numerator_bound=0, denominator_bound=1)) == (0, 1)
+    assert rng.next_u64() == [stream.next_u64() for _ in range(3)][-1]
 
 
 def _side_lines(t):

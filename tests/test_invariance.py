@@ -9,7 +9,6 @@ diagonal triangles.  Fixed seeds, so every run checks the same diagrams.
 """
 
 import re
-from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
@@ -51,11 +50,12 @@ def center_on_side(seed):
     moved along its ray from O: by equal ratios (correct) for even seeds, with
     one vertex moved by another ratio (incorrect) for odd ones."""
     q = _quadrangle(SplitMix64(seed), None)
-    o = _toward(q.P, q.Q, (F(1, 3), F(-1, 2), F(3, 2))[seed % 3])
+    o = _toward(q.P, q.Q, *((1, 3), (-1, 2), (3, 2))[seed % 3])
     ratios = [2, 2, 2, 2]
     if seed % 2:
         ratios[seed // 2 % 4] = 3
-    return PlanarDiagram(o, q, Quadrangle(*map(_toward, [o] * 4, q.vertices, ratios)))
+    moved = [_toward(o, v, r, 1) for v, r in zip(q.vertices, ratios)]
+    return PlanarDiagram(o, q, Quadrangle(*moved))
 
 
 def diagrams(seed):

@@ -2,9 +2,12 @@
 only, from its canonical diagram document as seven determinants, coordinate lists and notes.
 
 The judge reads the three verdict goldens and the generated, special-position and hand-built
-pools, and it must see every degeneracy kind and every reason those pools can reach; the one
-reason no pooled diagram reaches, diagonal_pair_c, is held to its string.  tests/test_checker.py
-keeps only what a verdict's fields do not show."""
+pools, and it must see every degeneracy kind and every reason those pools can reach.  In a
+verdict that is applicable but neither correct nor identical, a diagonal pair is perspective
+exactly when O lies on one of that pair's sides in either quadrangle (the checker module says
+why), so at most one pair is: diagonal_pair_c, which needs A and B perspective, is reached by
+no diagram and is held to its string.  tests/test_checker.py keeps only what a verdict's
+fields do not show."""
 
 import json
 
@@ -38,6 +41,12 @@ def judge(diagram_text, verdict_text):
         [(w1, w2)] = [(q1[v], q2[v]) for v in "PQRS" if v not in coincident]
         if any(dot(q1[v], cross(w1, w2)) == 0 for v in coincident):
             kind = "vertex"
+    if applicable and kind != "identical" and not all(pairs):  # neither correct nor identical
+        # pair A, B or C is perspective exactly when O lies on one of its two sides, QR or SP,
+        # RP or SQ, PQ or SR, in either quadrangle; so at most one is, and never C alone fails
+        on_sides = [any(dot(o, lines[i]) == 0 or dot(o, lines[i + 3]) == 0 for lines in sides)
+                    for i in range(3)]
+        assert pairs == on_sides and sum(pairs) <= 1
     failed = [f"diagonal_pair_{x}" for x, ok in zip("abc", pairs) if not ok]
     reason = "not_perspective"
     if applicable:  # the degeneracy, else the first failing pair
@@ -79,3 +88,7 @@ def test_judge_agrees_with_the_goldens_and_every_generated_and_special_verdict()
         "correct", "not_perspective", "identical", "triangle_degeneracy", "vertex_degeneracy",
         "diagonal_pair_a", "diagonal_pair_b"}
     assert {r.value for r in Reason} - {v["reason"] for v in seen} == {"diagonal_pair_c"}
+    # and the judge saw each pair perspective, with O on one of its sides, in such a verdict
+    assert {tuple(v["diagonal_pairs"].values()) for v in seen if v["applicable"]
+            and not v["correct"] and v["degeneracy"]["kind"] != "identical"} == {
+        (False, False, False), (True, False, False), (False, True, False), (False, False, True)}

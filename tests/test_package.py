@@ -3,8 +3,9 @@
 Start-up is read in a child process started without the site module, so that what a
 machine's site loads is not counted.  import quadshadow loads neither generators nor
 cli_io, check and lift never load generators, and none of the three loads dataclasses,
-inspect, fractions, decimal, numbers or contextlib.  check and lift through main() leave
-the collector frozen, and run_cli in process leaves it alone.
+inspect, fractions, decimal, numbers or contextlib; nor does fuzz load the last four.
+check and lift through main() leave the collector frozen, and run_cli in process leaves
+it alone.
 """
 
 import functools
@@ -217,11 +218,11 @@ def test_import_check_and_lift_load_neither_dataclasses_nor_inspect():
 
 
 def test_import_check_and_lift_load_no_number_tower_and_no_contextlib():
-    # an integer document and lift's default displacements need no Fraction;
-    # run_cli swaps sys.stdout itself, without contextlib.redirect_stdout
+    # an integer document, lift's default displacements and the generators' integer
+    # draws need no Fraction; run_cli swaps sys.stdout itself, without contextlib
     steps, _ = _startup()
     assert "quadshadow.documents" in steps["import"][-1]  # the package's loads are listed
-    for step in ("import", "check", "lift"):
+    for step in ("import", "check", "lift", "fuzz"):
         assert not {"fractions", "decimal", "numbers", "contextlib"} & set(steps[step][-1]), step
 
 
